@@ -42,6 +42,7 @@ from .field import (
     LambdaPoly,
     LambdaRatFunc,
     MixedModeError,
+    NonLocalDenominatorError,
     PoleError,
     evaluate_at,
     field_arith,
@@ -94,6 +95,7 @@ __all__ = [
     "LambdaPoly",
     "LambdaRatFunc",
     "MixedModeError",
+    "NonLocalDenominatorError",
     "PoleError",
     "evaluate_at",
     "field_arith",

@@ -1,31 +1,41 @@
-"""Exact scalar arithmetic: rationals and the rational-function field Q(L).
+"""Exact scalar arithmetic: rationals and the symbolic ring in L.
 
 Two scalar domains are used throughout the package, selected by
 :class:`LambdaMode`:
 
 * plain arbitrary-precision rationals (``fractions.Fraction``), used when
   the deformation parameter is a fixed rational number;
-* :class:`LambdaRatFunc`, a rational function of the deformation
-  parameter ``L`` over Q, used in symbolic mode.
+* :class:`LambdaRatFunc`, a function of the deformation parameter ``L``,
+  used in symbolic mode.
 
-Both are immutable, exact, and compare structurally; canonical form for
-Q(L) is a gcd-reduced fraction with monic denominator, so equality is a
-plain field-by-field comparison.
+The families come from the kernels t^k/(L e^t - 1)^k and
+2^k/(L e^t + 1)^k, so every symbolic value has a denominator of the form
+d (L-1)^a (L+1)^b.  :class:`LambdaRatFunc` is therefore the ring Z[L]
+localized at the integers and at L-1 and L+1: it stores an integer
+numerator list next to d, a and b, and normalizes by synthetic division
+at L = +-1 and by integer content, with no polynomial gcd.  Inverting an
+element whose numerator has any other non-constant factor raises
+:class:`NonLocalDenominatorError`.
+
+Both domains are immutable, exact, and have a unique canonical form, so
+equality is a plain field-by-field comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
-from ._kernels import conv_frac, prim_gcd_int
+from ._kernels import conv_frac, conv_int, prim_gcd_int
 
 __all__ = [
     "Fraction",
     "PoleError",
     "MixedModeError",
+    "NonLocalDenominatorError",
     "rational",
     "parse_rational",
     "render_rational",
@@ -257,10 +267,90 @@ def poly_gcd(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
 _POLY_ONE = LambdaPoly([1])
 
 
-class LambdaRatFunc:
-    """Element of Q(L): quotient of two coprime polynomials, monic denominator."""
+@lru_cache(maxsize=None)
+def _pole_poly(a: int, b: int) -> list:
+    """Integer coefficients of (L-1)^a (L+1)^b; callers must not mutate."""
+    if a:
+        return conv_int(_pole_poly(a - 1, b), [-1, 1])
+    if b:
+        return conv_int(_pole_poly(0, b - 1), [1, 1])
+    return [1]
 
-    __slots__ = ("num", "den")
+
+def _alt_sum(n) -> int:
+    """Value of an integer polynomial at L = -1."""
+    return sum(n[0::2]) - sum(n[1::2])
+
+
+def _strip_root(n: list, root: int, limit: int) -> tuple:
+    """Divide (L - root) out of the nonzero n, root = +-1, at most limit
+    times, by synthetic division; returns the quotient and the count."""
+    value_at = sum if root == 1 else _alt_sum
+    count = 0
+    while count < limit and not value_at(n):
+        q = [0] * (len(n) - 1)
+        acc = 0
+        for i in range(len(n) - 1, 0, -1):
+            acc = n[i] + root * acc
+            q[i - 1] = acc
+        n = q
+        count += 1
+    return n, count
+
+
+def _canonical(n: list, d: int, a: int, b: int) -> "LambdaRatFunc":
+    """The element n / (d (L-1)^a (L+1)^b) in canonical form.
+
+    ``n`` is a fresh integer list (trailing zeros allowed) and ``d > 0``.
+    Cancels L-1 and L+1 against the numerator by synthetic division and
+    the integer content against ``d``.
+    """
+    while n and not n[-1]:
+        n.pop()
+    if not n:
+        return _RATFUNC_ZERO
+    if a:
+        n, k = _strip_root(n, 1, a)
+        a -= k
+    if b:
+        n, k = _strip_root(n, -1, b)
+        b -= k
+    if d != 1:
+        g = d
+        for c in n:
+            g = gcd(g, c)
+            if g == 1:
+                break
+        if g != 1:
+            n = [c // g for c in n]
+            d //= g
+    return _new((tuple(n), d, a, b))
+
+
+def _lift(n: tuple, scale: int, a: int, b: int) -> list:
+    """n * scale * (L-1)^a (L+1)^b as a fresh integer list."""
+    out = list(n) if scale == 1 else [c * scale for c in n]
+    if a or b:
+        out = conv_int(out, _pole_poly(a, b))
+    return out
+
+
+class NonLocalDenominatorError(ArithmeticError):
+    """A symbolic value would need a denominator factor other than L-1
+    and L+1, which the scalar ring cannot represent."""
+
+
+class LambdaRatFunc:
+    """Element of Z[L] localized at d (L-1)^a (L+1)^b.
+
+    Stored as the tuple ``(N, d, a, b)`` for the value
+    N / (d (L-1)^a (L+1)^b): ``N`` is a tuple of ints (ascending powers,
+    no trailing zeros), ``d > 0``, the content of ``N`` is coprime to
+    ``d``, N(1) != 0 when a > 0 and N(-1) != 0 when b > 0.  Zero is
+    ``((), 1, 0, 0)``.  This form is unique, so equality compares keys.
+    """
+
+    __slots__ = ("_key",)
 
     def __init__(self, num, den=_POLY_ONE):
         num = _as_poly(num)
@@ -270,30 +360,17 @@ class LambdaRatFunc:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            num, den = LambdaPoly(), _POLY_ONE
+            value = _RATFUNC_ZERO
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divexact(g)
-                den = den.divexact(g)
-            lead = den.leading
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _raw(cls, num: LambdaPoly, den: LambdaPoly) -> "LambdaRatFunc":
-        # Trusted constructor: operands already coprime with monic denominator.
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
-        return obj
+            value = _from_poly(num) * _from_poly(den).inverse()
+        object.__setattr__(self, "_key", value._key)
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "LambdaRatFunc":
-        return cls._raw(LambdaPoly([value]), _POLY_ONE)
+        value = Fraction(value)
+        if not value:
+            return _RATFUNC_ZERO
+        return _new(((value.numerator,), value.denominator, 0, 0))
 
     def __setattr__(self, name, value):
         raise AttributeError("LambdaRatFunc is immutable")
@@ -301,30 +378,48 @@ class LambdaRatFunc:
     # -- structure --------------------------------------------------------
 
     @property
+    def num(self) -> LambdaPoly:
+        """Numerator N/d of the reduced fraction with monic denominator."""
+        n, d = self._key[0], self._key[1]
+        return LambdaPoly([Fraction(c, d) for c in n])
+
+    @property
+    def den(self) -> LambdaPoly:
+        """Monic denominator (L-1)^a (L+1)^b."""
+        return LambdaPoly(_pole_poly(*self.pole_orders))
+
+    @property
+    def pole_orders(self) -> tuple:
+        """Pole orders (a, b) at L = 1 and L = -1."""
+        return self._key[2], self._key[3]
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self._key[0]
 
     @property
     def is_rational(self) -> bool:
-        return self.den == _POLY_ONE and self.num.degree <= 0
+        n, _, a, b = self._key
+        return len(n) <= 1 and not a and not b
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"not a constant rational function: {self!r}")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+        n, d = self._key[0], self._key[1]
+        return _fast_fraction(n[0], d) if n else Fraction(0)
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self._key[0])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LambdaRatFunc):
-            return self.num == other.num and self.den == other.den
+            return self._key == other._key
         if isinstance(other, (int, Fraction)):
-            return self.den == _POLY_ONE and self.num == LambdaPoly([other])
+            return self.is_rational and self.as_rational() == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(("LambdaRatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("LambdaRatFunc", self._key))
 
     def __repr__(self):
         from .render import render_ratfunc
@@ -346,38 +441,28 @@ class LambdaRatFunc:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.is_zero:
+        n1, d1, a1, b1 = self._key
+        n2, d2, a2, b2 = rhs._key
+        if not n1:
             return rhs
-        if rhs.is_zero:
+        if not n2:
             return self
-        g = poly_gcd(self.den, rhs.den)
-        if g.degree <= 0:
-            num = self.num * rhs.den + rhs.num * self.den
-            den = self.den * rhs.den
-            if num.is_zero:
-                return _RATFUNC_ZERO
-            return LambdaRatFunc._raw(num, den)
-        sa = self.den.divexact(g)
-        sb = rhs.den.divexact(g)
-        t = self.num * sb + rhs.num * sa
-        if t.is_zero:
-            return _RATFUNC_ZERO
-        g2 = poly_gcd(t, g)
-        if g2.degree > 0:
-            t = t.divexact(g2)
-            den = sa * rhs.den.divexact(g2)
-        else:
-            den = sa * rhs.den
-        lead = den.leading
-        if lead != 1:
-            t = t.scale(1 / lead)
-            den = den.scale(1 / lead)
-        return LambdaRatFunc._raw(t, den)
+        a = a1 if a1 > a2 else a2
+        b = b1 if b1 > b2 else b2
+        d = d1 if d1 == d2 else lcm(d1, d2)
+        p = _lift(n1, d // d1, a - a1, b - b1)
+        q = _lift(n2, d // d2, a - a2, b - b2)
+        if len(p) < len(q):
+            p, q = q, p
+        for i, c in enumerate(q):
+            p[i] += c
+        return _canonical(p, d, a, b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaRatFunc._raw(-self.num, self.den)
+        n, d, a, b = self._key
+        return _new((tuple([-c for c in n]), d, a, b))
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -395,28 +480,29 @@ class LambdaRatFunc:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.is_zero or rhs.is_zero:
+        n1, d1, a1, b1 = self._key
+        n2, d2, a2, b2 = rhs._key
+        if not n1 or not n2:
             return _RATFUNC_ZERO
-        g1 = poly_gcd(self.num, rhs.den)
-        g2 = poly_gcd(rhs.num, self.den)
-        num_a = self.num.divexact(g1) if g1.degree > 0 else self.num
-        den_b = rhs.den.divexact(g1) if g1.degree > 0 else rhs.den
-        num_b = rhs.num.divexact(g2) if g2.degree > 0 else rhs.num
-        den_a = self.den.divexact(g2) if g2.degree > 0 else self.den
-        num = num_a * num_b
-        den = den_a * den_b
-        lead = den.leading
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        return LambdaRatFunc._raw(num, den)
+        return _canonical(conv_int(list(n1), list(n2)), d1 * d2, a1 + a2, b1 + b2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LambdaRatFunc":
-        if self.is_zero:
+        """Reciprocal; the numerator must be c (L-1)^p (L+1)^q."""
+        n, d, a, b = self._key
+        if not n:
             raise ZeroDivisionError("inverse of the zero rational function")
-        return LambdaRatFunc(self.den, self.num)
+        rest, p = _strip_root(list(n), 1, len(n))
+        rest, q = _strip_root(rest, -1, len(rest))
+        if len(rest) > 1:
+            raise NonLocalDenominatorError(
+                f"1/({self!r}) has a denominator factor other than L-1 and L+1"
+            )
+        c = rest[0]
+        top = _pole_poly(max(a - p, 0), max(b - q, 0))
+        scale = d if c > 0 else -d
+        return _new((tuple([scale * t for t in top]), abs(c), max(p - a, 0), max(q - b, 0)))
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
@@ -445,21 +531,41 @@ class LambdaRatFunc:
         return result
 
     def evaluate_at(self, point: RationalLike) -> Fraction:
-        """Exact substitution; raises PoleError at a denominator root."""
+        """Exact substitution; raises PoleError at L = 1 or L = -1 when
+        the value has a pole there."""
         point = Fraction(point)
-        d = self.den.evaluate(point)
-        if not d:
+        n, d, a, b = self._key
+        if (a and point == 1) or (b and point == -1):
             raise PoleError(f"pole at {render_rational(point)}")
-        return self.num.evaluate(point) / d
+        acc = Fraction(0)
+        for c in reversed(n):
+            acc = acc * point + c
+        return acc / (d * (point - 1) ** a * (point + 1) ** b)
 
 
-_RATFUNC_ZERO = LambdaRatFunc._raw(LambdaPoly(), _POLY_ONE)
-_RATFUNC_ONE = LambdaRatFunc._raw(_POLY_ONE, _POLY_ONE)
-_RATFUNC_LAMBDA = LambdaRatFunc._raw(LambdaPoly([0, 1]), _POLY_ONE)
+_set_key = LambdaRatFunc._key.__set__
+
+
+def _new(key: tuple) -> LambdaRatFunc:
+    # Trusted constructor: the key is already canonical.
+    obj = object.__new__(LambdaRatFunc)
+    _set_key(obj, key)
+    return obj
+
+
+def _from_poly(poly: LambdaPoly) -> LambdaRatFunc:
+    """Embed a polynomial over Q."""
+    d = lcm(*(c.denominator for c in poly.coeffs)) if poly.coeffs else 1
+    return _canonical([c.numerator * (d // c.denominator) for c in poly.coeffs], d, 0, 0)
+
+
+_RATFUNC_ZERO = _new(((), 1, 0, 0))
+_RATFUNC_ONE = _new(((1,), 1, 0, 0))
+_RATFUNC_LAMBDA = _new(((0, 1), 1, 0, 0))
 
 
 def ratfunc_canonical(num: LambdaPoly, den: LambdaPoly) -> LambdaRatFunc:
-    """Canonical fraction in Q(L): gcd removed, denominator monic."""
+    """Canonical element for num/den; den must be c (L-1)^a (L+1)^b."""
     return LambdaRatFunc(num, den)
 
 

@@ -54,44 +54,20 @@ def render_lambda_poly(poly: LambdaPoly, sym: str = MACHINE_SYMBOL) -> str:
     return "".join(parts)
 
 
-def _special_factors(den: LambdaPoly, sym: str):
-    """Pull powers of (L-1) and (L+1) out of a monic denominator.
-
-    Those two factors cover every denominator the polynomial families
-    produce, so the display stays in the familiar "(L-1)^k" shape; any
-    other factor is rendered expanded.
-    """
-    factors = []
-    rest = den
-    for shift in (-1, 1):
-        linear = LambdaPoly([shift, 1])
-        count = 0
-        while rest.degree >= 1:
-            try:
-                quotient = rest.divexact(linear)
-            except ValueError:
-                break
-            rest = quotient
-            count += 1
-        if count:
-            base = f"({sym}{'-' if shift < 0 else '+'}1)"
-            factors.append(base if count == 1 else f"{base}^{count}")
-    if rest != LambdaPoly([1]):
-        body = render_lambda_poly(rest, sym)
-        if rest.degree >= 1 and len([c for c in rest.coeffs if c]) > 1:
-            body = f"({body})"
-        factors.append(body)
-    return factors
-
-
 def render_ratfunc(f: LambdaRatFunc, sym: str = MACHINE_SYMBOL) -> str:
-    """Canonical "(num)/(den)" rendering with factored denominator."""
-    num = render_lambda_poly(f.num, sym)
-    if f.den.degree <= 0:
+    """Canonical "(num)/(den)" rendering with factored denominator
+    "(L-1)^a*(L+1)^b"."""
+    num_poly = f.num
+    num = render_lambda_poly(num_poly, sym)
+    factors = []
+    for sign, count in zip("-+", f.pole_orders):
+        if count:
+            base = f"({sym}{sign}1)"
+            factors.append(base if count == 1 else f"{base}^{count}")
+    if not factors:
         return num
-    if len([c for c in f.num.coeffs if c]) > 1:
+    if len([c for c in num_poly.coeffs if c]) > 1:
         num = f"({num})"
-    factors = _special_factors(f.den, sym)
     den = factors[0] if len(factors) == 1 else "(" + "*".join(factors) + ")"
     return f"{num}/{den}"
 
@@ -130,7 +106,7 @@ def _coeff_times_x(magnitude, sym: str, exponent: int) -> str:
         return xpow
     if isinstance(magnitude, LambdaRatFunc) and not magnitude.is_rational:
         body = render_field_element(magnitude, sym)
-        if magnitude.den.degree >= 1 or len([c for c in magnitude.num.coeffs if c]) > 1:
+        if magnitude.pole_orders != (0, 0) or len([c for c in magnitude.num.coeffs if c]) > 1:
             body = f"({body})"
         return f"{body}*{xpow}"
     rat = magnitude.as_rational() if isinstance(magnitude, LambdaRatFunc) else Fraction(magnitude)

@@ -28,10 +28,12 @@ def random_lambda_poly(rng: Random, max_deg: int = 2, nonzero: bool = False) -> 
 
 
 def random_ratfunc(rng: Random, max_deg: int = 2) -> LambdaRatFunc:
-    return LambdaRatFunc(
-        random_lambda_poly(rng, max_deg),
-        random_lambda_poly(rng, max_deg, nonzero=True),
-    )
+    """N / (c (L-1)^a (L+1)^b) with N over Q and a, b <= 3: the shape of
+    every denominator the symbolic ring represents."""
+    lam = LambdaPoly([0, 1])
+    den = (lam - 1) ** rng.randint(0, 3) * (lam + 1) ** rng.randint(0, 3)
+    c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+    return LambdaRatFunc(random_lambda_poly(rng, max_deg), den.scale(c))
 
 
 def random_xpoly(rng: Random, mode: LambdaMode, max_deg: int = 6) -> XPolynomial:

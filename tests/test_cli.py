@@ -195,6 +195,21 @@ def test_pole_diagnostic_is_one_line(capsys):
     assert "pole" in err
 
 
+def test_non_local_denominator_is_an_internal_fault(capsys, monkeypatch):
+    # the error means a value left the symbolic ring: a program fault,
+    # not bad input, so it must not share the usage-error exit code
+    from apobern import NonLocalDenominatorError, cli
+
+    def broken(*args):
+        raise NonLocalDenominatorError("1/(L) has a denominator factor other than L-1 and L+1")
+
+    assert not issubclass(NonLocalDenominatorError, (ValueError, ZeroDivisionError))
+    monkeypatch.setattr(cli, "apostol_bernoulli_numbers", broken)
+    argv = ["numbers", "--family", "apostol-bernoulli", "--n", "2", "--lambda", "symbolic"]
+    assert cli.main(argv) == 1
+    assert "denominator factor" in capsys.readouterr().err
+
+
 def test_help_lists_documented_flags():
     parser = build_parser()
     sub_actions = next(

@@ -122,6 +122,28 @@ def test_euler_symbolic_specializes_to_classical_at_one():
         assert v_sym.evaluate_at(1) == v_one
 
 
+@pytest.mark.parametrize("point", [2, -2, Fraction(1, 3), 3])
+def test_symbolic_values_specialize_to_numeric_mode(point):
+    # substitution into the symbolic values must agree with the numeric
+    # mode, which computes in plain rationals and never touches Q(L)
+    numeric = LambdaMode.numeric(point)
+    for numbers, poly in (
+        (apostol_bernoulli_numbers, apostol_bernoulli_poly),
+        (apostol_euler_numbers, apostol_euler_poly),
+    ):
+        for k in range(5):
+            sym_table = numbers(k, 10, SYM)
+            num_table = numbers(k, 10, numeric)
+            for v_sym, v_num in zip(sym_table.values, num_table.values, strict=True):
+                assert isinstance(v_num, Fraction)
+                assert v_sym.evaluate_at(point) == v_num
+            for n in range(11):
+                sym_poly = poly(n, k, SYM)
+                num_poly = poly(n, k, numeric)
+                coeffs = [sym_poly.coefficient(m).evaluate_at(point) for m in range(n + 1)]
+                assert coeffs == [num_poly.coefficient(m) for m in range(n + 1)]
+
+
 def test_euler_rejects_minus_one():
     with pytest.raises(PoleError):
         apostol_euler_numbers(1, 3, LambdaMode.numeric(-1))

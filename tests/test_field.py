@@ -12,6 +12,7 @@ from apobern import (
     LambdaPoly,
     LambdaRatFunc,
     MixedModeError,
+    NonLocalDenominatorError,
     PoleError,
     evaluate_at,
     field_arith,
@@ -98,6 +99,13 @@ def test_ratfunc_canonical_examples():
     assert z.is_zero
     assert z.den == LambdaPoly([1])
 
+    # the same value reached through different denominators is one key
+    h = ratfunc_canonical(lam.scale(2) + 2, ((lam - 1) * (lam + 1)).scale(6))
+    assert h == ratfunc_canonical(LambdaPoly([1]), (lam - 1).scale(3))
+    assert h.pole_orders == (1, 0)
+    with pytest.raises(NonLocalDenominatorError):
+        ratfunc_canonical(LambdaPoly([1]), lam ** 3)
+
 
 def test_ratfunc_zero_denominator():
     with pytest.raises(ZeroDivisionError):
@@ -106,9 +114,14 @@ def test_ratfunc_zero_denominator():
 
 def test_ratfunc_monic_denominator_invariant():
     lam = LambdaPoly([0, 1])
-    f = LambdaRatFunc(LambdaPoly([1]), LambdaPoly([2, 4]))  # 1/(4L+2)
+    f = LambdaRatFunc(LambdaPoly([1]), LambdaPoly([-4, 4]))  # 1/(4L-4)
     assert f.den.leading == 1
-    assert f.evaluate_at(1) == Fraction(1, 6)
+    assert f.den == lam - 1
+    assert f.num == LambdaPoly([Fraction(1, 4)])
+    assert f.evaluate_at(3) == Fraction(1, 8)
+    # 4L+2 has its root at -1/2, outside the ring's denominators
+    with pytest.raises(NonLocalDenominatorError):
+        LambdaRatFunc(LambdaPoly([1]), LambdaPoly([2, 4]))
 
 
 def test_field_arith_examples():
@@ -143,11 +156,11 @@ def test_evaluate_at_examples():
 
 
 def test_ratfunc_addition_shared_denominator_factors():
-    # exercises the reduced-addition branches: shared factor in the
-    # denominators, and a further common factor with the numerator sum
+    # exercises the lifted addition: a shared factor in the denominators,
+    # and a further factor L-1 the numerator sum cancels
     lam = LambdaMode.symbolic().lam
-    a = 1 / (lam * (lam - 1))
-    b = 1 / (lam * (lam + 1))
+    a = 2 / ((lam - 1) ** 2)
+    b = -4 / ((lam - 1) ** 2 * (lam + 1))
     total = a + b
     assert total == 2 / ((lam - 1) * (lam + 1))
     assert total.den == LambdaPoly([-1, 0, 1])
@@ -155,7 +168,27 @@ def test_ratfunc_addition_shared_denominator_factors():
     assert (a + (-a)).is_zero
     # reflected int operands
     assert 1 - lam == -(lam - 1)
-    assert (2 / lam) * lam == LambdaRatFunc.from_rational(2)
+    assert (2 / (lam - 1)) * (lam - 1) == LambdaRatFunc.from_rational(2)
+    # L is not a unit of the ring
+    with pytest.raises(NonLocalDenominatorError):
+        2 / lam
+    with pytest.raises(NonLocalDenominatorError):
+        1 / (lam * (lam - 1))
+
+
+def test_ratfunc_inverse_of_units():
+    lam = LambdaMode.symbolic().lam
+    f = 3 * (lam - 1) ** 2 * (lam + 1) / 2
+    g = f.inverse()
+    assert g.num == LambdaPoly([Fraction(2, 3)])
+    assert g.pole_orders == (2, 1)
+    assert f * g == 1
+    # the numerator factor L-1 cancels against the existing pole
+    h = (lam - 1) * (lam + 1) ** -2
+    assert h.inverse() == (lam + 1) ** 2 / (lam - 1)
+    assert h.evaluate_at(1) == 0
+    with pytest.raises(PoleError):
+        h.evaluate_at(-1)
 
 
 # -- field axioms (randomized) ---------------------------------------------------
@@ -166,6 +199,19 @@ def _ratfuncs(seed):
     return [random_ratfunc(rng) for _ in range(3)]
 
 
+def _is_unit(f: LambdaRatFunc) -> bool:
+    """Whether the numerator is c (L-1)^p (L+1)^q."""
+    lam = LambdaPoly([0, 1])
+    num = f.num
+    if num.is_zero:
+        return False
+    monic = num.scale(1 / num.leading)
+    return any(
+        monic == (lam - 1) ** p * (lam + 1) ** (num.degree - p)
+        for p in range(num.degree + 1)
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_field_axioms(seed):
@@ -174,8 +220,11 @@ def test_field_axioms(seed):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a * b == b * a
-    if not a.is_zero:
+    if _is_unit(a):
         assert a * a.inverse() == LambdaRatFunc.from_rational(1)
+    elif not a.is_zero:
+        with pytest.raises(NonLocalDenominatorError):
+            a.inverse()
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,6 +289,11 @@ def test_render_ratfunc_spellings():
     assert render_ratfunc(LambdaRatFunc(lam + 1, LambdaPoly([2]))) == "L/2+1/2"
     mixed = LambdaRatFunc(LambdaPoly([1]), (lam - 1) * (lam + 1))
     assert render_ratfunc(mixed) == "1/((L-1)*(L+1))"
-    assert render_ratfunc(LambdaRatFunc(LambdaPoly([1]), lam ** 2)) == "1/L^2"
+    assert (
+        render_ratfunc(LambdaRatFunc(LambdaPoly([1]), (lam - 1) ** 2 * (lam + 1)))
+        == "1/((L-1)^2*(L+1))"
+    )
+    with pytest.raises(NonLocalDenominatorError):
+        LambdaRatFunc(LambdaPoly([1]), lam ** 2)
     # human format swaps the symbol
     assert render_ratfunc(LambdaRatFunc(LambdaPoly([1]), lam - 1), "λ") == "1/(λ-1)"
