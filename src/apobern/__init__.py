@@ -10,7 +10,6 @@ behind the ``apobern`` command-line tool.
 
 from fractions import Fraction
 
-from ._kernels import IMPL_NAME as KERNEL_IMPL
 from .expansion import (
     BasisExpansion,
     ExpansionMethod,
@@ -27,10 +26,8 @@ from .families import (
     apostol_bernoulli_poly,
     apostol_euler_numbers,
     apostol_euler_poly,
-    bernoulli_number,
     bernoulli_numbers_by_recurrence,
     bernoulli_poly,
-    euler_number,
     euler_number_from_half_point,
     euler_numbers_by_recurrence,
     euler_poly,
@@ -66,6 +63,7 @@ from .identities import (
 )
 from .operators import (
     DifferencePowerMethod,
+    alternating_lambda_sum,
     commutator_check,
     corrected_power_at_zero,
     d_op,
@@ -84,6 +82,9 @@ from .reporting import (
 from .series import NonInvertibleSeriesError, TruncatedSeries, exp_scaled_series
 
 __version__ = "0.1.0"
+
+# The kernels are plain Python; benchmark runs record this name.
+KERNEL_IMPL = "pure"
 
 __all__ = [
     "Fraction",
@@ -118,16 +119,15 @@ __all__ = [
     "apostol_bernoulli_poly",
     "apostol_euler_numbers",
     "apostol_euler_poly",
-    "bernoulli_number",
     "bernoulli_numbers_by_recurrence",
     "bernoulli_poly",
-    "euler_number",
     "euler_number_from_half_point",
     "euler_numbers_by_recurrence",
     "euler_poly",
     "poly_by_series_extraction",
     # operators
     "DifferencePowerMethod",
+    "alternating_lambda_sum",
     "commutator_check",
     "corrected_power_at_zero",
     "d_op",

@@ -1,29 +1,5 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Dense integer and rational kernels, in pure Python."""
 
-Set ``APOBERN_PURE=1`` to force the pure-Python implementation even when
-the extension is built (used by the test suite and the benchmark to
-compare both).
-"""
+from ._pure import conv_frac, conv_int, prim_gcd_int, recip_frac
 
-import os
-
-from . import _pure
-
-if os.environ.get("APOBERN_PURE") == "1":
-    _impl = _pure
-    IMPL_NAME = "pure"
-else:
-    try:
-        from . import _speedups as _impl
-
-        IMPL_NAME = "compiled"
-    except ImportError:
-        _impl = _pure
-        IMPL_NAME = "pure"
-
-conv_int = _impl.conv_int
-conv_frac = _impl.conv_frac
-recip_frac = _impl.recip_frac
-prim_gcd_int = _impl.prim_gcd_int
-
-__all__ = ["conv_int", "conv_frac", "recip_frac", "prim_gcd_int", "IMPL_NAME"]
+__all__ = ["conv_int", "conv_frac", "recip_frac", "prim_gcd_int"]

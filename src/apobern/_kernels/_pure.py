@@ -1,12 +1,11 @@
 """Pure-Python dense arithmetic kernels.
 
-These four functions carry the inner loops of the whole package: every
-polynomial product, truncated-series product, series reciprocal and
-rational-function reduction bottoms out here.  The compiled twin in
-``_speedups.pyx`` implements the same contracts; ``apobern._kernels``
-selects one at import time.
+These functions carry the inner loops of the whole package: every
+polynomial product, truncated-series product and series reciprocal
+bottoms out here.  ``prim_gcd_int`` serves ``field.poly_gcd``, which is
+off the arithmetic path.
 
-Conventions shared by both implementations:
+Conventions:
 
 * integer polynomials are lists of Python ints, ascending powers, no
   trailing zeros, ``[]`` is the zero polynomial;

@@ -17,12 +17,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from math import comb, factorial
+from math import factorial
 from typing import Optional, Tuple
 
 from .families import apostol_bernoulli_poly
 from .field import FieldElement, LambdaMode
-from .operators import DifferencePowerMethod, d_op, lambda_power_at_zero
+from .operators import (
+    DifferencePowerMethod,
+    alternating_lambda_sum,
+    d_op,
+    lambda_power_at_zero,
+)
 from .polynomials import XPolynomial
 
 __all__ = [
@@ -149,15 +154,10 @@ def closed_form_coefficients(
     n = q.degree
     if n < k:
         return _empty(ExpansionMethod.CLOSED_FORM, k, mode, k, exact=q.is_zero)
-    lam = mode.lam
-    coeffs = []
-    for j in range(k, n + 1):
-        deriv = d_op(q, j - k)
-        acc = mode.zero
-        for a in range(k + 1):
-            term = deriv.evaluate(a) * (lam ** a) * comb(k, a)
-            acc = acc + (-term if a % 2 else term)
-        coeffs.append(acc / factorial(j))
+    coeffs = [
+        alternating_lambda_sum(mode, k, d_op(q, j - k).evaluate) / factorial(j)
+        for j in range(k, n + 1)
+    ]
     expansion = BasisExpansion(
         method=ExpansionMethod.CLOSED_FORM,
         k=k,

@@ -39,8 +39,6 @@ __all__ = [
     "poly_by_series_extraction",
     "bernoulli_poly",
     "euler_poly",
-    "bernoulli_number",
-    "euler_number",
     "clear_caches",
 ]
 
@@ -231,14 +229,6 @@ def bernoulli_poly(n: int) -> XPolynomial:
 def euler_poly(n: int) -> XPolynomial:
     """Classical Euler polynomial (numeric mode at 1)."""
     return apostol_euler_poly(n, 1, LambdaMode.numeric(1))
-
-
-def bernoulli_number(n: int) -> Fraction:
-    return bernoulli_numbers_by_recurrence(n)[n]
-
-
-def euler_number(n: int) -> Fraction:
-    return euler_numbers_by_recurrence(n)[n]
 
 
 def clear_caches():

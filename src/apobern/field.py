@@ -47,7 +47,6 @@ __all__ = [
     "LambdaMode",
     "field_arith",
     "evaluate_at",
-    "is_zero_element",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -635,10 +634,6 @@ class LambdaMode:
 
     def __str__(self) -> str:
         return self.label()
-
-
-def is_zero_element(value: FieldElement) -> bool:
-    return not value
 
 
 def _same_variant(a: FieldElement, b: FieldElement) -> bool:

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .expansion import (
     closed_form_coefficients,
@@ -32,9 +32,10 @@ from .families import (
     bernoulli_poly,
     euler_poly,
 )
-from .field import FieldElement, LambdaMode
+from .field import LambdaMode
 from .operators import (
     DifferencePowerMethod,
+    alternating_lambda_sum,
     corrected_power_at_zero,
     lambda_op,
     lambda_power_at_zero,
@@ -162,13 +163,6 @@ def _point_sort_key(point: GridPoint):
     )
 
 
-def _lam_powers(mode: LambdaMode, k: int) -> List[FieldElement]:
-    powers = [mode.one]
-    for _ in range(k):
-        powers.append(powers[-1] * mode.lam)
-    return powers
-
-
 def _ff(n: int, m: int) -> Fraction:
     """Falling-factorial quotient n!/m!, zero when m is negative."""
     if m < 0:
@@ -292,18 +286,11 @@ def _check_cor_xn(pt: GridPoint) -> CheckOutcome:
     # Monomial expansion with coefficients (1/j!) sum_a (-1)^a C(k,a) L^a
     # * n!/(n-j+k)! * a^(n-j+k), window j = k..n.
     n, k, mode = pt.n, pt.k, pt.mode
-    lam_pow = _lam_powers(mode, k)
     lhs = XPolynomial.monomial(mode, n)
     rhs = XPolynomial.zero(mode)
     for j in range(k, n + 1):
         m = n - j + k
-        c = mode.zero
-        for a in range(k + 1):
-            scale = comb(k, a) * _ff(n, m) * Fraction(a) ** m
-            if not scale:
-                continue
-            term = lam_pow[a] * mode.scalar(scale)
-            c = c + (-term if a % 2 else term)
+        c = alternating_lambda_sum(mode, k, lambda a: _ff(n, m) * a ** m)
         if c:
             rhs = rhs + apostol_bernoulli_poly(j, k, mode).scalar_mul(c / factorial(j))
     ok, witness = _check_poly_identity(lhs, rhs)
@@ -315,20 +302,15 @@ def _triple_sum_rhs(pt: GridPoint, numbers) -> XPolynomial:
     # sum_a sum_l C(k,a) C(m,l) a^l (-L)^a n! / (j! m!) * numbers[m-l]
     # with m = n-j+k, attached to the order-k basis member j.
     n, k, mode = pt.n, pt.k, pt.mode
-    lam_pow = _lam_powers(mode, k)
     rhs = XPolynomial.zero(mode)
     for j in range(k, n + 1):
         m = n - j + k
-        c = mode.zero
-        for a in range(k + 1):
-            inner = Fraction(0)
-            for l in range(m + 1):
-                inner += comb(m, l) * Fraction(a) ** l * numbers[m - l]
-            scale = comb(k, a) * Fraction(factorial(n), factorial(j) * factorial(m)) * inner
-            if not scale:
-                continue
-            term = lam_pow[a] * mode.scalar(scale)
-            c = c + (-term if a % 2 else term)
+        scale = Fraction(factorial(n), factorial(j) * factorial(m))
+
+        def weight(a: int) -> Fraction:
+            return scale * sum(comb(m, l) * a ** l * numbers[m - l] for l in range(m + 1))
+
+        c = alternating_lambda_sum(mode, k, weight)
         if c:
             rhs = rhs + apostol_bernoulli_poly(j, k, mode).scalar_mul(c)
     return rhs
@@ -400,22 +382,19 @@ def _check_thm4(pt: GridPoint) -> CheckOutcome:
     # evaluated at a+y per the cataloged display.
     n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
     lhs = embed_poly(_bernoulli_convolution(n, y), mode)
-    lam_pow = _lam_powers(mode, k)
     rhs = XPolynomial.zero(mode)
     for j in range(k, n + 1):
         m = n - j + k
-        c = mode.zero
-        for a in range(k + 1):
+
+        def bracket(a: int) -> Fraction:
+            # the (1 - n) and (j - k) terms share the factor B_m(a + y)
             arg = a + y
-            bracket = (1 - n) * _ff(n, m) * bernoulli_poly(m).evaluate(arg)
+            value = (1 - n + j - k) * _ff(n, m) * bernoulli_poly(m).evaluate(arg)
             if m >= 1:
-                bracket += (arg - 1) * _ff(n, m - 1) * bernoulli_poly(m - 1).evaluate(arg)
-            bracket += (j - k) * _ff(n, m) * bernoulli_poly(m).evaluate(arg)
-            scale = comb(k, a) * bracket
-            if not scale:
-                continue
-            term = lam_pow[a] * mode.scalar(scale)
-            c = c + (-term if a % 2 else term)
+                value += (arg - 1) * _ff(n, m - 1) * bernoulli_poly(m - 1).evaluate(arg)
+            return value
+
+        c = alternating_lambda_sum(mode, k, bracket)
         if c:
             rhs = rhs + apostol_bernoulli_poly(j, k, mode).scalar_mul(c / factorial(j))
     ok, witness = _check_poly_identity(lhs, rhs)
@@ -439,11 +418,13 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
     # the variable x exactly as the cataloged display does.
     n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
     lhs = embed_poly(_euler_convolution(n, y), mode)
-    lam_pow = _lam_powers(mode, k)
     shifted = {
         m: embed_poly(shift_poly(euler_poly(m), y), mode) for m in range(n + 2)
     }
     one_minus = XPolynomial([1 - y, -1], mode)
+    # The bracket carries the x-dependence, so the lambda-sum has weight 1
+    # and equals (1 - L)^k for every j.
+    sign_sum = alternating_lambda_sum(mode, k, lambda a: 1)
     rhs = XPolynomial.zero(mode)
     for j in range(k, n + 1):
         m = n - j + k
@@ -452,10 +433,6 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
         if middle:
             bracket = bracket - shifted[m + 1].scalar_mul(middle)
         bracket = bracket + shifted[m + 1].scalar_mul(_ff(n + 1, m + 1))
-        sign_sum = mode.zero
-        for a in range(k + 1):
-            term = lam_pow[a] * comb(k, a)
-            sign_sum = sign_sum + (-term if a % 2 else term)
         factor = sign_sum / factorial(j)
         if factor:
             rhs = rhs + (bracket * apostol_bernoulli_poly(j, k, mode)).scalar_mul(factor)
@@ -465,67 +442,52 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
 
 
 # --------------------------------------------------------------------------
-# catalog metadata
+# catalog
 
-_CHECKERS: Dict[IdentityId, Callable[[GridPoint], CheckOutcome]] = {
-    IdentityId.ID_DERIV: _check_deriv,
-    IdentityId.ID_DIFF: _check_diff,
-    IdentityId.ID_LOWER_ORDER: _check_lower_order,
-    IdentityId.ID_ZERO_ORDER: _check_zero_order,
-    IdentityId.ID_LEMMA_CLOSED_FORM: _check_lemma,
-    IdentityId.ID_THM1: _check_thm1,
-    IdentityId.ID_COR_XN: _check_cor_xn,
-    IdentityId.ID_THM2: _check_thm2,
-    IdentityId.ID_THM3: _check_thm3,
-    IdentityId.ID_HANSEN: _check_hansen,
-    IdentityId.ID_EULER_RAMANUJAN: _check_euler_ramanujan,
-    IdentityId.ID_THM4: _check_thm4,
-    IdentityId.ID_DILCHER: _check_dilcher,
-    IdentityId.ID_THM5: _check_thm5,
+
+@dataclass(frozen=True)
+class _Spec:
+    """One catalog entry: its checker and the grid the default suite certifies.
+
+    ``n`` and a pair ``k`` are (first, default last) ranges that max_n and
+    max_k shrink; an int ``k`` is an order max_k leaves alone, None marks
+    an identity without one.  ``modes`` None marks a lambda-free identity;
+    ``fixed_modes`` keeps the listed modes whatever the selection.
+    Bivariate identities sample y at n + ``y_extra`` points.
+    """
+
+    checker: Callable[[GridPoint], CheckOutcome]
+    letter: str  # parameter letter used in validity-domain summaries
+    n: Tuple[int, int]
+    k: Union[None, int, Tuple[int, int]] = None
+    modes: Optional[Tuple[LambdaMode, ...]] = None
+    fixed_modes: bool = False
+    y_extra: Optional[int] = None
+
+
+_CATALOG: Dict[IdentityId, _Spec] = {
+    IdentityId.ID_DERIV: _Spec(_check_deriv, "n", (1, 10), (0, 4), _FULL_MODES),
+    IdentityId.ID_DIFF: _Spec(_check_diff, "n", (0, 8), (1, 4), _FULL_MODES),
+    IdentityId.ID_LOWER_ORDER: _Spec(_check_lower_order, "n", (1, 8), (1, 4), _FULL_MODES),
+    IdentityId.ID_ZERO_ORDER: _Spec(_check_zero_order, "n", (0, 10), 0, _FULL_MODES),
+    IdentityId.ID_LEMMA_CLOSED_FORM: _Spec(
+        _check_lemma, "k", (0, 5), (0, 5), (_SYM,), fixed_modes=True
+    ),
+    IdentityId.ID_THM1: _Spec(_check_thm1, "k", (0, 6), (0, 3), _NOT_ONE_MODES),
+    IdentityId.ID_COR_XN: _Spec(_check_cor_xn, "k", (0, 8), (0, 3), _FULL_MODES),
+    IdentityId.ID_THM2: _Spec(_check_thm2, "k", (0, 8), (0, 3), _AUDIT_MODES),
+    IdentityId.ID_THM3: _Spec(_check_thm3, "k", (0, 8), (0, 3), _AUDIT_MODES),
+    IdentityId.ID_HANSEN: _Spec(_check_hansen, "m", (0, 10), y_extra=2),
+    IdentityId.ID_EULER_RAMANUJAN: _Spec(_check_euler_ramanujan, "m", (2, 20)),
+    IdentityId.ID_THM4: _Spec(_check_thm4, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2),
+    IdentityId.ID_DILCHER: _Spec(_check_dilcher, "n", (0, 10), y_extra=2),
+    IdentityId.ID_THM5: _Spec(_check_thm5, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),
 }
 
-# Parameter letter used in validity-domain summaries.
-_LETTERS: Dict[IdentityId, str] = {
-    IdentityId.ID_DERIV: "n",
-    IdentityId.ID_DIFF: "n",
-    IdentityId.ID_LOWER_ORDER: "n",
-    IdentityId.ID_ZERO_ORDER: "n",
-    IdentityId.ID_LEMMA_CLOSED_FORM: "k",
-    IdentityId.ID_THM1: "k",
-    IdentityId.ID_COR_XN: "k",
-    IdentityId.ID_THM2: "k",
-    IdentityId.ID_THM3: "k",
-    IdentityId.ID_HANSEN: "m",
-    IdentityId.ID_EULER_RAMANUJAN: "m",
-    IdentityId.ID_THM4: "k",
-    IdentityId.ID_DILCHER: "n",
-    IdentityId.ID_THM5: "k",
-}
 
-# Identities whose statement contains no deformation parameter.
-_LAMBDA_FREE = {
-    IdentityId.ID_HANSEN,
-    IdentityId.ID_EULER_RAMANUJAN,
-    IdentityId.ID_DILCHER,
-}
-
-_BIVARIATE = {IdentityId.ID_HANSEN, IdentityId.ID_DILCHER, IdentityId.ID_THM4, IdentityId.ID_THM5}
-
-
-def _grid_points(
-    n_values: Sequence[int],
-    k_values: Sequence[Optional[int]],
-    modes: Sequence[Optional[LambdaMode]],
-    y_counts: Optional[Callable[[int], int]] = None,
-) -> List[GridPoint]:
-    points = []
-    for n in n_values:
-        ys = _y_samples(y_counts(n)) if y_counts else [None]
-        for k in k_values:
-            for mode in modes:
-                for y in ys:
-                    points.append(GridPoint(n=n, k=k, mode=mode, y=y))
-    return points
+def _clamped(span: Tuple[int, int], bound: Optional[int]) -> range:
+    first, last = span
+    return range(first, (last if bound is None else min(last, bound)) + 1)
 
 
 def default_grid(
@@ -540,77 +502,22 @@ def default_grid(
     restricts the deformation-parameter selection for identities that have
     one.
     """
-
-    def clamp(default: int, bound: Optional[int]) -> int:
-        return default if bound is None else min(default, bound)
-
-    def mode_list(defaults: Tuple[LambdaMode, ...]) -> Tuple[LambdaMode, ...]:
-        if modes is None:
-            return defaults
-        chosen = tuple(m for m in defaults if m in modes)
+    if not isinstance(identity, IdentityId):
+        raise ValueError(f"unknown identity: {identity!r}")
+    spec = _CATALOG[identity]
+    k_values = _clamped(spec.k, max_k) if isinstance(spec.k, tuple) else [spec.k]
+    chosen = spec.modes or (None,)
+    if modes is not None and spec.modes and not spec.fixed_modes:
+        chosen = tuple(m for m in spec.modes if m in modes)
         if not chosen:
-            raise ValueError(
-                f"mode selection leaves no grid for {identity.value}"
-            )
-        return chosen
-
-    if identity is IdentityId.ID_DERIV:
-        return _grid_points(
-            range(1, clamp(10, max_n) + 1), range(0, clamp(4, max_k) + 1), mode_list(_FULL_MODES)
-        )
-    if identity is IdentityId.ID_DIFF:
-        return _grid_points(
-            range(0, clamp(8, max_n) + 1), range(1, clamp(4, max_k) + 1), mode_list(_FULL_MODES)
-        )
-    if identity is IdentityId.ID_LOWER_ORDER:
-        return _grid_points(
-            range(1, clamp(8, max_n) + 1), range(1, clamp(4, max_k) + 1), mode_list(_FULL_MODES)
-        )
-    if identity is IdentityId.ID_ZERO_ORDER:
-        return _grid_points(range(0, clamp(10, max_n) + 1), [0], mode_list(_FULL_MODES))
-    if identity is IdentityId.ID_LEMMA_CLOSED_FORM:
-        return _grid_points(
-            range(0, clamp(5, max_n) + 1), range(0, clamp(5, max_k) + 1), (_SYM,)
-        )
-    if identity is IdentityId.ID_THM1:
-        return _grid_points(
-            range(0, clamp(6, max_n) + 1),
-            range(0, clamp(3, max_k) + 1),
-            mode_list(_NOT_ONE_MODES),
-        )
-    if identity is IdentityId.ID_COR_XN:
-        return _grid_points(
-            range(0, clamp(8, max_n) + 1), range(0, clamp(3, max_k) + 1), mode_list(_FULL_MODES)
-        )
-    if identity in (IdentityId.ID_THM2, IdentityId.ID_THM3):
-        return _grid_points(
-            range(0, clamp(8, max_n) + 1), range(0, clamp(3, max_k) + 1), mode_list(_AUDIT_MODES)
-        )
-    if identity is IdentityId.ID_HANSEN:
-        return _grid_points(
-            range(0, clamp(10, max_n) + 1), [None], [None], y_counts=lambda m: m + 2
-        )
-    if identity is IdentityId.ID_EULER_RAMANUJAN:
-        return _grid_points(range(2, clamp(20, max_n) + 1), [None], [None])
-    if identity is IdentityId.ID_THM4:
-        return _grid_points(
-            range(0, clamp(8, max_n) + 1),
-            range(0, clamp(3, max_k) + 1),
-            mode_list(_AUDIT_MODES),
-            y_counts=lambda n: n + 2,
-        )
-    if identity is IdentityId.ID_DILCHER:
-        return _grid_points(
-            range(0, clamp(10, max_n) + 1), [None], [None], y_counts=lambda n: n + 2
-        )
-    if identity is IdentityId.ID_THM5:
-        return _grid_points(
-            range(0, clamp(8, max_n) + 1),
-            range(0, clamp(3, max_k) + 1),
-            mode_list(_AUDIT_MODES),
-            y_counts=lambda n: n + 3,
-        )
-    raise ValueError(f"unknown identity: {identity!r}")
+            raise ValueError(f"mode selection leaves no grid for {identity.value}")
+    points = []
+    for n in _clamped(spec.n, max_n):
+        ys = [None] if spec.y_extra is None else _y_samples(n + spec.y_extra)
+        for k in k_values:
+            for mode in chosen:
+                points.extend(GridPoint(n=n, k=k, mode=mode, y=y) for y in ys)
+    return points
 
 
 def _check_bounds(identity: IdentityId, grid: Sequence[GridPoint]):
@@ -652,7 +559,7 @@ def _domain_for(letter: str, outcomes: Dict[int, bool]) -> str:
 
 
 def _validity_domain(identity: IdentityId, results: Sequence[ResultEntry]) -> str:
-    letter = _LETTERS[identity]
+    letter = _CATALOG[identity].letter
 
     def value_of(point: GridPoint) -> int:
         return point.k if letter == "k" else point.n
@@ -681,7 +588,7 @@ def verify_identity(identity: IdentityId, grid: Sequence[GridPoint]) -> Identity
     if not grid:
         raise ValueError("empty grid")
     _check_bounds(identity, grid)
-    checker = _CHECKERS[identity]
+    checker = _CATALOG[identity].checker
     ordered = sorted(set(grid), key=_point_sort_key)
     results: List[ResultEntry] = []
     for pt in ordered:

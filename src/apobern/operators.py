@@ -12,9 +12,9 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import comb
-from typing import Union
+from typing import Callable, Union
 
-from .field import FieldElement, LambdaMode
+from .field import FieldElement, LambdaMode, RationalLike
 from .polynomials import XPolynomial
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "d_op",
     "lambda_power_at_zero",
     "corrected_power_at_zero",
+    "alternating_lambda_sum",
     "commutator_check",
 ]
 
@@ -92,11 +93,20 @@ def lambda_power_at_zero(
         for _ in range(k):
             p = lambda_op(p)
         return p.evaluate(0)
-    lam = mode.lam
+    return alternating_lambda_sum(mode, k, p.evaluate)
+
+
+def alternating_lambda_sum(
+    mode: LambdaMode, k: int, weight: Callable[[int], Union[RationalLike, FieldElement]]
+) -> FieldElement:
+    """sum_{a=0}^{k} (-1)^a C(k, a) L^a weight(a), by Horner's rule in -L.
+
+    ``weight(a)`` may return a plain rational or a scalar of ``mode``.
+    """
+    neg_lam = -mode.lam
     acc = mode.zero
-    for l in range(k + 1):
-        term = p.evaluate(l) * (lam ** l) * comb(k, l)
-        acc = acc + (-term if l % 2 else term)
+    for a in range(k, -1, -1):
+        acc = acc * neg_lam + mode.scalar(comb(k, a) * weight(a))
     return acc
 
 

@@ -5,6 +5,7 @@ the wall-clock budgets, asserted as stated.  Each criterion prints one
 pass line on success; a failed assert marks the criterion failed.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 from random import Random
@@ -30,6 +31,7 @@ from apobern import (
     expand_oracle,
     poly_by_series_extraction,
     reconstruct,
+    render_report,
     reports_to_json,
     run_suite,
     verify_identity,
@@ -205,7 +207,14 @@ def test_criterion_08_formula_audit(default_reports):
 
     second = run_suite(default_suite_config())
     assert reports_to_json(second) == reports_to_json(default_reports)
-    print("ACCEPTANCE 8 PASS: audit verdicts match the checked-in expectation; default suite JSON is byte-identical across runs")
+
+    # the default report is pinned byte for byte
+    document = render_report(default_reports, "json").encode("utf-8")
+    assert len(document) == 1_040_751
+    assert hashlib.sha256(document).hexdigest() == (
+        "8b10395f36ea86147417353225162e6d4aa78af2cad360d378d69ec852e177d3"
+    )
+    print("ACCEPTANCE 8 PASS: audit verdicts match the checked-in expectation; default suite JSON is byte-identical across runs and pinned by sha256")
 
 
 def test_criterion_09_performance_envelope():

@@ -196,13 +196,61 @@ def test_mode_restriction():
     config = SuiteConfig(ids=(IdentityId.ID_DERIV,), max_n=3, max_k=1, modes=(SYM,))
     (report,) = run_suite(config)
     assert all(e.point.mode == SYM for e in report.results)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mode selection leaves no grid for ID_DERIV"):
         run_suite(
             SuiteConfig(
                 ids=(IdentityId.ID_DERIV,),
                 modes=(LambdaMode.numeric(7),),
             )
         )
+
+
+# len(default_grid(id)), then with (max_n, max_k) = (2, 1) and (0, 0), then
+# with the mode selection (lambda = 2,).
+GRID_SIZES = {
+    IdentityId.ID_DERIV: (250, 20, 0, 50),
+    IdentityId.ID_DIFF: (180, 15, 0, 36),
+    IdentityId.ID_LOWER_ORDER: (160, 10, 0, 32),
+    IdentityId.ID_ZERO_ORDER: (55, 15, 5, 11),
+    IdentityId.ID_LEMMA_CLOSED_FORM: (36, 6, 1, 36),
+    IdentityId.ID_THM1: (112, 24, 4, 28),
+    IdentityId.ID_COR_XN: (180, 30, 5, 36),
+    IdentityId.ID_THM2: (108, 18, 3, 36),
+    IdentityId.ID_THM3: (108, 18, 3, 36),
+    IdentityId.ID_HANSEN: (77, 9, 2, 77),
+    IdentityId.ID_EULER_RAMANUJAN: (19, 1, 0, 19),
+    IdentityId.ID_THM4: (648, 54, 6, 216),
+    IdentityId.ID_DILCHER: (77, 9, 2, 77),
+    IdentityId.ID_THM5: (756, 72, 9, 252),
+}
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.value)
+def test_default_grid_sizes(ident):
+    sizes = (
+        len(default_grid(ident)),
+        len(default_grid(ident, 2, 1)),
+        len(default_grid(ident, 0, 0)),
+        len(default_grid(ident, modes=(LambdaMode.numeric(2),))),
+    )
+    assert sizes == GRID_SIZES[ident]
+
+
+def test_default_grid_fixed_parts():
+    seven = (LambdaMode.numeric(7),)
+    # the lemma and the lambda-free identities ignore the mode selection
+    for ident in (
+        IdentityId.ID_LEMMA_CLOSED_FORM,
+        IdentityId.ID_HANSEN,
+        IdentityId.ID_EULER_RAMANUJAN,
+        IdentityId.ID_DILCHER,
+    ):
+        assert default_grid(ident, modes=seven) == default_grid(ident)
+    # order zero stays the only order, whatever max_k says
+    assert default_grid(IdentityId.ID_ZERO_ORDER, max_k=-1) == default_grid(
+        IdentityId.ID_ZERO_ORDER
+    )
+    assert {p.k for p in default_grid(IdentityId.ID_ZERO_ORDER, max_k=3)} == {0}
 
 
 def test_concurrent_verification_matches_sequential():

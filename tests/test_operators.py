@@ -11,6 +11,7 @@ from apobern import (
     LambdaPoly,
     LambdaRatFunc,
     XPolynomial,
+    alternating_lambda_sum,
     apostol_bernoulli_poly,
     apostol_euler_poly,
     commutator_check,
@@ -145,3 +146,12 @@ def test_iterated_power_brute_force_vs_corrected_formula():
             sign = -1 if (k - l) % 2 else 1
             acc = acc + (SYM.lam ** l) * p.evaluate(l) * (comb(k, l) * sign)
         assert direct == acc
+
+
+def test_alternating_lambda_sum_with_unit_weight():
+    # sum_a (-1)^a C(k,a) L^a = (1 - L)^k
+    for mode in ALL_MODES:
+        for k in range(6):
+            expected = (mode.one - mode.lam) ** k
+            assert alternating_lambda_sum(mode, k, lambda a: 1) == expected
+            assert alternating_lambda_sum(mode, k, lambda a: mode.one) == expected
