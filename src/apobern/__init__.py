@@ -42,10 +42,8 @@ from .field import (
     NonLocalDenominatorError,
     PoleError,
     evaluate_at,
-    field_arith,
     parse_rational,
     poly_gcd,
-    ratfunc_canonical,
     rational,
     render_rational,
 )
@@ -64,7 +62,6 @@ from .identities import (
 from .operators import (
     DifferencePowerMethod,
     alternating_lambda_sum,
-    commutator_check,
     corrected_power_at_zero,
     d_op,
     lambda_op,
@@ -99,10 +96,8 @@ __all__ = [
     "NonLocalDenominatorError",
     "PoleError",
     "evaluate_at",
-    "field_arith",
     "parse_rational",
     "poly_gcd",
-    "ratfunc_canonical",
     "rational",
     "render_rational",
     # series
@@ -128,7 +123,6 @@ __all__ = [
     # operators
     "DifferencePowerMethod",
     "alternating_lambda_sum",
-    "commutator_check",
     "corrected_power_at_zero",
     "d_op",
     "lambda_op",

@@ -1,5 +1,5 @@
 """Dense integer and rational kernels, in pure Python."""
 
-from ._pure import conv_frac, conv_int, prim_gcd_int, recip_frac
+from ._pure import conv_frac, conv_int, power, prim_gcd_int, recip_frac
 
-__all__ = ["conv_int", "conv_frac", "recip_frac", "prim_gcd_int"]
+__all__ = ["conv_int", "conv_frac", "recip_frac", "power", "prim_gcd_int"]

@@ -1,9 +1,12 @@
 """Pure-Python dense arithmetic kernels.
 
 These functions carry the inner loops of the whole package: every
-polynomial product, truncated-series product and series reciprocal
-bottoms out here.  ``prim_gcd_int`` serves ``field.poly_gcd``, which is
-off the arithmetic path.
+rational polynomial or series product (dispatched by
+``series.convolve``), every series reciprocal and every integer
+numerator product of the symbolic scalars bottoms out here, and
+``power`` is the one binary-powering loop behind every ``__pow__``.
+``prim_gcd_int`` serves ``field.poly_gcd``, which is off the arithmetic
+path.
 
 Conventions:
 
@@ -15,7 +18,7 @@ Conventions:
 
 from math import gcd
 
-__all__ = ["conv_int", "conv_frac", "recip_frac", "prim_gcd_int"]
+__all__ = ["conv_int", "conv_frac", "recip_frac", "power", "prim_gcd_int"]
 
 
 def _add_frac(na, da, nb, db):
@@ -101,6 +104,19 @@ def recip_frac(anum, aden, out_len):
         tn, td = _mul_frac(sn, sd, -r0n, r0d)
         bnum[n], bden[n] = tn, td
     return bnum, bden
+
+
+def power(base, exponent, one):
+    """base ** exponent by binary powering for an int exponent >= 0;
+    ``one`` is the identity of base's ring and the exponent-0 result."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def _int_content(a):

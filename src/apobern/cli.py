@@ -212,10 +212,10 @@ def _expansion_row(expansion: Optional[BasisExpansion], sym: str):
 def _cmd_expand(args) -> int:
     mode = _parse_mode(args.lam)
     q = _parse_coeffs(args.coeffs, mode)
-    rows = {"oracle": expand_oracle(q, args.k, mode)}
-    rows["closed-form"] = closed_form_coefficients(q, args.k, mode)
+    rows = {"oracle": expand_oracle(q, args.k)}
+    rows["closed-form"] = closed_form_coefficients(q, args.k)
     try:
-        rows["corrected"] = corrected_coefficients(q, args.k, mode)
+        rows["corrected"] = corrected_coefficients(q, args.k)
     except UnsupportedModeError:
         rows["corrected"] = None
     sym = _symbol_for(args.format)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from math import factorial
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .families import apostol_bernoulli_poly
 from .field import FieldElement, LambdaMode
@@ -82,12 +82,9 @@ def _empty(method: ExpansionMethod, k: int, mode: LambdaMode, j_lo: int, exact: 
     )
 
 
-def reconstruct(expansion: BasisExpansion, mode: Optional[LambdaMode] = None) -> XPolynomial:
+def reconstruct(expansion: BasisExpansion) -> XPolynomial:
     """sum b_j * basis_j as a polynomial; the empty expansion gives zero."""
-    if mode is None:
-        mode = expansion.mode
-    elif mode != expansion.mode:
-        raise ValueError("reconstruction mode does not match the expansion")
+    mode = expansion.mode
     total = XPolynomial.zero(mode)
     for j in expansion.indices():
         b = expansion.coefficient(j)
@@ -96,12 +93,9 @@ def reconstruct(expansion: BasisExpansion, mode: Optional[LambdaMode] = None) ->
     return total
 
 
-def expand_oracle(q: XPolynomial, k: int, mode: Optional[LambdaMode] = None) -> BasisExpansion:
+def expand_oracle(q: XPolynomial, k: int) -> BasisExpansion:
     """Exact expansion by back-substitution on the degree-triangular system."""
-    if mode is None:
-        mode = q.mode
-    elif mode != q.mode:
-        raise ValueError("expansion mode does not match the polynomial")
+    mode = q.mode
     if k < 0:
         raise ValueError("basis order must be nonnegative")
     j_lo = 0 if mode.is_one else k
@@ -134,9 +128,7 @@ def expand_oracle(q: XPolynomial, k: int, mode: Optional[LambdaMode] = None) -> 
     )
 
 
-def closed_form_coefficients(
-    q: XPolynomial, k: int, mode: Optional[LambdaMode] = None
-) -> BasisExpansion:
+def closed_form_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
     """Coefficient formula over the window j = k..deg q, as cataloged:
 
         b_j = (1/j!) * sum_{a=0}^{k} (-1)^a C(k, a) L^a (D^{j-k} q)(a)
@@ -145,10 +137,7 @@ def closed_form_coefficients(
     basis members there have degree j - k), so the exactness flag is
     computed by reconstructing and comparing against q.
     """
-    if mode is None:
-        mode = q.mode
-    elif mode != q.mode:
-        raise ValueError("expansion mode does not match the polynomial")
+    mode = q.mode
     if k < 0:
         raise ValueError("basis order must be nonnegative")
     n = q.degree
@@ -170,18 +159,13 @@ def closed_form_coefficients(
     return replace(expansion, exact=reconstruct(expansion) == q)
 
 
-def corrected_coefficients(
-    q: XPolynomial, k: int, mode: Optional[LambdaMode] = None
-) -> BasisExpansion:
+def corrected_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
     """Repaired route: window j = k..k+deg q and literal operator powers,
 
         b_j = (1/j!) * (Lambda^k D^{j-k} q)(0),
 
     validated against the oracle rather than assumed."""
-    if mode is None:
-        mode = q.mode
-    elif mode != q.mode:
-        raise ValueError("expansion mode does not match the polynomial")
+    mode = q.mode
     if k < 0:
         raise ValueError("basis order must be nonnegative")
     if mode.is_one:
@@ -193,9 +177,7 @@ def corrected_coefficients(
     n = q.degree
     coeffs = []
     for j in range(k, k + n + 1):
-        value = lambda_power_at_zero(
-            d_op(q, j - k), k, mode, DifferencePowerMethod.ITERATED
-        )
+        value = lambda_power_at_zero(d_op(q, j - k), k, DifferencePowerMethod.ITERATED)
         coeffs.append(value / factorial(j))
     expansion = BasisExpansion(
         method=ExpansionMethod.CORRECTED,

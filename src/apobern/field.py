@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
-from ._kernels import conv_frac, conv_int, prim_gcd_int
+from ._kernels import conv_frac, conv_int, power, prim_gcd_int
 
 __all__ = [
     "Fraction",
@@ -42,10 +42,8 @@ __all__ = [
     "LambdaPoly",
     "poly_gcd",
     "LambdaRatFunc",
-    "ratfunc_canonical",
     "FieldElement",
     "LambdaMode",
-    "field_arith",
     "evaluate_at",
 ]
 
@@ -193,14 +191,7 @@ class LambdaPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        result = LambdaPoly([1])
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        return power(self, exponent, _POLY_ONE)
 
     def scale(self, factor: RationalLike) -> "LambdaPoly":
         factor = Fraction(factor)
@@ -214,30 +205,6 @@ class LambdaPoly:
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def divexact(self, divisor: "LambdaPoly") -> "LambdaPoly":
-        """Exact quotient; raises if the division leaves a remainder."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return LambdaPoly()
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        lead = divisor.coeffs[-1]
-        if len(rem) - 1 < dd:
-            raise ValueError("division is not exact")
-        q = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            f = c / lead
-            q[i - dd] = f
-            for j in range(dd + 1):
-                rem[i - dd + j] -= f * divisor.coeffs[j]
-        if any(rem):
-            raise ValueError("division is not exact")
-        return LambdaPoly(q)
 
     def int_primitive(self) -> list:
         """Integer coefficient list proportional to this polynomial."""
@@ -520,14 +487,7 @@ class LambdaRatFunc:
             raise TypeError("rational-function powers take integer exponents")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = _RATFUNC_ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        return power(self, exponent, _RATFUNC_ONE)
 
     def evaluate_at(self, point: RationalLike) -> Fraction:
         """Exact substitution; raises PoleError at L = 1 or L = -1 when
@@ -561,11 +521,6 @@ def _from_poly(poly: LambdaPoly) -> LambdaRatFunc:
 _RATFUNC_ZERO = _new(((), 1, 0, 0))
 _RATFUNC_ONE = _new(((1,), 1, 0, 0))
 _RATFUNC_LAMBDA = _new(((0, 1), 1, 0, 0))
-
-
-def ratfunc_canonical(num: LambdaPoly, den: LambdaPoly) -> LambdaRatFunc:
-    """Canonical element for num/den; den must be c (L-1)^a (L+1)^b."""
-    return LambdaRatFunc(num, den)
 
 
 FieldElement = Union[Fraction, LambdaRatFunc]
@@ -620,6 +575,8 @@ class LambdaMode:
             if isinstance(value, LambdaRatFunc):
                 return value
             return LambdaRatFunc.from_rational(value)
+        if isinstance(value, Fraction):
+            return value
         if isinstance(value, LambdaRatFunc):
             raise MixedModeError("symbolic scalar used in numeric mode")
         return Fraction(value)
@@ -634,45 +591,6 @@ class LambdaMode:
 
     def __str__(self) -> str:
         return self.label()
-
-
-def _same_variant(a: FieldElement, b: FieldElement) -> bool:
-    both_sym = isinstance(a, LambdaRatFunc) and isinstance(b, LambdaRatFunc)
-    both_rat = isinstance(a, Fraction) and isinstance(b, Fraction)
-    return both_sym or both_rat
-
-
-def field_arith(op: str, a: FieldElement, b: Optional[FieldElement] = None) -> FieldElement:
-    """Field operations with a strict same-domain check.
-
-    ``op`` is one of add, sub, mul, div, neg, inv; the last two are unary.
-    Mixing a plain rational with a symbolic value raises MixedModeError.
-    """
-    if op in ("neg", "inv"):
-        if b is not None:
-            raise TypeError(f"{op} is unary")
-        if op == "neg":
-            return -a
-        if isinstance(a, LambdaRatFunc):
-            return a.inverse()
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-    if b is None:
-        raise TypeError(f"{op} needs two operands")
-    if not _same_variant(a, b):
-        raise MixedModeError("operands come from different scalar domains")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise ZeroDivisionError("division by the zero element")
-        return a / b
-    raise ValueError(f"unknown field operation: {op!r}")
 
 
 def evaluate_at(f: LambdaRatFunc, point: RationalLike) -> Fraction:

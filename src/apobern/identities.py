@@ -135,11 +135,7 @@ class IdentityReport:
 
     @property
     def grid(self) -> Tuple[GridPoint, ...]:
-        seen = []
-        for entry in self.results:
-            if entry.point not in seen:
-                seen.append(entry.point)
-        return tuple(seen)
+        return tuple(dict.fromkeys(e.point for e in self.results))
 
 
 # --------------------------------------------------------------------------
@@ -236,9 +232,9 @@ def _check_lemma(pt: GridPoint) -> CheckOutcome:
     # Both closed forms for the k-th twisted-difference power at zero,
     # judged against literal iteration on the monomial x^n.
     p = XPolynomial.monomial(pt.mode, pt.n)
-    direct = lambda_power_at_zero(p, pt.k, pt.mode, DifferencePowerMethod.ITERATED)
-    closed = lambda_power_at_zero(p, pt.k, pt.mode, DifferencePowerMethod.CLOSED_FORM)
-    corrected = corrected_power_at_zero(p, pt.k, pt.mode)
+    direct = lambda_power_at_zero(p, pt.k, DifferencePowerMethod.ITERATED)
+    closed = lambda_power_at_zero(p, pt.k, DifferencePowerMethod.CLOSED_FORM)
+    corrected = corrected_power_at_zero(p, pt.k)
     out: CheckOutcome = []
     for variant, value in (("closed-form", closed), ("corrected-sign", corrected)):
         if value == direct:
@@ -256,10 +252,10 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
     # Basis-expansion coefficient formula versus the exact solve, both for
     # the cataloged window k..n and for the repaired window k..k+n.
     q = XPolynomial.monomial(pt.mode, pt.n)
-    oracle = expand_oracle(q, pt.k, pt.mode)
+    oracle = expand_oracle(q, pt.k)
     out: CheckOutcome = []
 
-    literal = closed_form_coefficients(q, pt.k, pt.mode)
+    literal = closed_form_coefficients(q, pt.k)
     diff = reconstruct(literal) - q
     out.append(("closed-form", literal.exact, _poly_witness(diff)))
 
@@ -268,7 +264,7 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
         # away from 1; no corrected variant is defined there.
         return out
 
-    corrected = corrected_coefficients(q, pt.k, pt.mode)
+    corrected = corrected_coefficients(q, pt.k)
     agrees = (
         corrected.exact
         and corrected.j_lo == oracle.j_lo

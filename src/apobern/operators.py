@@ -25,7 +25,6 @@ __all__ = [
     "lambda_power_at_zero",
     "corrected_power_at_zero",
     "alternating_lambda_sum",
-    "commutator_check",
 ]
 
 
@@ -53,10 +52,8 @@ def shift_poly(p: XPolynomial, h: Union[int, Fraction, FieldElement]) -> XPolyno
     return result
 
 
-def lambda_op(p: XPolynomial, mode: LambdaMode | None = None) -> XPolynomial:
+def lambda_op(p: XPolynomial) -> XPolynomial:
     """The twisted difference L*p(x+1) - p(x) in p's coefficient domain."""
-    if mode is not None and mode != p.mode:
-        raise ValueError("operator mode does not match the polynomial's mode")
     return shift_poly(p, 1).scalar_mul(p.mode.lam) - p
 
 
@@ -74,7 +71,6 @@ def d_op(p: XPolynomial, s: int = 1) -> XPolynomial:
 def lambda_power_at_zero(
     p: XPolynomial,
     k: int,
-    mode: LambdaMode | None = None,
     method: DifferencePowerMethod = DifferencePowerMethod.ITERATED,
 ) -> FieldElement:
     """Value of the k-th twisted-difference power of p at x = 0.
@@ -83,17 +79,13 @@ def lambda_power_at_zero(
     evaluates sum_{l=0}^{k} (-1)^l C(k, l) L^l p(l) as written, which
     matches the iterated value only up to a global sign (-1)^k.
     """
-    if mode is None:
-        mode = p.mode
-    elif mode != p.mode:
-        raise ValueError("operator mode does not match the polynomial's mode")
     if k < 0:
         raise ValueError("operator powers take nonnegative exponents")
     if method is DifferencePowerMethod.ITERATED:
         for _ in range(k):
             p = lambda_op(p)
         return p.evaluate(0)
-    return alternating_lambda_sum(mode, k, p.evaluate)
+    return alternating_lambda_sum(p.mode, k, p.evaluate)
 
 
 def alternating_lambda_sum(
@@ -110,14 +102,7 @@ def alternating_lambda_sum(
     return acc
 
 
-def corrected_power_at_zero(p: XPolynomial, k: int, mode: LambdaMode | None = None) -> FieldElement:
+def corrected_power_at_zero(p: XPolynomial, k: int) -> FieldElement:
     """The sign-repaired closed form sum (-1)^(k-l) C(k, l) L^l p(l)."""
-    value = lambda_power_at_zero(p, k, mode, DifferencePowerMethod.CLOSED_FORM)
+    value = lambda_power_at_zero(p, k, DifferencePowerMethod.CLOSED_FORM)
     return -value if k % 2 else value
-
-
-def commutator_check(p: XPolynomial, mode: LambdaMode | None = None) -> bool:
-    """True iff the twisted difference and the derivative commute on p."""
-    if mode is not None and mode != p.mode:
-        raise ValueError("operator mode does not match the polynomial's mode")
-    return lambda_op(d_op(p, 1)) == d_op(lambda_op(p), 1)

@@ -12,14 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from ._kernels import conv_frac
-from .field import (
-    FieldElement,
-    LambdaMode,
-    LambdaRatFunc,
-    MixedModeError,
-    _fast_fraction,
-)
+from ._kernels import power
+from .field import FieldElement, LambdaMode, LambdaRatFunc, MixedModeError
+from .series import convolve
 
 __all__ = ["XPolynomial", "embed_poly"]
 
@@ -126,39 +121,14 @@ class XPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return XPolynomial.zero(self.mode)
-        if not self.mode.is_symbolic:
-            cn, cd = conv_frac(
-                [c.numerator for c in a],
-                [c.denominator for c in a],
-                [c.numerator for c in b],
-                [c.denominator for c in b],
-                len(a) + len(b) - 1,
-            )
-            return XPolynomial(
-                [_fast_fraction(p, q) for p, q in zip(cn, cd)], self.mode
-            )
-        out = [self.mode.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return XPolynomial(out, self.mode)
+        return XPolynomial(convolve(a, b, len(a) + len(b) - 1), self.mode)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "XPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        result = XPolynomial.one(self.mode)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        return power(self, exponent, XPolynomial.one(self.mode))
 
     def scalar_mul(self, factor: Union[int, FieldElement]) -> "XPolynomial":
         factor = self.mode.scalar(factor) if isinstance(factor, (int, Fraction)) else factor

@@ -1,14 +1,19 @@
-"""Truncated formal power series over an exact coefficient ring.
+"""Truncated formal power series, and the one dense product behind
+every polynomial and series type.
+
+:func:`convolve` is the Cauchy product of two coefficient sequences.
+Rational sequences go through the ``conv_frac`` kernel; any other ring
+(rational functions of the deformation parameter, or polynomials in x
+for the dual-path generating-function extraction) takes one generic
+loop.  ``XPolynomial.__mul__`` and ``TruncatedSeries.__mul__`` are each
+one call to it.
 
 A series of order N stores the N+1 ordinary coefficients c_0..c_N of
 sum c_n t^n; the factorial scaling used to read off polynomial-family
 values is applied by the callers at extraction time.  Coefficients may
-be rationals, rational functions, or any ring elements supporting
-+, * and ** 0 (polynomial coefficients are used for the dual-path
-generating-function extraction).
-
-Operations never extend the truncation order; combining series of
-different orders is an error.
+be any ring elements supporting +, *, ``bool`` and ** 0.  Operations
+never extend the truncation order; combining series of different orders
+is an error.
 """
 
 from __future__ import annotations
@@ -16,10 +21,33 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from ._kernels import conv_frac, recip_frac
+from ._kernels import conv_frac, power, recip_frac
 from .field import FieldElement, _fast_fraction
 
-__all__ = ["TruncatedSeries", "exp_scaled_series", "NonInvertibleSeriesError"]
+__all__ = ["TruncatedSeries", "convolve", "exp_scaled_series", "NonInvertibleSeriesError"]
+
+
+def _pairs(coeffs) -> tuple:
+    """Parallel numerator and denominator lists of rational coefficients."""
+    return [c.numerator for c in coeffs], [c.denominator for c in coeffs]
+
+
+def convolve(a, b, out_len: int) -> list:
+    """c_n = sum_i a_i * b_{n-i} for n < out_len over nonempty sequences.
+
+    Rational sequences go through the ``conv_frac`` kernel; any other
+    ring runs one loop that skips zero coefficients.
+    """
+    if isinstance(a[0], Fraction) and isinstance(b[0], Fraction):
+        cn, cd = conv_frac(*_pairs(a), *_pairs(b), out_len)
+        return [_fast_fraction(p, q) for p, q in zip(cn, cd)]
+    out = [a[0] * 0] * out_len
+    for i, ai in enumerate(a[:out_len]):
+        if ai:
+            for j, bj in enumerate(b[: out_len - i]):
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
+    return out
 
 
 class NonInvertibleSeriesError(ZeroDivisionError):
@@ -54,10 +82,6 @@ class TruncatedSeries:
     @property
     def _one(self):
         return self.coeffs[0] ** 0
-
-    @property
-    def _rational_coeffs(self) -> bool:
-        return isinstance(self.coeffs[0], Fraction)
 
     def _check_compatible(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
@@ -95,24 +119,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         """Cauchy product truncated at the common order."""
         self._check_compatible(other)
-        n = self.order + 1
-        if self._rational_coeffs and other._rational_coeffs:
-            cn, cd = conv_frac(
-                [c.numerator for c in self.coeffs],
-                [c.denominator for c in self.coeffs],
-                [c.numerator for c in other.coeffs],
-                [c.denominator for c in other.coeffs],
-                n,
-            )
-            return TruncatedSeries(_fast_fraction(p, q) for p, q in zip(cn, cd))
-        out = []
-        a, b = self.coeffs, other.coeffs
-        for m in range(n):
-            acc = a[0] * b[m]
-            for i in range(1, m + 1):
-                acc = acc + a[i] * b[m - i]
-            out.append(acc)
-        return TruncatedSeries(out)
+        return TruncatedSeries(convolve(self.coeffs, other.coeffs, self.order + 1))
 
     def recip(self) -> "TruncatedSeries":
         """Series b with (self * b)_n = [n == 0] up to the order."""
@@ -122,12 +129,8 @@ class TruncatedSeries:
                 "series has no multiplicative inverse: zero constant term"
             )
         n = self.order + 1
-        if self._rational_coeffs:
-            bn, bd = recip_frac(
-                [c.numerator for c in self.coeffs],
-                [c.denominator for c in self.coeffs],
-                n,
-            )
+        if isinstance(a0, Fraction):
+            bn, bd = recip_frac(*_pairs(self.coeffs), n)
             return TruncatedSeries(_fast_fraction(p, q) for p, q in zip(bn, bd))
         inv0 = self._one / a0
         out = [inv0]
@@ -142,16 +145,8 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers take nonnegative integer exponents")
-        result = TruncatedSeries(
-            [self._one] + [self._zero] * self.order
-        )
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        one = TruncatedSeries([self._one] + [self._zero] * self.order)
+        return power(self, exponent, one)
 
     def times_t_power(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k, discarding coefficients pushed past the order."""

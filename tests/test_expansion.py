@@ -155,10 +155,3 @@ def test_corrected_matches_oracle_on_grid():
         assert corrected.exact
         assert corrected.coefficients == oracle.coefficients
 
-
-def test_reconstruct_mode_cross_check():
-    q = XPolynomial.monomial(SYM, 1)
-    e = expand_oracle(q, 1)
-    assert reconstruct(e, SYM) == q
-    with pytest.raises(ValueError):
-        reconstruct(e, ONE)

@@ -134,3 +134,26 @@ def test_prim_gcd_divides_and_captures_common_factor(impl):
         for c in d:
             content = gcd(content, c)
         assert content == 1
+
+
+class _Counted:
+    """An integer that counts the products it takes part in."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.value * other.value)
+
+
+def test_power_matches_repeated_products(impl):
+    for exponent in range(20):
+        assert impl.power(Fraction(-3, 2), exponent, Fraction(1)) == Fraction(-3, 2) ** exponent
+        _Counted.products = 0
+        assert impl.power(_Counted(3), exponent, _Counted(1)).value == 3 ** exponent
+        # binary powering: one product per set bit and one square per further bit
+        expected = bin(exponent).count("1") + max(exponent.bit_length() - 1, 0)
+        assert _Counted.products == expected

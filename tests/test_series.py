@@ -6,15 +6,16 @@ from random import Random
 import pytest
 
 from apobern import (
-    LambdaMode,
     LambdaPoly,
     LambdaRatFunc,
     NonInvertibleSeriesError,
     TruncatedSeries,
+    XPolynomial,
     exp_scaled_series,
 )
+from apobern.series import convolve
 
-SYM = LambdaMode.symbolic()
+from _util import SYM, TWO, random_fraction, random_ratfunc, random_xpoly
 
 
 def frac_series(*values):
@@ -142,3 +143,34 @@ def test_exp_turns_sums_into_products():
     lhs = exp_scaled_series(lam + 1, 4)
     rhs = exp_scaled_series(lam, 4) * exp_scaled_series(SYM.one, 4)
     assert lhs == rhs
+
+
+def _naive_convolution(a, b, out_len, zero):
+    out = []
+    for n in range(out_len):
+        acc = zero
+        for i in range(len(a)):
+            if 0 <= n - i < len(b):
+                acc = acc + a[i] * b[n - i]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("ring", ["fraction", "ratfunc", "xpoly"])
+def test_convolve_matches_naive_double_loop(ring):
+    rng = Random(4242)
+    draw, zero = {
+        "fraction": (lambda: random_fraction(rng), Fraction(0)),
+        "ratfunc": (lambda: random_ratfunc(rng), SYM.zero),
+        "xpoly": (lambda: random_xpoly(rng, TWO, max_deg=3), XPolynomial.zero(TWO)),
+    }[ring]
+    for _ in range(6):
+        a = [draw() for _ in range(rng.randint(1, 5))]
+        b = [draw() for _ in range(rng.randint(1, 5))]
+        # zero entries, the constant term included, take the skipping branch
+        a[rng.randrange(len(a))] = zero
+        b[rng.randrange(len(b))] = zero
+        for out_len in range(1, len(a) + len(b)):
+            got = convolve(a, b, out_len)
+            assert got == _naive_convolution(a, b, out_len, zero)
+            assert all(type(c) is type(zero) for c in got)
