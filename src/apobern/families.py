@@ -232,7 +232,10 @@ def euler_poly(n: int) -> XPolynomial:
 
 
 def clear_caches():
-    """Drop all memoized tables (results are unaffected; timing tests use this)."""
+    """Drop all memoized tables (results are unaffected; timing tests use this).
+
+    The identity-level memos are not family caches: each
+    ``verify_identity`` call empties them when it starts."""
     for fn in (
         _bernoulli_kernel,
         _euler_kernel,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -328,6 +329,12 @@ def _check_thm3(pt: GridPoint) -> CheckOutcome:
     return [(None, ok, witness)]
 
 
+# Memos of the mode-independent parts of the convolution checks, keyed on
+# everything their values depend on; each verify_identity call starts them
+# empty.
+
+
+@lru_cache(maxsize=None)
 def _bernoulli_convolution(m: int, y: Fraction) -> XPolynomial:
     total = XPolynomial.zero(_ONE)
     for i in range(m + 1):
@@ -337,6 +344,7 @@ def _bernoulli_convolution(m: int, y: Fraction) -> XPolynomial:
     return total
 
 
+@lru_cache(maxsize=None)
 def _euler_convolution(n: int, y: Fraction) -> XPolynomial:
     total = XPolynomial.zero(_ONE)
     for i in range(n + 1):
@@ -344,6 +352,39 @@ def _euler_convolution(n: int, y: Fraction) -> XPolynomial:
         if scalar:
             total = total + euler_poly(i).scalar_mul(scalar)
     return total
+
+
+@lru_cache(maxsize=None)
+def _shifted_euler(m: int, y: Fraction) -> XPolynomial:
+    """E_m(x + y) with rational coefficients."""
+    return shift_poly(euler_poly(m), y)
+
+
+@lru_cache(maxsize=None)
+def _thm4_bracket(n: int, m: int, y: Fraction, a: int) -> Fraction:
+    # (1 - n + j - k) = (1 - m) with m = n - j + k; the two terms of that
+    # factor share B_m(a + y)
+    arg = a + y
+    value = (1 - m) * _ff(n, m) * bernoulli_poly(m).evaluate(arg)
+    if m >= 1:
+        value += (arg - 1) * _ff(n, m - 1) * bernoulli_poly(m - 1).evaluate(arg)
+    return value
+
+
+@lru_cache(maxsize=None)
+def _thm5_bracket(n: int, m: int, y: Fraction) -> XPolynomial:
+    # n!/m! (1-x-y) E_m(x+y) - n!/(m+1)! (j-k) E_{m+1}(x+y)
+    # + (n+1)!/(m+1)! E_{m+1}(x+y), with j - k = n - m
+    bracket = (XPolynomial([1 - y, -1], _ONE) * _shifted_euler(m, y)).scalar_mul(_ff(n, m))
+    middle = _ff(n, m + 1) * (n - m)
+    if middle:
+        bracket = bracket - _shifted_euler(m + 1, y).scalar_mul(middle)
+    return bracket + _shifted_euler(m + 1, y).scalar_mul(_ff(n + 1, m + 1))
+
+
+_MEMOS = (
+    _bernoulli_convolution, _euler_convolution, _shifted_euler, _thm4_bracket, _thm5_bracket
+)
 
 
 def _check_hansen(pt: GridPoint) -> CheckOutcome:
@@ -381,16 +422,7 @@ def _check_thm4(pt: GridPoint) -> CheckOutcome:
     rhs = XPolynomial.zero(mode)
     for j in range(k, n + 1):
         m = n - j + k
-
-        def bracket(a: int) -> Fraction:
-            # the (1 - n) and (j - k) terms share the factor B_m(a + y)
-            arg = a + y
-            value = (1 - n + j - k) * _ff(n, m) * bernoulli_poly(m).evaluate(arg)
-            if m >= 1:
-                value += (arg - 1) * _ff(n, m - 1) * bernoulli_poly(m - 1).evaluate(arg)
-            return value
-
-        c = alternating_lambda_sum(mode, k, bracket)
+        c = alternating_lambda_sum(mode, k, lambda a: _thm4_bracket(n, m, y, a))
         if c:
             rhs = rhs + apostol_bernoulli_poly(j, k, mode).scalar_mul(c / factorial(j))
     ok, witness = _check_poly_identity(lhs, rhs)
@@ -403,8 +435,8 @@ def _check_dilcher(pt: GridPoint) -> CheckOutcome:
     n, y = pt.n, pt.y
     lhs = _euler_convolution(n, y)
     affine = XPolynomial([1 - y, -1], _ONE)
-    rhs = (affine * shift_poly(euler_poly(n), y)) * 2
-    rhs = rhs + shift_poly(euler_poly(n + 1), y) * 2
+    rhs = (affine * _shifted_euler(n, y)) * 2
+    rhs = rhs + _shifted_euler(n + 1, y) * 2
     ok, witness = _check_poly_identity(lhs, rhs)
     return [(None, ok, witness)]
 
@@ -414,23 +446,14 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
     # the variable x exactly as the cataloged display does.
     n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
     lhs = embed_poly(_euler_convolution(n, y), mode)
-    shifted = {
-        m: embed_poly(shift_poly(euler_poly(m), y), mode) for m in range(n + 2)
-    }
-    one_minus = XPolynomial([1 - y, -1], mode)
     # The bracket carries the x-dependence, so the lambda-sum has weight 1
     # and equals (1 - L)^k for every j.
     sign_sum = alternating_lambda_sum(mode, k, lambda a: 1)
     rhs = XPolynomial.zero(mode)
     for j in range(k, n + 1):
-        m = n - j + k
-        bracket = (one_minus * shifted[m]).scalar_mul(_ff(n, m))
-        middle = _ff(n, m + 1) * (j - k)
-        if middle:
-            bracket = bracket - shifted[m + 1].scalar_mul(middle)
-        bracket = bracket + shifted[m + 1].scalar_mul(_ff(n + 1, m + 1))
         factor = sign_sum / factorial(j)
         if factor:
+            bracket = embed_poly(_thm5_bracket(n, n - j + k, y), mode)
             rhs = rhs + (bracket * apostol_bernoulli_poly(j, k, mode)).scalar_mul(factor)
     rhs = rhs * 2
     ok, witness = _check_poly_identity(lhs, rhs)
@@ -584,6 +607,8 @@ def verify_identity(identity: IdentityId, grid: Sequence[GridPoint]) -> Identity
     if not grid:
         raise ValueError("empty grid")
     _check_bounds(identity, grid)
+    for memo in _MEMOS:
+        memo.cache_clear()
     checker = _CATALOG[identity].checker
     ordered = sorted(set(grid), key=_point_sort_key)
     results: List[ResultEntry] = []

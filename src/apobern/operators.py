@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Union
 
-from .field import FieldElement, LambdaMode, RationalLike
+from .field import FieldElement, LambdaMode, MixedModeError, RationalLike
 from .polynomials import XPolynomial
 
 __all__ = [
@@ -36,20 +36,20 @@ class DifferencePowerMethod(enum.Enum):
 
 
 def shift_poly(p: XPolynomial, h: Union[int, Fraction, FieldElement]) -> XPolynomial:
-    """Exact coefficients of p(x + h)."""
+    """Exact coefficients of p(x + h), by the Taylor shift of repeated
+    synthetic division: pass i runs c[j] += h * c[j+1] for j = deg p - 1
+    down to i, in place (von zur Gathen & Gerhard, ISSAC 1997).
+    """
     mode = p.mode
     h = mode.scalar(h) if isinstance(h, (int, Fraction)) else h
-    if not h or p.is_zero:
-        return p
-    x_plus_h = XPolynomial([h, 1], mode)
-    result = XPolynomial.zero(mode)
-    power = XPolynomial.one(mode)
-    for m, c in enumerate(p.coeffs):
-        if m:
-            power = power * x_plus_h
-        if c:
-            result = result + power.scalar_mul(c)
-    return result
+    if not mode.matches(h):
+        raise MixedModeError("shift domain does not match the mode")
+    c = list(p.coeffs)
+    top = len(c) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            c[j] = c[j] + h * c[j + 1]
+    return XPolynomial._trusted(c, mode)
 
 
 def lambda_op(p: XPolynomial) -> XPolynomial:

@@ -29,10 +29,21 @@ class XPolynomial:
         for c in cs:
             if not mode.matches(c):
                 raise MixedModeError("coefficient domain does not match the mode")
+        self._fill(cs, mode)
+
+    def _fill(self, cs: list, mode: LambdaMode):
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "mode", mode)
+
+    @classmethod
+    def _trusted(cls, cs: list, mode: LambdaMode) -> "XPolynomial":
+        """Wrap a list of scalars of ``mode`` built from checked operands:
+        strips trailing zeros in place, skips the per-coefficient check."""
+        poly = object.__new__(cls)
+        poly._fill(cs, mode)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("XPolynomial is immutable")
@@ -105,14 +116,14 @@ class XPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return XPolynomial(out, self.mode)
+        return XPolynomial._trusted(out, self.mode)
 
     def __sub__(self, other):
         self._check_mode(other)
         return self + (-other)
 
     def __neg__(self):
-        return XPolynomial([-c for c in self.coeffs], self.mode)
+        return XPolynomial._trusted([-c for c in self.coeffs], self.mode)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -121,7 +132,7 @@ class XPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return XPolynomial.zero(self.mode)
-        return XPolynomial(convolve(a, b, len(a) + len(b) - 1), self.mode)
+        return XPolynomial._trusted(convolve(a, b, len(a) + len(b) - 1), self.mode)
 
     __rmul__ = __mul__
 
@@ -136,7 +147,7 @@ class XPolynomial:
             raise MixedModeError("scalar domain does not match the mode")
         if not factor:
             return XPolynomial.zero(self.mode)
-        return XPolynomial([c * factor for c in self.coeffs], self.mode)
+        return XPolynomial._trusted([c * factor for c in self.coeffs], self.mode)
 
     def scalar_div(self, divisor: Union[int, FieldElement]) -> "XPolynomial":
         divisor = self.mode.scalar(divisor) if isinstance(divisor, (int, Fraction)) else divisor

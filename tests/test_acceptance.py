@@ -208,13 +208,18 @@ def test_criterion_08_formula_audit(default_reports):
     second = run_suite(default_suite_config())
     assert reports_to_json(second) == reports_to_json(default_reports)
 
-    # the default report is pinned byte for byte
-    document = render_report(default_reports, "json").encode("utf-8")
-    assert len(document) == 1_040_751
-    assert hashlib.sha256(document).hexdigest() == (
-        "8b10395f36ea86147417353225162e6d4aa78af2cad360d378d69ec852e177d3"
-    )
-    print("ACCEPTANCE 8 PASS: audit verdicts match the checked-in expectation; default suite JSON is byte-identical across runs and pinned by sha256")
+    # the default report is pinned byte for byte in every format
+    pinned = {
+        "json": (1_040_751, "8b10395f36ea86147417353225162e6d4aa78af2cad360d378d69ec852e177d3"),
+        "text": (277_809, "1367aea36ac39eeee203c9583b1e91c1c4c1a1ed4b5cb31ad4cb3d838927913a"),
+        "csv": (77_883, "f4908d6fbbb82562ffabbdee31ea0240e5c3c3a54fb7c833d1f43be88cb9fbb4"),
+        "latex": (123_137, "3b64a47da72495fe4795ca523e0a63951d7c534e2ad8a919a8263217ce8e6b98"),
+    }
+    for fmt, (size, digest) in pinned.items():
+        document = render_report(default_reports, fmt).encode("utf-8")
+        assert len(document) == size, fmt
+        assert hashlib.sha256(document).hexdigest() == digest, fmt
+    print("ACCEPTANCE 8 PASS: audit verdicts match the checked-in expectation; default suite JSON is byte-identical across runs and every format is pinned by sha256")
 
 
 def test_criterion_09_performance_envelope():

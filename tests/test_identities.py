@@ -261,19 +261,31 @@ def test_concurrent_verification_matches_sequential():
     from apobern.families import clear_caches
     from apobern.reporting import reports_to_json
 
-    idents = (
-        IdentityId.ID_DERIV,
-        IdentityId.ID_LOWER_ORDER,
-        IdentityId.ID_EULER_RAMANUJAN,
-        IdentityId.ID_THM1,
-    )
-    sequential = [verify_identity(i, default_grid(i)) for i in idents]
+    # the convolution identities share per-call memos that every
+    # verify_identity call clears, also while another thread is checking
+    grids = {
+        IdentityId.ID_DERIV: default_grid(IdentityId.ID_DERIV),
+        IdentityId.ID_LOWER_ORDER: default_grid(IdentityId.ID_LOWER_ORDER),
+        IdentityId.ID_EULER_RAMANUJAN: default_grid(IdentityId.ID_EULER_RAMANUJAN),
+        IdentityId.ID_THM1: default_grid(IdentityId.ID_THM1),
+        IdentityId.ID_THM4: default_grid(IdentityId.ID_THM4, max_n=3),
+        IdentityId.ID_THM5: default_grid(IdentityId.ID_THM5, max_n=3),
+    }
+    sequential = [verify_identity(i, grid) for i, grid in grids.items()]
     clear_caches()
     with ThreadPoolExecutor(max_workers=4) as pool:
-        concurrent = list(
-            pool.map(lambda i: verify_identity(i, default_grid(i)), idents)
-        )
+        concurrent = list(pool.map(verify_identity, grids, grids.values()))
     assert reports_to_json(concurrent) == reports_to_json(sequential)
+
+
+def test_identity_memos_last_one_call():
+    from apobern import identities
+
+    verify_identity(IdentityId.ID_THM5, default_grid(IdentityId.ID_THM5, max_n=2))
+    assert any(memo.cache_info().currsize for memo in identities._MEMOS)
+    verify_identity(IdentityId.ID_DERIV, default_grid(IdentityId.ID_DERIV, max_n=2))
+    for memo in identities._MEMOS:
+        assert memo.cache_info().currsize == 0, memo.__name__
 
 
 def test_mode_consistency_symbolic_pass_implies_numeric_pass():

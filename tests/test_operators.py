@@ -3,6 +3,7 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from apobern import (
     DifferencePowerMethod,
     LambdaPoly,
     LambdaRatFunc,
+    MixedModeError,
     XPolynomial,
     alternating_lambda_sum,
     apostol_bernoulli_poly,
@@ -21,7 +23,7 @@ from apobern import (
     shift_poly,
 )
 
-from _util import ALL_MODES, ONE, SYM, TWO, random_xpoly
+from _util import ALL_MODES, ONE, SYM, TWO, random_fraction, random_xpoly
 
 LAM = LambdaPoly([0, 1])
 ITERATED = DifferencePowerMethod.ITERATED
@@ -39,6 +41,52 @@ def test_shift_examples():
     assert shift_poly(p, Fraction(-1, 2)) == XPolynomial(
         [Fraction(7, 12), -1, 1], ONE
     )
+
+
+def _power_sum_shift(p, h):
+    # p(x + h) as sum_m c_m (x + h)^m, one x-polynomial product per power
+    mode = p.mode
+    h = mode.scalar(h) if isinstance(h, (int, Fraction)) else h
+    if not h or p.is_zero:
+        return p
+    x_plus_h = XPolynomial([h, 1], mode)
+    result = XPolynomial.zero(mode)
+    power = XPolynomial.one(mode)
+    for m, c in enumerate(p.coeffs):
+        if m:
+            power = power * x_plus_h
+        if c:
+            result = result + power.scalar_mul(c)
+    return result
+
+
+def test_shift_matches_power_sum_reference():
+    rng = Random(6104)
+    for mode in ALL_MODES:
+        shifts = [0, 1, Fraction(-1, 2), Fraction(7, 3)]
+        if mode.is_symbolic:
+            shifts.append(mode.lam)
+        polys = [XPolynomial.zero(mode)]
+        for deg in range(13):
+            lead = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+            coeffs = [random_fraction(rng) for _ in range(deg)] + [lead]
+            polys.append(XPolynomial(coeffs, mode))
+        for p in polys:
+            for h in shifts:
+                shifted = shift_poly(p, h)
+                assert shifted == _power_sum_shift(p, h), (mode, p, h)
+                assert shift_poly(shifted, -h) == p
+
+
+def test_shift_rejects_a_shift_from_another_mode():
+    p = XPolynomial([1, 2, 3], ONE)
+    with pytest.raises(MixedModeError):
+        shift_poly(p, SYM.lam)
+    # a zero shift and the zero polynomial are checked too
+    with pytest.raises(MixedModeError):
+        shift_poly(p, SYM.zero)
+    with pytest.raises(MixedModeError):
+        shift_poly(XPolynomial.zero(TWO), SYM.lam)
 
 
 def test_lambda_op_examples():

@@ -1,13 +1,14 @@
 """XPolynomial structure, mode discipline, and rendering."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from apobern import LambdaPoly, LambdaRatFunc, MixedModeError, XPolynomial, embed_poly
 from apobern.render import render_x_poly
 
-from _util import ONE, SYM, TWO
+from _util import ONE, SYM, TWO, random_xpoly
 
 
 def test_trailing_zeros_stripped():
@@ -26,6 +27,35 @@ def test_mode_discipline():
         p + q
     with pytest.raises(MixedModeError):
         p.scalar_mul(SYM.lam)
+    with pytest.raises(MixedModeError):
+        XPolynomial([1, SYM.lam, 2], TWO)
+
+
+def test_arithmetic_results_are_canonical():
+    # sums, negations and products skip the constructor's domain pass but
+    # must still strip trailing zeros, so equality stays structural
+    rng = Random(8080)
+    for mode in (ONE, TWO, SYM):
+        for _ in range(10):
+            p = random_xpoly(rng, mode, max_deg=5)
+            q = random_xpoly(rng, mode, max_deg=5)
+            top = XPolynomial.monomial(mode, 6, 3)
+            results = (
+                p - p,
+                p + (-p),
+                (p + top) - top,
+                (top + p) + top.scalar_mul(-1),
+                p * XPolynomial.zero(mode),
+                p.scalar_mul(0),
+                p * q,
+                -p,
+            )
+            for r in results:
+                assert not r.coeffs or r.coeffs[-1]
+                assert r == XPolynomial(list(r.coeffs), r.mode)
+            assert (p - p).coeffs == ()
+            assert (p + (-p)).coeffs == ()
+            assert (p + top) - top == p
 
 
 def test_arithmetic_and_evaluation():
