@@ -1,9 +1,9 @@
 """Pure-Python dense arithmetic kernels.
 
 These functions carry the inner loops of the whole package: every
-rational polynomial or series product (dispatched by
-``series.convolve``), every series reciprocal and every integer
-numerator product of the symbolic scalars bottoms out here, and
+rational series product (dispatched by ``series.convolve``), every
+series reciprocal and every integer product behind the symbolic scalars
+and the numeric x-polynomials bottoms out here, and
 ``power`` is the one binary-powering loop behind every ``__pow__``.
 ``prim_gcd_int`` serves ``field.poly_gcd``, which is off the arithmetic
 path.

@@ -16,9 +16,8 @@ exact; the other two carry an exactness flag computed by reconstruction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from math import factorial
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .families import apostol_bernoulli_poly
 from .field import FieldElement, LambdaMode
@@ -51,8 +50,7 @@ class ExpansionMethod(enum.Enum):
     CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
-class BasisExpansion:
+class BasisExpansion(NamedTuple):
     """Coefficients b_j over basis indices j_lo..j_hi (empty if j_lo > j_hi).
 
     ``exact`` records whether sum b_j * basis_j reproduces the expanded
@@ -156,7 +154,7 @@ def closed_form_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
         coefficients=tuple(coeffs),
         exact=False,
     )
-    return replace(expansion, exact=reconstruct(expansion) == q)
+    return expansion._replace(exact=reconstruct(expansion) == q)
 
 
 def corrected_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
@@ -188,4 +186,4 @@ def corrected_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
         coefficients=tuple(coeffs),
         exact=False,
     )
-    return replace(expansion, exact=reconstruct(expansion) == q)
+    return expansion._replace(exact=reconstruct(expansion) == q)

@@ -16,11 +16,10 @@ series-product extraction kept alongside for cross-checking.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .field import FieldElement, LambdaMode, PoleError
 from .polynomials import XPolynomial
@@ -50,8 +49,7 @@ class Family(enum.Enum):
     EULER = "euler"
 
 
-@dataclass(frozen=True)
-class NumberTable:
+class NumberTable(NamedTuple):
     """values[n] = n! * [t^n] of the family's generating kernel."""
 
     family: Family

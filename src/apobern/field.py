@@ -23,11 +23,10 @@ equality is a plain field-by-field comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from ._kernels import conv_frac, conv_int, power, prim_gcd_int
 
@@ -526,8 +525,7 @@ _RATFUNC_LAMBDA = _new(((0, 1), 1, 0, 0))
 FieldElement = Union[Fraction, LambdaRatFunc]
 
 
-@dataclass(frozen=True)
-class LambdaMode:
+class LambdaMode(NamedTuple):
     """Scalar-domain selector: symbolic deformation parameter or a fixed
     rational value.  ``value`` is None in symbolic mode."""
 

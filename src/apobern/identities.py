@@ -12,11 +12,10 @@ variant label.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expansion import (
     closed_form_coefficients,
@@ -103,8 +102,7 @@ class GridBoundsError(ValueError):
     """Grid outside the desk-scale bounds the catalog certifies."""
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     """One parameter point; fields that do not apply stay None."""
 
     n: int
@@ -113,23 +111,20 @@ class GridPoint:
     y: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class ResultEntry:
+class ResultEntry(NamedTuple):
     point: GridPoint
     variant: Optional[str]
     passed: bool
     witness: Optional[str]
 
 
-@dataclass(frozen=True)
-class IdentitySummary:
+class IdentitySummary(NamedTuple):
     passed: int
     failed: int
     validity_domain: str
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity: IdentityId
     results: Tuple[ResultEntry, ...]
     summary: IdentitySummary
@@ -382,8 +377,14 @@ def _thm5_bracket(n: int, m: int, y: Fraction) -> XPolynomial:
     return bracket + _shifted_euler(m + 1, y).scalar_mul(_ff(n + 1, m + 1))
 
 
+@lru_cache(maxsize=None)
+def _embedded_thm5_bracket(n: int, m: int, y: Fraction, mode: LambdaMode) -> XPolynomial:
+    return embed_poly(_thm5_bracket(n, m, y), mode)
+
+
 _MEMOS = (
-    _bernoulli_convolution, _euler_convolution, _shifted_euler, _thm4_bracket, _thm5_bracket
+    _bernoulli_convolution, _euler_convolution, _shifted_euler,
+    _thm4_bracket, _thm5_bracket, _embedded_thm5_bracket,
 )
 
 
@@ -453,7 +454,7 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
     for j in range(k, n + 1):
         factor = sign_sum / factorial(j)
         if factor:
-            bracket = embed_poly(_thm5_bracket(n, n - j + k, y), mode)
+            bracket = _embedded_thm5_bracket(n, n - j + k, y, mode)
             rhs = rhs + (bracket * apostol_bernoulli_poly(j, k, mode)).scalar_mul(factor)
     rhs = rhs * 2
     ok, witness = _check_poly_identity(lhs, rhs)
@@ -464,8 +465,7 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
 # catalog
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     """One catalog entry: its checker and the grid the default suite certifies.
 
     ``n`` and a pair ``k`` are (first, default last) ranges that max_n and
@@ -626,21 +626,26 @@ def verify_identity(identity: IdentityId, grid: Sequence[GridPoint]) -> Identity
     return IdentityReport(identity=identity, results=tuple(results), summary=summary)
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Which identities to verify and how far to push their grids."""
-
+class _SuiteFields(NamedTuple):
     ids: Tuple[IdentityId, ...] = tuple(IdentityId)
     max_n: Optional[int] = None
     max_k: Optional[int] = None
     modes: Optional[Tuple[LambdaMode, ...]] = None
 
-    def __post_init__(self):
+
+class SuiteConfig(_SuiteFields):
+    """Which identities to verify and how far to push their grids."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.ids:
             raise ValueError("identity subset must not be empty")
         for identity in self.ids:
             if not isinstance(identity, IdentityId):
                 raise ValueError(f"unknown identity: {identity!r}")
+        return self
 
 
 def default_suite_config() -> SuiteConfig:

@@ -10,12 +10,11 @@ ground truth they are both judged against.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from math import comb
 from typing import Callable, Union
 
-from .field import FieldElement, LambdaMode, MixedModeError, RationalLike
-from .polynomials import XPolynomial
+from .field import FieldElement, LambdaMode, RationalLike
+from .polynomials import XPolynomial, shift_poly
 
 __all__ = [
     "DifferencePowerMethod",
@@ -33,23 +32,6 @@ class DifferencePowerMethod(enum.Enum):
 
     ITERATED = "iterated"
     CLOSED_FORM = "closed-form"
-
-
-def shift_poly(p: XPolynomial, h: Union[int, Fraction, FieldElement]) -> XPolynomial:
-    """Exact coefficients of p(x + h), by the Taylor shift of repeated
-    synthetic division: pass i runs c[j] += h * c[j+1] for j = deg p - 1
-    down to i, in place (von zur Gathen & Gerhard, ISSAC 1997).
-    """
-    mode = p.mode
-    h = mode.scalar(h) if isinstance(h, (int, Fraction)) else h
-    if not mode.matches(h):
-        raise MixedModeError("shift domain does not match the mode")
-    c = list(p.coeffs)
-    top = len(c) - 1
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
-            c[j] = c[j] + h * c[j + 1]
-    return XPolynomial._trusted(c, mode)
 
 
 def lambda_op(p: XPolynomial) -> XPolynomial:

@@ -1,28 +1,47 @@
-"""The benchmark's tracing hooks still find every name they patch.
+"""The benchmark's hooks and recorded outputs still match the package.
 
 ``perfbench/tracing.py`` patches the package's layer functions by name
 and reads the family caches by name.  Loading it here makes a renamed
-or deleted name fail the test suite instead of the benchmark run.
+or deleted name fail the test suite instead of the benchmark run.  The
+calc digests recorded in ``perfbench/digests.json`` pin the bytes of
+``numbers``, ``poly`` and ``expand``; one variant of every calc cell is
+checked here, so drift shows in the test suite too.
 """
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import apobern.cli  # noqa: F401  (tracing patches apobern.cli.main)
-from apobern import families
+from apobern import cli, families
 
-TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_and_cached_names_are_bound():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     with tracing.installed(tracing.Tracer()):
         for name in tracing.CACHED:
             getattr(families, name).cache_info()
+
+
+def test_calc_outputs_match_recorded_digests():
+    streams, checks = _load("streams"), _load("checks")
+    recorded = checks.load_digests()["calc"]
+    requests = streams.calc_pool()[:: streams.CALC_VARIANTS]
+    assert len(requests) == len(streams.calc_cells())
+    for argv in requests:
+        families.clear_caches()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        assert code == 0, argv
+        assert checks.sha256(out.getvalue()) == recorded[checks.request_key(argv)], argv

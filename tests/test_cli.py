@@ -237,3 +237,42 @@ def test_help_lists_documented_flags():
         assert advertised == flags | {"--help"}
         for flag in flags:
             assert flag in help_text
+
+
+def _fresh_process(*args):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_one_process_serves_requests_like_fresh_processes(capsys):
+    # the parser is built once per process; reusing it across requests,
+    # a usage error among them, changes no byte and no exit code
+    requests = [
+        ["numbers", "--k", "2", "--n", "4", "--lambda", "2", "--format", "json"],
+        ["poly", "--family", "apostol-euler", "--k", "1", "--n", "3"],
+        ["expand", "--coeffs", "1,0,1/2", "--k", "1", "--lambda", "1/3", "--format", "csv"],
+        ["verify", "--ids", "ID_DERIV", "--max-n", "2", "--max-k", "1", "--format", "csv"],
+        ["numbers", "--n", "2", "--bogus-flag"],
+        ["poly", "--k", "2", "--n", "3", "--lambda", "symbolic", "--format", "latex"],
+    ]
+    in_process = [run_cli(capsys, *argv)[:2] for argv in requests]
+    assert [code for code, _ in in_process] == [0, 0, 0, 0, 2, 0]
+    for argv, (code, out) in zip(requests, in_process):
+        fresh = _fresh_process("-m", "apobern", *argv)
+        assert (fresh.returncode, fresh.stdout) == (code, out), argv
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    probe = (
+        "import sys; import apobern.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = _fresh_process("-S", "-c", probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from apobern import (
     DifferencePowerMethod,
+    LambdaMode,
     LambdaPoly,
     LambdaRatFunc,
     MixedModeError,
@@ -76,6 +77,33 @@ def test_shift_matches_power_sum_reference():
                 shifted = shift_poly(p, h)
                 assert shifted == _power_sum_shift(p, h), (mode, p, h)
                 assert shift_poly(shifted, -h) == p
+
+
+def _fraction_taylor_shift(coeffs, h):
+    # the synthetic division on one Fraction per coefficient
+    c = list(coeffs)
+    top = len(c) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            c[j] = c[j] + h * c[j + 1]
+    return tuple(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7), max_size=9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.sampled_from((1, 2, Fraction(-1, 2), Fraction(7, 3))),
+)
+def test_integer_shift_matches_fraction_reference(coeffs, h, lam):
+    # numeric shifts run on integers over a common denominator
+    mode = LambdaMode.numeric(lam)
+    p = XPolynomial(coeffs, mode)
+    shifted = shift_poly(p, h)
+    assert shifted.coeffs == _fraction_taylor_shift(p.coeffs, h)
+    assert shifted == XPolynomial(list(shifted.coeffs), mode)
+    back = shift_poly(shifted, -h)
+    assert back == p and back._key == p._key
 
 
 def test_shift_rejects_a_shift_from_another_mode():

@@ -1,14 +1,80 @@
 """XPolynomial structure, mode discipline, and rendering."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apobern import LambdaPoly, LambdaRatFunc, MixedModeError, XPolynomial, embed_poly
+from apobern import (
+    LambdaMode,
+    LambdaPoly,
+    LambdaRatFunc,
+    MixedModeError,
+    XPolynomial,
+    embed_poly,
+    shift_poly,
+)
 from apobern.render import render_x_poly
 
 from _util import ONE, SYM, TWO, random_xpoly
+
+# The numeric modes of the property tests.
+PROPERTY_MODES = (ONE, TWO, LambdaMode.numeric(Fraction(-1, 2)), LambdaMode.numeric(Fraction(7, 3)))
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+coeff_lists = st.lists(
+    st.one_of(st.just(Fraction(0)), small_fractions), min_size=0, max_size=7
+)
+modes = st.sampled_from(PROPERTY_MODES)
+
+
+# Reference algorithms with one Fraction per coefficient; the integer key
+# of a numeric polynomial must give exactly their results.
+
+
+def _ref_strip(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return _ref_strip(out)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_strip(out)
+
+
+def _ref_evaluate(a, point):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * point + c
+    return acc
+
+
+def _assert_canonical(p):
+    n, d = p._key
+    assert d > 0
+    assert not n or n[-1]
+    assert gcd(d, *n) == 1
+    if not n:
+        assert p._key == ((), 1)
 
 
 def test_trailing_zeros_stripped():
@@ -56,6 +122,84 @@ def test_arithmetic_results_are_canonical():
             assert (p - p).coeffs == ()
             assert (p + (-p)).coeffs == ()
             assert (p + top) - top == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_lists, coeff_lists, coeff_lists, small_fractions, modes)
+def test_numeric_arithmetic_matches_fraction_reference(a, b, top, factor, mode):
+    p, q = XPolynomial(a, mode), XPolynomial(b, mode)
+    ra, rb = _ref_strip(a), _ref_strip(b)
+    assert p.coeffs == ra and q.coeffs == rb
+    # a cancelling higher part t: (p + t) + (q - t) keeps only p + q
+    t = XPolynomial([0] * 7 + top, mode)
+    results = {
+        "add": (p + q, _ref_add(ra, rb)),
+        "sub": (p - q, _ref_add(ra, [-c for c in rb])),
+        "neg": (-p, _ref_strip([-c for c in ra])),
+        "mul": (p * q, _ref_mul(ra, rb)),
+        "cancel": ((p + t) + (q - t), _ref_add(ra, rb)),
+        "self": (p - p, ()),
+        "scalar_mul": (p.scalar_mul(factor), _ref_strip([c * factor for c in ra])),
+        "int_mul": (p * 3, _ref_strip([c * 3 for c in ra])),
+        "derivative": (p.derivative(), _ref_strip([c * m for m, c in enumerate(ra)][1:])),
+    }
+    if factor:
+        results["scalar_div"] = (p.scalar_div(factor), _ref_strip([c / factor for c in ra]))
+    for name, (got, want) in results.items():
+        assert got.coeffs == want, name
+        assert got.mode == mode
+        _assert_canonical(got)
+        same = XPolynomial(list(got.coeffs), mode)
+        assert same == got and same._key == got._key and hash(same) == hash(got), name
+    for point in (0, 1, -2, Fraction(-1, 2), Fraction(7, 3), factor):
+        assert p.evaluate(point) == _ref_evaluate(ra, Fraction(point))
+    assert p.evaluate(0) == (ra[0] if ra else 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeff_lists, modes)
+def test_embedding_keeps_the_rational_values(a, mode):
+    p = XPolynomial(a, ONE)
+    ra = _ref_strip(a)
+    moved = embed_poly(p, mode)
+    assert moved.mode == mode and moved.coeffs == ra and moved._key == p._key
+    symbolic = embed_poly(p, SYM)
+    assert symbolic.coeffs == tuple(LambdaRatFunc.from_rational(c) for c in ra)
+    assert symbolic == XPolynomial(ra, SYM)
+    assert embed_poly(symbolic, mode) == moved
+    assert embed_poly(moved, ONE) == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeff_lists, coeff_lists, modes)
+def test_equal_values_have_equal_keys_and_hashes(a, b, mode):
+    p, q = XPolynomial(a, mode), XPolynomial(b, mode)
+    for left, right in (
+        (p + q, q + p),
+        (p * q, q * p),
+        ((p + q) - q, p),
+        (p.scalar_mul(Fraction(3, 5)).scalar_div(Fraction(3, 5)), p),
+        (shift_poly(shift_poly(p, Fraction(2, 3)), Fraction(-2, 3)), p),
+    ):
+        assert left == right
+        assert left._key == right._key and hash(left) == hash(right)
+
+
+def test_numeric_mode_refuses_symbolic_scalars():
+    for mode in PROPERTY_MODES:
+        p = XPolynomial([1, Fraction(1, 2), 3], mode)
+        with pytest.raises(MixedModeError):
+            XPolynomial([1, SYM.lam], mode)
+        with pytest.raises(MixedModeError):
+            p.scalar_mul(SYM.lam)
+        with pytest.raises(MixedModeError):
+            p.scalar_div(SYM.lam)
+        with pytest.raises(MixedModeError):
+            p.evaluate(SYM.lam)
+        with pytest.raises(MixedModeError):
+            shift_poly(p, SYM.lam)
+        with pytest.raises(MixedModeError):
+            p + XPolynomial([1], SYM)
 
 
 def test_arithmetic_and_evaluation():
