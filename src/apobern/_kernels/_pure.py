@@ -3,7 +3,7 @@
 These functions carry the inner loops of the whole package: every
 rational series product (dispatched by ``series.convolve``), every
 series reciprocal and every integer product behind the symbolic scalars
-and the numeric x-polynomials bottoms out here, and
+and the x-polynomials bottoms out here, and
 ``power`` is the one binary-powering loop behind every ``__pow__``.
 ``prim_gcd_int`` serves ``field.poly_gcd``, which is off the arithmetic
 path.

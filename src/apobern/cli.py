@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from importlib import resources
@@ -87,12 +88,49 @@ def _parse_coeffs(text: str, mode: LambdaMode) -> XPolynomial:
     return XPolynomial(values, mode)
 
 
-def _emit(document: str, output: Optional[str]):
-    if output is None:
-        sys.stdout.write(document)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
+def _write_all(stream, document: str):
+    # An unbuffered binary layer (python -u, PYTHONUNBUFFERED) may accept
+    # only part of a write, for instance when a stop signal interrupts a
+    # write into a full pipe, and the text layer drops the rest; so the
+    # bytes go through the binary layer until every one is out.
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:  # an in-memory text stream
+        stream.write(document)
+        return
+    data = memoryview(document.encode(stream.encoding, stream.errors))
+    stream.flush()
+    while data:
+        data = data[buffer.write(data) :]
+    buffer.flush()
+
+
+def _write_file(path: str, document: str):
+    # A temporary file in the same directory replaces the target, so a
+    # failed or interrupted write never leaves half a document behind.
+    # A device or pipe (say /dev/stdout) cannot be replaced and is written
+    # in place; a symbolic link keeps pointing at the replaced file.
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(document)
+        return
+    target = os.path.realpath(path)
+    partial = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            handle.write(document)
+        os.replace(partial, target)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
+def _emit(document: str, output: Optional[str]):
+    """Write the whole document to stdout, or to the file ``output``; a
+    failed write raises (exit 1)."""
+    if output is None:
+        _write_all(sys.stdout, document)
+    else:
+        _write_file(output, document)
 
 
 # --------------------------------------------------------------------------
@@ -434,6 +472,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
+        # The reader is gone: keep the exit-time flush of stdout quiet.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # not a file descriptor: nothing to quiet
+            pass
         return 1
     except Exception as exc:  # internal errors map to exit 1
         print(f"internal error: {exc}", file=sys.stderr)

@@ -247,20 +247,36 @@ def _alt_sum(n) -> int:
     return sum(n[0::2]) - sum(n[1::2])
 
 
+def _div_root(n, root: int) -> list:
+    """Quotient of the integer polynomial n by (L - root), root = +-1,
+    by synthetic division; exact when n vanishes at root."""
+    q = [0] * (len(n) - 1)
+    acc = 0
+    for i in range(len(n) - 1, 0, -1):
+        acc = n[i] + root * acc
+        q[i - 1] = acc
+    return q
+
+
 def _strip_root(n: list, root: int, limit: int) -> tuple:
     """Divide (L - root) out of the nonzero n, root = +-1, at most limit
-    times, by synthetic division; returns the quotient and the count."""
+    times; returns the quotient and the count."""
     value_at = sum if root == 1 else _alt_sum
     count = 0
     while count < limit and not value_at(n):
-        q = [0] * (len(n) - 1)
-        acc = 0
-        for i in range(len(n) - 1, 0, -1):
-            acc = n[i] + root * acc
-            q[i - 1] = acc
-        n = q
+        n = _div_root(n, root)
         count += 1
     return n, count
+
+
+def _horner(n, u: int, v: int) -> tuple:
+    """(S, v^t) with S = sum n_i u^i v^(t-i) and t = len(n) - 1, so the
+    integer polynomial n takes the value S / v^t at u/v; n is nonempty."""
+    acc, v_power = n[-1], 1
+    for c in n[-2::-1]:
+        v_power *= v
+        acc = acc * u + c * v_power
+    return acc, v_power
 
 
 def _canonical(n: list, d: int, a: int, b: int) -> "LambdaRatFunc":
@@ -495,10 +511,12 @@ class LambdaRatFunc:
         n, d, a, b = self._key
         if (a and point == 1) or (b and point == -1):
             raise PoleError(f"pole at {render_rational(point)}")
-        acc = Fraction(0)
-        for c in reversed(n):
-            acc = acc * point + c
-        return acc / (d * (point - 1) ** a * (point + 1) ** b)
+        if not n:
+            return Fraction(0)
+        # With L = u/v: S / v^t over d ((u-v)/v)^a ((u+v)/v)^b.
+        u, v = point.numerator, point.denominator
+        s, v_power = _horner(n, u, v)
+        return Fraction(s * v ** (a + b), d * v_power * (u - v) ** a * (u + v) ** b)
 
 
 _set_key = LambdaRatFunc._key.__set__
@@ -578,6 +596,11 @@ class LambdaMode(NamedTuple):
         if isinstance(value, LambdaRatFunc):
             raise MixedModeError("symbolic scalar used in numeric mode")
         return Fraction(value)
+
+    def specialize(self, value: LambdaRatFunc) -> FieldElement:
+        """A symbolic value as a scalar of this mode: itself, or its value
+        at this mode's L."""
+        return value if self.is_symbolic else value.evaluate_at(self.value)
 
     def matches(self, value: FieldElement) -> bool:
         if self.is_symbolic:

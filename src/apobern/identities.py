@@ -32,7 +32,7 @@ from .families import (
     bernoulli_poly,
     euler_poly,
 )
-from .field import LambdaMode
+from .field import LambdaMode, LambdaRatFunc
 from .operators import (
     DifferencePowerMethod,
     alternating_lambda_sum,
@@ -367,6 +367,15 @@ def _thm4_bracket(n: int, m: int, y: Fraction, a: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _thm4_coefficient(n: int, j: int, k: int, y: Fraction) -> LambdaRatFunc:
+    # (1/j!) sum_a (-1)^a C(k,a) L^a bracket(a+y) with m = n - j + k, as one
+    # symbolic value that every mode specializes
+    m = n - j + k
+    scale = factorial(j)
+    return alternating_lambda_sum(_SYM, k, lambda a: _thm4_bracket(n, m, y, a) / scale)
+
+
+@lru_cache(maxsize=None)
 def _thm5_bracket(n: int, m: int, y: Fraction) -> XPolynomial:
     # n!/m! (1-x-y) E_m(x+y) - n!/(m+1)! (j-k) E_{m+1}(x+y)
     # + (n+1)!/(m+1)! E_{m+1}(x+y), with j - k = n - m
@@ -384,7 +393,7 @@ def _embedded_thm5_bracket(n: int, m: int, y: Fraction, mode: LambdaMode) -> XPo
 
 _MEMOS = (
     _bernoulli_convolution, _euler_convolution, _shifted_euler,
-    _thm4_bracket, _thm5_bracket, _embedded_thm5_bracket,
+    _thm4_bracket, _thm4_coefficient, _thm5_bracket, _embedded_thm5_bracket,
 )
 
 
@@ -422,10 +431,9 @@ def _check_thm4(pt: GridPoint) -> CheckOutcome:
     lhs = embed_poly(_bernoulli_convolution(n, y), mode)
     rhs = XPolynomial.zero(mode)
     for j in range(k, n + 1):
-        m = n - j + k
-        c = alternating_lambda_sum(mode, k, lambda a: _thm4_bracket(n, m, y, a))
+        c = mode.specialize(_thm4_coefficient(n, j, k, y))
         if c:
-            rhs = rhs + apostol_bernoulli_poly(j, k, mode).scalar_mul(c / factorial(j))
+            rhs = rhs + apostol_bernoulli_poly(j, k, mode).scalar_mul(c)
     ok, witness = _check_poly_identity(lhs, rhs)
     return [(None, ok, witness)]
 
@@ -448,15 +456,16 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
     n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
     lhs = embed_poly(_euler_convolution(n, y), mode)
     # The bracket carries the x-dependence, so the lambda-sum has weight 1
-    # and equals (1 - L)^k for every j.
-    sign_sum = alternating_lambda_sum(mode, k, lambda a: 1)
+    # and equals (1 - L)^k for every j: the common factor 2 (1 - L)^k is
+    # applied once, after the sum over j.
+    factor = alternating_lambda_sum(mode, k, lambda a: 2)
     rhs = XPolynomial.zero(mode)
-    for j in range(k, n + 1):
-        factor = sign_sum / factorial(j)
-        if factor:
+    if factor:
+        for j in range(k, n + 1):
             bracket = _embedded_thm5_bracket(n, n - j + k, y, mode)
-            rhs = rhs + (bracket * apostol_bernoulli_poly(j, k, mode)).scalar_mul(factor)
-    rhs = rhs * 2
+            term = bracket * apostol_bernoulli_poly(j, k, mode)
+            rhs = rhs + term.scalar_mul(Fraction(1, factorial(j)))
+        rhs = rhs.scalar_mul(factor)
     ok, witness = _check_poly_identity(lhs, rhs)
     return [(None, ok, witness)]
 

@@ -10,10 +10,11 @@ ground truth they are both judged against.
 from __future__ import annotations
 
 import enum
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 from typing import Callable, Union
 
-from .field import FieldElement, LambdaMode, RationalLike
+from .field import FieldElement, LambdaMode, RationalLike, _canonical
 from .polynomials import XPolynomial, shift_poly
 
 __all__ = [
@@ -73,14 +74,26 @@ def lambda_power_at_zero(
 def alternating_lambda_sum(
     mode: LambdaMode, k: int, weight: Callable[[int], Union[RationalLike, FieldElement]]
 ) -> FieldElement:
-    """sum_{a=0}^{k} (-1)^a C(k, a) L^a weight(a), by Horner's rule in -L.
+    """sum_{a=0}^{k} (-1)^a C(k, a) L^a weight(a) as a scalar of ``mode``.
 
-    ``weight(a)`` may return a plain rational or a scalar of ``mode``.
+    When every weight is a plain rational, the sum is one integer
+    polynomial in L over the lcm of the weights' denominators, put in
+    canonical form once; a numeric mode takes its value at L through
+    ``LambdaRatFunc.evaluate_at``.  Weights that are scalars of ``mode``
+    (the values of a symbolic polynomial) go through Horner's rule in -L.
     """
+    weights = [weight(a) for a in range(k + 1)]
+    if all(isinstance(w, (int, Fraction)) for w in weights):
+        d = lcm(*[w.denominator for w in weights])
+        n = [
+            (-1) ** a * comb(k, a) * w.numerator * (d // w.denominator)
+            for a, w in enumerate(weights)
+        ]
+        return mode.specialize(_canonical(n, d, 0, 0))
     neg_lam = -mode.lam
     acc = mode.zero
     for a in range(k, -1, -1):
-        acc = acc * neg_lam + mode.scalar(comb(k, a) * weight(a))
+        acc = acc * neg_lam + mode.scalar(comb(k, a) * weights[a])
     return acc
 
 

@@ -8,7 +8,7 @@ always produce identical bytes.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .field import LambdaPoly, LambdaRatFunc, render_rational
 
@@ -23,11 +23,11 @@ def _power(sym: str, exponent: int) -> str:
     return f"{sym}^{exponent}"
 
 
-def _monomial(coeff: Fraction, sym: str, exponent: int) -> str:
-    """Signed term like "-2L^3", "L/2", "2L^2/3" or a bare rational."""
+def _monomial(p: int, q: int, sym: str, exponent: int) -> str:
+    """Signed term p/q sym^exponent like "-2L^3", "L/2", "2L^2/3" or a
+    bare rational, for p/q in lowest terms with q > 0."""
     if exponent == 0:
-        return render_rational(coeff)
-    p, q = coeff.numerator, coeff.denominator
+        return str(p) if q == 1 else f"{p}/{q}"
     sign = "-" if p < 0 else ""
     p = abs(p)
     head = _power(sym, exponent) if p == 1 else f"{p}{_power(sym, exponent)}"
@@ -35,38 +35,49 @@ def _monomial(coeff: Fraction, sym: str, exponent: int) -> str:
     return f"{sign}{head}{tail}"
 
 
+def _terms_text(pairs, sym: str) -> str:
+    """Descending rendering of a nonzero polynomial given by ascending
+    coefficient pairs (p, q); zero pairs are skipped."""
+    parts = []
+    for exponent in range(len(pairs) - 1, -1, -1):
+        p, q = pairs[exponent]
+        if p:
+            term = _monomial(p, q, sym, exponent)
+            parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts)
+
+
+def _reduced_pair(c: int, d: int) -> tuple:
+    g = gcd(c, d)
+    return c // g, d // g
+
+
 def render_lambda_poly(poly: LambdaPoly, sym: str = MACHINE_SYMBOL) -> str:
     """Compact descending rendering, e.g. "L^2-2L+1"."""
     if poly.is_zero:
         return "0"
-    parts = []
-    for exponent in range(poly.degree, -1, -1):
-        c = poly.coeffs[exponent]
-        if not c:
-            continue
-        term = _monomial(c, sym, exponent)
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append("-" + term[1:])
-        else:
-            parts.append("+" + term)
-    return "".join(parts)
+    return _terms_text([(c.numerator, c.denominator) for c in poly.coeffs], sym)
+
+
+def _nonzero_terms(n) -> int:
+    return len(n) - n.count(0)
 
 
 def render_ratfunc(f: LambdaRatFunc, sym: str = MACHINE_SYMBOL) -> str:
     """Canonical "(num)/(den)" rendering with factored denominator
-    "(L-1)^a*(L+1)^b"."""
-    num_poly = f.num
-    num = render_lambda_poly(num_poly, sym)
+    "(L-1)^a*(L+1)^b"; reads the key (N, d, a, b), num being N/d."""
+    n, d, a, b = f._key
+    if not n:
+        return "0"
+    num = _terms_text([_reduced_pair(c, d) for c in n], sym)
     factors = []
-    for sign, count in zip("-+", f.pole_orders):
+    for sign, count in (("-", a), ("+", b)):
         if count:
             base = f"({sym}{sign}1)"
             factors.append(base if count == 1 else f"{base}^{count}")
     if not factors:
         return num
-    if len([c for c in num_poly.coeffs if c]) > 1:
+    if _nonzero_terms(n) > 1:
         num = f"({num})"
     den = factors[0] if len(factors) == 1 else "(" + "*".join(factors) + ")"
     return f"{num}/{den}"
@@ -80,37 +91,33 @@ def render_field_element(value, sym: str = MACHINE_SYMBOL) -> str:
 
 def _element_sign(value) -> int:
     """Display sign: for rational functions, the sign of the leading
-    numerator coefficient (the denominator is monic)."""
+    numerator coefficient (the denominator is positive and monic)."""
     if isinstance(value, LambdaRatFunc):
-        if value.is_zero:
+        n = value._key[0]
+        if not n:
             return 0
-        return 1 if value.num.leading > 0 else -1
+        return 1 if n[-1] > 0 else -1
     if not value:
         return 0
     return 1 if value > 0 else -1
 
 
-def _is_unit_coeff(value) -> bool:
-    if isinstance(value, LambdaRatFunc):
-        return value == 1 or value == -1
-    return value == 1 or value == -1
-
-
 def _coeff_times_x(magnitude, sym: str, exponent: int) -> str:
-    """One polynomial term with a nonnegative coefficient; the caller
+    """One polynomial term with a positive coefficient; the caller
     handles the sign."""
     xpow = _power("x", exponent)
     if exponent == 0:
         return render_field_element(magnitude, sym)
-    if _is_unit_coeff(magnitude):
-        return xpow
-    if isinstance(magnitude, LambdaRatFunc) and not magnitude.is_rational:
-        body = render_field_element(magnitude, sym)
-        if magnitude.pole_orders != (0, 0) or len([c for c in magnitude.num.coeffs if c]) > 1:
-            body = f"({body})"
-        return f"{body}*{xpow}"
-    rat = magnitude.as_rational() if isinstance(magnitude, LambdaRatFunc) else Fraction(magnitude)
-    p, q = rat.numerator, rat.denominator
+    if isinstance(magnitude, LambdaRatFunc):
+        n, q, a, b = magnitude._key
+        if a or b or len(n) > 1:
+            body = render_field_element(magnitude, sym)
+            if a or b or _nonzero_terms(n) > 1:
+                body = f"({body})"
+            return f"{body}*{xpow}"
+        p = n[0]
+    else:
+        p, q = magnitude.numerator, magnitude.denominator
     head = xpow if p == 1 else f"{p}{xpow}"
     return head if q == 1 else f"{head}/{q}"
 

@@ -1,12 +1,12 @@
 """Truncated formal power series, and the dense product behind every
-series and every symbolic polynomial.
+series.
 
 :func:`convolve` is the Cauchy product of two coefficient sequences.
 Rational sequences go through the ``conv_frac`` kernel; any other ring
 (rational functions of the deformation parameter, or polynomials in x
 for the dual-path generating-function extraction) takes one generic
-loop.  ``TruncatedSeries.__mul__`` and symbolic ``XPolynomial.__mul__``
-are each one call to it; numeric x-polynomials use ``conv_int``.
+loop.  ``TruncatedSeries.__mul__`` is one call to it; x-polynomials
+multiply their integer keys with ``conv_int``.
 
 A series of order N stores the N+1 ordinary coefficients c_0..c_N of
 sum c_n t^n; the factorial scaling used to read off polynomial-family

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from random import Random
 
+from hypothesis import strategies as st
+
 from apobern import LambdaMode, LambdaPoly, LambdaRatFunc, XPolynomial
 
 SYM = LambdaMode.symbolic()
@@ -39,3 +41,23 @@ def random_ratfunc(rng: Random, max_deg: int = 2) -> LambdaRatFunc:
 def random_xpoly(rng: Random, mode: LambdaMode, max_deg: int = 6) -> XPolynomial:
     deg = rng.randint(0, max_deg)
     return XPolynomial([random_fraction(rng) for _ in range(deg + 1)], mode)
+
+
+
+@st.composite
+def symbolic_scalars(draw, local_numerator: bool = False):
+    """Symbolic scalars c N(L) (L-1)^s (L+1)^t / (d (L-1)^a (L+1)^b).
+
+    The factors (L-1)^s and (L+1)^t can cancel poles.  With
+    ``local_numerator`` N is 1 and c is nonzero, so the value is a unit of
+    the localized ring and may be divided by."""
+    lam = SYM.lam
+    if local_numerator:
+        value = SYM.scalar(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))))
+    else:
+        value = SYM.zero
+        for i, c in enumerate(draw(st.lists(st.integers(-4, 4), max_size=3))):
+            value = value + lam ** i * c
+    value = value * (lam - 1) ** draw(st.integers(0, 2)) * (lam + 1) ** draw(st.integers(0, 1))
+    den = (lam - 1) ** draw(st.integers(0, 2)) * (lam + 1) ** draw(st.integers(0, 2))
+    return value / (den * draw(st.integers(1, 4)))

@@ -147,6 +147,57 @@ def test_output_file(capsys, tmp_path):
     assert code == 0 and out == ""
     payload = json.loads(out_file.read_text(encoding="utf-8"))
     assert payload["k"] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
+
+
+def test_output_through_a_link_or_into_a_pipe(capsys, tmp_path):
+    # a link keeps pointing at the file it names; a pipe is written in place
+    import os
+    import threading
+
+    argv = ("numbers", "--n", "2", "--format", "json", "--output")
+    real = tmp_path / "real.json"
+    real.write_text("old", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert run_cli(capsys, *argv, str(link))[0] == 0
+    assert link.is_symlink() and json.loads(real.read_text(encoding="utf-8"))["k"] == 1
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text(encoding="utf-8")), daemon=True)
+    reader.start()
+    assert run_cli(capsys, *argv, str(fifo))[0] == 0
+    reader.join(timeout=10)
+    assert got and json.loads(got[0])["k"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "real.json"]
+
+
+def test_unwritable_output_exits_1_with_one_line(capsys, tmp_path):
+    target = tmp_path / "missing" / "table.json"
+    code, out, err = run_cli(capsys, "numbers", "--n", "2", "--output", str(target))
+    assert code == 1 and out == ""
+    assert "No such file or directory" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "apobern", "numbers", "--n", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1 and done.stderr == b""
 
 
 def test_byte_identical_output(capsys):
@@ -276,3 +327,56 @@ def test_cli_import_skips_dataclasses_and_inspect():
     out = _fresh_process("-S", "-c", probe)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+def _run_under_stop_loop(argv, env, tick_s):
+    # Stops and resumes the child every tick_s while it runs, as the
+    # benchmark harness does to sample host speed; only this child is
+    # signalled.  Returns (exit code, stdout bytes).
+    import os
+    import signal
+    import subprocess
+    import threading
+    import time
+
+    with subprocess.Popen(
+        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        outputs = {}
+        readers = [
+            threading.Thread(target=lambda: outputs.update(out=proc.stdout.read())),
+            threading.Thread(target=lambda: outputs.update(err=proc.stderr.read())),
+        ]
+        for reader in readers:
+            reader.start()
+        while True:
+            time.sleep(tick_s)
+            os.kill(proc.pid, signal.SIGSTOP)  # a zombie ignores it
+            _, status = os.waitpid(proc.pid, os.WUNTRACED)
+            if not os.WIFSTOPPED(status):
+                break
+            os.kill(proc.pid, signal.SIGCONT)
+        for reader in readers:
+            reader.join()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, outputs["out"]
+
+
+def test_report_survives_stops_during_a_large_write():
+    # A stop that lands while the child blocks on a full pipe cuts the
+    # write short; the report must still arrive whole, with exit 0.  It is
+    # about four times the 64 KiB pipe buffer, so the child blocks several
+    # times, and a stop every 0.5 ms lands in one of those writes in most
+    # runs.
+    import os
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+    argv = [sys.executable, "-m", "apobern", "verify", "--ids", "ID_THM4", "--format", "json"]
+    expected = _fresh_process(*argv[1:]).stdout.encode("utf-8")
+    assert len(expected) > 3 * 65536
+    for _ in range(8):
+        code, out = _run_under_stop_loop(argv, env, 0.0005)
+        assert code == 0 and len(out) == len(expected) and out == expected

@@ -288,6 +288,18 @@ def test_identity_memos_last_one_call():
         assert memo.cache_info().currsize == 0, memo.__name__
 
 
+def test_thm4_lambda_sums_are_shared_by_every_mode():
+    # the memo is keyed on (n, j, k, y) only: each mode reads the same value
+    from apobern import identities
+
+    grid = default_grid(IdentityId.ID_THM4, max_n=3)
+    modes = {pt.mode for pt in grid}
+    verify_identity(IdentityId.ID_THM4, grid)
+    info = identities._thm4_coefficient.cache_info()
+    assert len(modes) == 3 and info.misses
+    assert info.hits == (len(modes) - 1) * info.misses
+
+
 def test_mode_consistency_symbolic_pass_implies_numeric_pass():
     # for every identity with a deformation parameter: a symbolic pass at
     # (n, k, y, variant) forces a pass at each sampled numeric value

@@ -1,6 +1,7 @@
 """Twisted-difference operator calculus: examples and brute-force checks."""
 
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -24,7 +25,7 @@ from apobern import (
     shift_poly,
 )
 
-from _util import ALL_MODES, ONE, SYM, TWO, random_fraction, random_xpoly
+from _util import ALL_MODES, ONE, SYM, TWO, random_fraction, random_xpoly, symbolic_scalars
 
 LAM = LambdaPoly([0, 1])
 ITERATED = DifferencePowerMethod.ITERATED
@@ -79,8 +80,8 @@ def test_shift_matches_power_sum_reference():
                 assert shift_poly(shifted, -h) == p
 
 
-def _fraction_taylor_shift(coeffs, h):
-    # the synthetic division on one Fraction per coefficient
+def _reference_taylor_shift(coeffs, h):
+    # the synthetic division on one scalar per coefficient
     c = list(coeffs)
     top = len(c) - 1
     for i in range(top):
@@ -100,8 +101,31 @@ def test_integer_shift_matches_fraction_reference(coeffs, h, lam):
     mode = LambdaMode.numeric(lam)
     p = XPolynomial(coeffs, mode)
     shifted = shift_poly(p, h)
-    assert shifted.coeffs == _fraction_taylor_shift(p.coeffs, h)
+    assert shifted.coeffs == _reference_taylor_shift(p.coeffs, h)
     assert shifted == XPolynomial(list(shifted.coeffs), mode)
+    back = shift_poly(shifted, -h)
+    assert back == p and back._key == p._key
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=7), symbolic_scalars()),
+        max_size=6,
+    ),
+    st.one_of(
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+        st.just(SYM.lam),
+        symbolic_scalars(local_numerator=True),
+    ),
+)
+def test_symbolic_shift_matches_ratfunc_reference(coeffs, h):
+    # one symbolic path for every shift u/v: rational, L, or with poles
+    p = XPolynomial(coeffs, SYM)
+    h = SYM.scalar(h)
+    shifted = shift_poly(p, h)
+    assert shifted.coeffs == _reference_taylor_shift(p.coeffs, h)
+    assert shifted == XPolynomial(list(shifted.coeffs), SYM)
     back = shift_poly(shifted, -h)
     assert back == p and back._key == p._key
 
@@ -234,3 +258,31 @@ def test_alternating_lambda_sum_with_unit_weight():
             expected = (mode.one - mode.lam) ** k
             assert alternating_lambda_sum(mode, k, lambda a: 1) == expected
             assert alternating_lambda_sum(mode, k, lambda a: mode.one) == expected
+
+
+def _horner_lambda_sum(mode, k, weight):
+    # one field operation per term, Horner's rule in -L
+    acc = mode.zero
+    for a in range(k, -1, -1):
+        acc = acc * -mode.lam + mode.scalar(comb(k, a) * weight(a))
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=6),
+    st.lists(symbolic_scalars(), min_size=6, max_size=6),
+)
+def test_alternating_lambda_sum_matches_horner_reference(weights, symbolic_weights):
+    k = len(weights) - 1
+    for mode in ALL_MODES:
+        for weight in (weights.__getitem__, lambda a: a * a - 2):
+            got = alternating_lambda_sum(mode, k, weight)
+            assert mode.matches(got)
+            assert got == _horner_lambda_sum(mode, k, weight)
+        # field-valued weights: scalars of the mode
+        field_weights = [mode.scalar(w) for w in weights]
+        got = alternating_lambda_sum(mode, k, field_weights.__getitem__)
+        assert got == _horner_lambda_sum(mode, k, field_weights.__getitem__)
+    got = alternating_lambda_sum(SYM, k, symbolic_weights.__getitem__)
+    assert got == _horner_lambda_sum(SYM, k, symbolic_weights.__getitem__)

@@ -19,7 +19,7 @@ from apobern import (
 )
 from apobern.render import render_x_poly
 
-from _util import ONE, SYM, TWO, random_xpoly
+from _util import ONE, SYM, TWO, random_xpoly, symbolic_scalars
 
 # The numeric modes of the property tests.
 PROPERTY_MODES = (ONE, TWO, LambdaMode.numeric(Fraction(-1, 2)), LambdaMode.numeric(Fraction(7, 3)))
@@ -31,38 +31,38 @@ coeff_lists = st.lists(
 modes = st.sampled_from(PROPERTY_MODES)
 
 
-# Reference algorithms with one Fraction per coefficient; the integer key
-# of a numeric polynomial must give exactly their results.
+# Reference algorithms with one scalar per coefficient (a Fraction, or a
+# LambdaRatFunc in symbolic mode); the integer key of a polynomial must
+# give exactly their results.
 
 
 def _ref_strip(cs):
-    cs = [Fraction(c) for c in cs]
+    cs = list(cs)
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
 def _ref_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
+    longer, shorter = (a, b) if len(a) >= len(b) else (b, a)
+    out = list(longer)
+    for i, c in enumerate(shorter):
+        out[i] = out[i] + c
     return _ref_strip(out)
 
 
 def _ref_mul(a, b):
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] += x * y
+            out[i + j] = out[i + j] + x * y
     return _ref_strip(out)
 
 
 def _ref_evaluate(a, point):
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(a):
         acc = acc * point + c
     return acc
@@ -165,6 +165,8 @@ def test_embedding_keeps_the_rational_values(a, mode):
     assert moved.mode == mode and moved.coeffs == ra and moved._key == p._key
     symbolic = embed_poly(p, SYM)
     assert symbolic.coeffs == tuple(LambdaRatFunc.from_rational(c) for c in ra)
+    n, d = p._key
+    assert symbolic._key == (tuple((c,) if c else () for c in n), d, 0, 0)
     assert symbolic == XPolynomial(ra, SYM)
     assert embed_poly(symbolic, mode) == moved
     assert embed_poly(moved, ONE) == p
@@ -180,6 +182,84 @@ def test_equal_values_have_equal_keys_and_hashes(a, b, mode):
         ((p + q) - q, p),
         (p.scalar_mul(Fraction(3, 5)).scalar_div(Fraction(3, 5)), p),
         (shift_poly(shift_poly(p, Fraction(2, 3)), Fraction(-2, 3)), p),
+    ):
+        assert left == right
+        assert left._key == right._key and hash(left) == hash(right)
+
+
+sym_coeff_lists = st.lists(
+    st.one_of(st.just(0), small_fractions, symbolic_scalars()), max_size=5
+)
+units = symbolic_scalars(local_numerator=True)
+
+
+def _assert_symbolic_canonical(p):
+    rows, d, a, b = p._key
+    assert d > 0 and a >= 0 and b >= 0
+    assert not rows or rows[-1]
+    assert all(not r or r[-1] for r in rows)
+    if a:
+        assert any(sum(r) for r in rows)
+    if b:
+        assert any(sum(r[0::2]) - sum(r[1::2]) for r in rows)
+    assert gcd(d, *[c for r in rows for c in r]) == 1
+    if not rows:
+        assert p._key == ((), 1, 0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sym_coeff_lists, sym_coeff_lists, sym_coeff_lists,
+    small_fractions, symbolic_scalars(), units,
+)
+def test_symbolic_arithmetic_matches_ratfunc_reference(a, b, top, rational, scalar, unit):
+    p, q = XPolynomial(a, SYM), XPolynomial(b, SYM)
+    ra = _ref_strip([SYM.scalar(c) for c in a])
+    rb = _ref_strip([SYM.scalar(c) for c in b])
+    assert p.coeffs == ra and q.coeffs == rb
+    # t carries its own poles, which cancel in (p + t) + (q - t)
+    t = XPolynomial([0] * 5 + top, SYM)
+    results = {
+        "add": (p + q, _ref_add(ra, rb)),
+        "sub": (p - q, _ref_add(ra, [-c for c in rb])),
+        "neg": (-p, _ref_strip([-c for c in ra])),
+        "mul": (p * q, _ref_mul(ra, rb)),
+        "cancel": ((p + t) + (q - t), _ref_add(ra, rb)),
+        "self": (p - p, ()),
+        "scalar_mul_rational": (
+            p.scalar_mul(rational), _ref_strip([c * SYM.scalar(rational) for c in ra])
+        ),
+        "scalar_mul": (p.scalar_mul(scalar), _ref_strip([c * scalar for c in ra])),
+        "int_mul": (p * 3, _ref_strip([c * 3 for c in ra])),
+        "scalar_div": (p.scalar_div(unit), _ref_strip([c / unit for c in ra])),
+        "derivative": (p.derivative(), _ref_strip([c * m for m, c in enumerate(ra)][1:])),
+    }
+    if rational:
+        results["scalar_div_rational"] = (
+            p.scalar_div(rational), _ref_strip([c / SYM.scalar(rational) for c in ra])
+        )
+    for name, (got, want) in results.items():
+        assert got.coeffs == want, name
+        assert got.mode == SYM
+        _assert_symbolic_canonical(got)
+        same = XPolynomial(list(got.coeffs), SYM)
+        assert same == got and same._key == got._key and hash(same) == hash(got), name
+    for point in (0, 1, -2, Fraction(-1, 2), SYM.lam, scalar, unit):
+        assert p.evaluate(point) == _ref_evaluate(ra, SYM.scalar(point))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sym_coeff_lists, sym_coeff_lists, units, small_fractions)
+def test_symbolic_equal_values_have_equal_keys_and_hashes(a, b, unit, h):
+    p, q = XPolynomial(a, SYM), XPolynomial(b, SYM)
+    for left, right in (
+        (p + q, q + p),
+        (p * q, q * p),
+        ((p + q) - q, p),
+        (p.scalar_mul(unit).scalar_div(unit), p),
+        (p.scalar_div(unit).scalar_mul(unit), p),
+        (shift_poly(shift_poly(p, h), -h), p),
+        (shift_poly(shift_poly(p, SYM.lam), -SYM.lam), p),
     ):
         assert left == right
         assert left._key == right._key and hash(left) == hash(right)
