@@ -341,9 +341,8 @@ def _load_default_expectation() -> Optional[str]:
 
 def _cmd_verify(args) -> int:
     ids = _parse_ids(args.ids)
-    max_n = args.max_n if args.max_n is not None else args.max_m
     try:
-        config = SuiteConfig(ids=ids, max_n=max_n, max_k=args.max_k)
+        config = SuiteConfig(ids=ids, max_n=args.max_n, max_k=args.max_k)
         reports = run_suite(config)
     except (GridBoundsError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
@@ -356,7 +355,7 @@ def _cmd_verify(args) -> int:
     if args.expect:
         with open(args.expect, "r", encoding="utf-8") as handle:
             expected_text = handle.read()
-    elif max_n is None and args.max_k is None:
+    elif args.max_n is None and args.max_k is None:
         expected_text = _load_default_expectation()
     if expected_text is not None:
         mismatches = expectation_mismatches(reports, expected_text)
@@ -435,9 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--ids", help="comma-separated identity names (default: the full catalog)"
     )
-    p_verify.add_argument("--max-n", type=int, help="clamp the grid index range")
-    p_verify.add_argument(
-        "--max-m", type=int, help="alias of --max-n for the convolution identities"
+    grid_index = p_verify.add_mutually_exclusive_group()
+    grid_index.add_argument("--max-n", type=int, help="clamp the grid index range")
+    grid_index.add_argument(
+        "--max-m", dest="max_n", metavar="MAX_M", type=int,
+        help="alias of --max-n for the convolution identities",
     )
     p_verify.add_argument("--max-k", type=int, help="clamp the grid order range")
     p_verify.add_argument(

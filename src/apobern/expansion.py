@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from math import factorial
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .families import apostol_bernoulli_poly
 from .field import FieldElement, LambdaMode
@@ -37,6 +37,7 @@ __all__ = [
     "closed_form_coefficients",
     "corrected_coefficients",
     "reconstruct",
+    "basis_sum",
 ]
 
 
@@ -80,15 +81,21 @@ def _empty(method: ExpansionMethod, k: int, mode: LambdaMode, j_lo: int, exact: 
     )
 
 
+def basis_sum(
+    coefficients: Sequence[FieldElement], j_lo: int, k: int, mode: LambdaMode
+) -> XPolynomial:
+    """sum b_j * basis_j over the order-k basis, b_j = coefficients[j - j_lo];
+    no coefficients give zero."""
+    total = XPolynomial.zero(mode)
+    for j, b in enumerate(coefficients, j_lo):
+        if b:
+            total = total + apostol_bernoulli_poly(j, k, mode).scalar_mul(b)
+    return total
+
+
 def reconstruct(expansion: BasisExpansion) -> XPolynomial:
     """sum b_j * basis_j as a polynomial; the empty expansion gives zero."""
-    mode = expansion.mode
-    total = XPolynomial.zero(mode)
-    for j in expansion.indices():
-        b = expansion.coefficient(j)
-        if b:
-            total = total + apostol_bernoulli_poly(j, expansion.k, mode).scalar_mul(b)
-    return total
+    return basis_sum(expansion.coefficients, expansion.j_lo, expansion.k, expansion.mode)
 
 
 def expand_oracle(q: XPolynomial, k: int) -> BasisExpansion:

@@ -137,6 +137,8 @@ def bernoulli_numbers_by_recurrence(n_max: int) -> NumberTable:
     n >= 2, sum_{j=0}^{n-1} C(n, j) B_j = 0, which determines each B_{n-1}
     from its predecessors once B_0 = 1 is fixed (the n = 1 instance).
     """
+    if n_max < 0:
+        raise ValueError("index bound must be nonnegative")
     mode = LambdaMode.numeric(1)
     values = [Fraction(1)]
     for n in range(2, n_max + 2):
@@ -156,6 +158,8 @@ def euler_numbers_by_recurrence(n_max: int) -> NumberTable:
     Terms with n - j odd cancel, so for n >= 1 the surviving even-offset
     sum gives E_n = -sum of C(n, j) E_j over j < n with n - j even.
     """
+    if n_max < 0:
+        raise ValueError("index bound must be nonnegative")
     mode = LambdaMode.numeric(1)
     values = [Fraction(1)]
     for n in range(1, n_max + 1):

@@ -18,12 +18,14 @@ from math import comb, factorial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expansion import (
+    basis_sum,
     closed_form_coefficients,
     corrected_coefficients,
     expand_oracle,
     reconstruct,
 )
 from .families import (
+    NumberTable,
     apostol_bernoulli_numbers,
     apostol_bernoulli_poly,
     apostol_euler_numbers,
@@ -274,78 +276,49 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
     return out
 
 
-def _check_cor_xn(pt: GridPoint) -> CheckOutcome:
-    # Monomial expansion with coefficients (1/j!) sum_a (-1)^a C(k,a) L^a
-    # * n!/(n-j+k)! * a^(n-j+k), window j = k..n.
-    n, k, mode = pt.n, pt.k, pt.mode
-    lhs = XPolynomial.monomial(mode, n)
-    rhs = XPolynomial.zero(mode)
-    for j in range(k, n + 1):
-        m = n - j + k
-        c = alternating_lambda_sum(mode, k, lambda a: _ff(n, m) * a ** m)
-        if c:
-            rhs = rhs + apostol_bernoulli_poly(j, k, mode).scalar_mul(c / factorial(j))
-    ok, witness = _check_poly_identity(lhs, rhs)
-    return [(None, ok, witness)]
-
-
-def _triple_sum_rhs(pt: GridPoint, numbers) -> XPolynomial:
-    # Common shape of the two order-k expansions: coefficients
-    # sum_a sum_l C(k,a) C(m,l) a^l (-L)^a n! / (j! m!) * numbers[m-l]
-    # with m = n-j+k, attached to the order-k basis member j.
-    n, k, mode = pt.n, pt.k, pt.mode
-    rhs = XPolynomial.zero(mode)
-    for j in range(k, n + 1):
-        m = n - j + k
-        scale = Fraction(factorial(n), factorial(j) * factorial(m))
-
-        def weight(a: int) -> Fraction:
-            return scale * sum(comb(m, l) * a ** l * numbers[m - l] for l in range(m + 1))
-
-        c = alternating_lambda_sum(mode, k, weight)
-        if c:
-            rhs = rhs + apostol_bernoulli_poly(j, k, mode).scalar_mul(c)
-    return rhs
-
-
-def _check_thm2(pt: GridPoint) -> CheckOutcome:
-    numbers = apostol_euler_numbers(pt.k, pt.n, _ONE)
-    lhs = embed_poly(apostol_euler_poly(pt.n, pt.k, _ONE), pt.mode)
-    rhs = _triple_sum_rhs(pt, numbers)
-    ok, witness = _check_poly_identity(lhs, rhs)
-    return [(None, ok, witness)]
-
-
-def _check_thm3(pt: GridPoint) -> CheckOutcome:
-    numbers = apostol_bernoulli_numbers(pt.k, pt.n, _ONE)
-    lhs = embed_poly(apostol_bernoulli_poly(pt.n, pt.k, _ONE), pt.mode)
-    rhs = _triple_sum_rhs(pt, numbers)
-    ok, witness = _check_poly_identity(lhs, rhs)
-    return [(None, ok, witness)]
-
-
-# Memos of the mode-independent parts of the convolution checks, keyed on
-# everything their values depend on; each verify_identity call starts them
-# empty.
+# Memos of the mode-independent parts of the checks, keyed on everything
+# their values depend on; each verify_identity call starts them empty.
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_convolution(m: int, y: Fraction) -> XPolynomial:
+def _basis_coefficient(weight, n: int, j: int, k: int, y: Optional[Fraction]) -> LambdaRatFunc:
+    # c_j = (1/j!) sum_a (-1)^a C(k,a) L^a w(a) with w(a) = weight(n, m, k, y, a)
+    # and m = n - j + k, as one symbolic value that every mode specializes
+    m = n - j + k
+    scale = factorial(j)
+    return alternating_lambda_sum(_SYM, k, lambda a: weight(n, m, k, y, a) / scale)
+
+
+def _basis_checker(lhs: Callable[[GridPoint], XPolynomial], weight):
+    """Checker of an expansion in the order-k basis over the window j = k..n:
+    lhs(pt) against sum_j c_j * basis_j, with c_j from ``weight``."""
+
+    def check(pt: GridPoint) -> CheckOutcome:
+        n, k, mode = pt.n, pt.k, pt.mode
+        coeffs = [mode.specialize(_basis_coefficient(weight, n, j, k, pt.y)) for j in range(k, n + 1)]
+        ok, witness = _check_poly_identity(lhs(pt), basis_sum(coeffs, k, k, mode))
+        return [(None, ok, witness)]
+
+    return check
+
+
+def _umbral_weight(numbers: Callable[[int, int, LambdaMode], NumberTable]):
+    # n!/m! sum_l C(m,l) a^l N_(m-l), with N the family's order-k numbers at L = 1
+    def weight(n: int, m: int, k: int, y: None, a: int) -> Fraction:
+        table = numbers(k, n, _ONE)
+        return _ff(n, m) * sum(comb(m, l) * a ** l * table[m - l] for l in range(m + 1))
+
+    return weight
+
+
+@lru_cache(maxsize=None)
+def _convolution(poly: Callable[[int], XPolynomial], m: int, y: Fraction) -> XPolynomial:
+    """sum_i C(m, i) p_i(x) p_(m-i)(y) for the classical family p."""
     total = XPolynomial.zero(_ONE)
     for i in range(m + 1):
-        scalar = comb(m, i) * bernoulli_poly(m - i).evaluate(y)
+        scalar = comb(m, i) * poly(m - i).evaluate(y)
         if scalar:
-            total = total + bernoulli_poly(i).scalar_mul(scalar)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _euler_convolution(n: int, y: Fraction) -> XPolynomial:
-    total = XPolynomial.zero(_ONE)
-    for i in range(n + 1):
-        scalar = comb(n, i) * euler_poly(n - i).evaluate(y)
-        if scalar:
-            total = total + euler_poly(i).scalar_mul(scalar)
+            total = total + poly(i).scalar_mul(scalar)
     return total
 
 
@@ -367,15 +340,6 @@ def _thm4_bracket(n: int, m: int, y: Fraction, a: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _thm4_coefficient(n: int, j: int, k: int, y: Fraction) -> LambdaRatFunc:
-    # (1/j!) sum_a (-1)^a C(k,a) L^a bracket(a+y) with m = n - j + k, as one
-    # symbolic value that every mode specializes
-    m = n - j + k
-    scale = factorial(j)
-    return alternating_lambda_sum(_SYM, k, lambda a: _thm4_bracket(n, m, y, a) / scale)
-
-
-@lru_cache(maxsize=None)
 def _thm5_bracket(n: int, m: int, y: Fraction) -> XPolynomial:
     # n!/m! (1-x-y) E_m(x+y) - n!/(m+1)! (j-k) E_{m+1}(x+y)
     # + (n+1)!/(m+1)! E_{m+1}(x+y), with j - k = n - m
@@ -392,8 +356,8 @@ def _embedded_thm5_bracket(n: int, m: int, y: Fraction, mode: LambdaMode) -> XPo
 
 
 _MEMOS = (
-    _bernoulli_convolution, _euler_convolution, _shifted_euler,
-    _thm4_bracket, _thm4_coefficient, _thm5_bracket, _embedded_thm5_bracket,
+    _basis_coefficient, _convolution, _shifted_euler,
+    _thm4_bracket, _thm5_bracket, _embedded_thm5_bracket,
 )
 
 
@@ -401,7 +365,7 @@ def _check_hansen(pt: GridPoint) -> CheckOutcome:
     # Binomial convolution of Bernoulli polynomials versus
     # (1-m) B_m(x+y) + (x+y-1) m B_{m-1}(x+y).
     m, y = pt.n, pt.y
-    lhs = _bernoulli_convolution(m, y)
+    lhs = _convolution(bernoulli_poly, m, y)
     rhs = shift_poly(bernoulli_poly(m), y).scalar_mul(Fraction(1 - m))
     if m >= 1:
         affine = XPolynomial([y - 1, 1], _ONE)
@@ -424,25 +388,11 @@ def _check_euler_ramanujan(pt: GridPoint) -> CheckOutcome:
     return [(None, False, render_field_element(diff))]
 
 
-def _check_thm4(pt: GridPoint) -> CheckOutcome:
-    # Bernoulli convolution expanded in the order-k basis; the bracket is
-    # evaluated at a+y per the cataloged display.
-    n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
-    lhs = embed_poly(_bernoulli_convolution(n, y), mode)
-    rhs = XPolynomial.zero(mode)
-    for j in range(k, n + 1):
-        c = mode.specialize(_thm4_coefficient(n, j, k, y))
-        if c:
-            rhs = rhs + apostol_bernoulli_poly(j, k, mode).scalar_mul(c)
-    ok, witness = _check_poly_identity(lhs, rhs)
-    return [(None, ok, witness)]
-
-
 def _check_dilcher(pt: GridPoint) -> CheckOutcome:
     # Binomial convolution of Euler polynomials versus
     # 2 (1-x-y) E_n(x+y) + 2 E_{n+1}(x+y).
     n, y = pt.n, pt.y
-    lhs = _euler_convolution(n, y)
+    lhs = _convolution(euler_poly, n, y)
     affine = XPolynomial([1 - y, -1], _ONE)
     rhs = (affine * _shifted_euler(n, y)) * 2
     rhs = rhs + _shifted_euler(n + 1, y) * 2
@@ -454,7 +404,7 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
     # Euler convolution expanded in the order-k basis; the bracket keeps
     # the variable x exactly as the cataloged display does.
     n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
-    lhs = embed_poly(_euler_convolution(n, y), mode)
+    lhs = embed_poly(_convolution(euler_poly, n, y), mode)
     # The bracket carries the x-dependence, so the lambda-sum has weight 1
     # and equals (1 - L)^k for every j: the common factor 2 (1 - L)^k is
     # applied once, after the sum over j.
@@ -502,12 +452,27 @@ _CATALOG: Dict[IdentityId, _Spec] = {
         _check_lemma, "k", (0, 5), (0, 5), (_SYM,), fixed_modes=True
     ),
     IdentityId.ID_THM1: _Spec(_check_thm1, "k", (0, 6), (0, 3), _NOT_ONE_MODES),
-    IdentityId.ID_COR_XN: _Spec(_check_cor_xn, "k", (0, 8), (0, 3), _FULL_MODES),
-    IdentityId.ID_THM2: _Spec(_check_thm2, "k", (0, 8), (0, 3), _AUDIT_MODES),
-    IdentityId.ID_THM3: _Spec(_check_thm3, "k", (0, 8), (0, 3), _AUDIT_MODES),
+    # basis expansions: (left-hand side, weight w(a) of the coefficient formula)
+    IdentityId.ID_COR_XN: _Spec(
+        _basis_checker(lambda pt: XPolynomial.monomial(pt.mode, pt.n),
+                       lambda n, m, k, y, a: _ff(n, m) * a ** m),
+        "k", (0, 8), (0, 3), _FULL_MODES),
+    IdentityId.ID_THM2: _Spec(
+        _basis_checker(lambda pt: embed_poly(apostol_euler_poly(pt.n, pt.k, _ONE), pt.mode),
+                       _umbral_weight(apostol_euler_numbers)),
+        "k", (0, 8), (0, 3), _AUDIT_MODES),
+    IdentityId.ID_THM3: _Spec(
+        _basis_checker(lambda pt: embed_poly(apostol_bernoulli_poly(pt.n, pt.k, _ONE), pt.mode),
+                       _umbral_weight(apostol_bernoulli_numbers)),
+        "k", (0, 8), (0, 3), _AUDIT_MODES),
     IdentityId.ID_HANSEN: _Spec(_check_hansen, "m", (0, 10), y_extra=2),
     IdentityId.ID_EULER_RAMANUJAN: _Spec(_check_euler_ramanujan, "m", (2, 20)),
-    IdentityId.ID_THM4: _Spec(_check_thm4, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2),
+    # the bracket is evaluated at a+y per the cataloged display; its memo
+    # leaves out k, on which it does not depend
+    IdentityId.ID_THM4: _Spec(
+        _basis_checker(lambda pt: embed_poly(_convolution(bernoulli_poly, pt.n, pt.y), pt.mode),
+                       lambda n, m, k, y, a: _thm4_bracket(n, m, y, a)),
+        "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2),
     IdentityId.ID_DILCHER: _Spec(_check_dilcher, "n", (0, 10), y_extra=2),
     IdentityId.ID_THM5: _Spec(_check_thm5, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),
 }

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Union
 
-from .field import FieldElement, LambdaMode, RationalLike, _canonical
+from .field import FieldElement, LambdaMode, LambdaRatFunc, RationalLike, _canonical
 from .polynomials import XPolynomial, shift_poly
 
 __all__ = [
@@ -76,13 +76,15 @@ def alternating_lambda_sum(
 ) -> FieldElement:
     """sum_{a=0}^{k} (-1)^a C(k, a) L^a weight(a) as a scalar of ``mode``.
 
-    When every weight is a plain rational, the sum is one integer
-    polynomial in L over the lcm of the weights' denominators, put in
-    canonical form once; a numeric mode takes its value at L through
-    ``LambdaRatFunc.evaluate_at``.  Weights that are scalars of ``mode``
-    (the values of a symbolic polynomial) go through Horner's rule in -L.
+    When every weight is rational (a plain rational, or a symbolic scalar
+    free of L), the sum is one integer polynomial in L over the lcm of the
+    weights' denominators, put in canonical form once; a numeric mode
+    takes its value at L through ``LambdaRatFunc.evaluate_at``.  Weights
+    that depend on L go through Horner's rule in -L.
     """
     weights = [weight(a) for a in range(k + 1)]
+    weights = [w.as_rational() if isinstance(w, LambdaRatFunc) and w.is_rational else w
+               for w in weights]
     if all(isinstance(w, (int, Fraction)) for w in weights):
         d = lcm(*[w.denominator for w in weights])
         n = [

@@ -235,6 +235,9 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "expand", "--coeffs", "1,,2")[0] == 2
     assert run_cli(capsys, "numbers", "--n", "2", "--bogus-flag")[0] == 2
     assert run_cli(capsys, "numbers", "--n", "-3")[0] == 2
+    assert run_cli(capsys, "numbers", "--family", "euler", "--n", "-1")[0] == 2
+    assert run_cli(capsys, "numbers", "--family", "bernoulli", "--n", "-1")[0] == 2
+    assert run_cli(capsys, "verify", "--max-n", "3", "--max-m", "5")[0] == 2
 
 
 def test_pole_diagnostic_is_one_line(capsys):

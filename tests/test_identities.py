@@ -281,6 +281,12 @@ def test_concurrent_verification_matches_sequential():
 def test_identity_memos_last_one_call():
     from apobern import identities
 
+    # every memo the module defines is in _MEMOS, so none outlives its call
+    defined = {
+        name for name, value in vars(identities).items()
+        if hasattr(value, "cache_clear") and value.__module__ == identities.__name__
+    }
+    assert defined == {memo.__name__ for memo in identities._MEMOS}
     verify_identity(IdentityId.ID_THM5, default_grid(IdentityId.ID_THM5, max_n=2))
     assert any(memo.cache_info().currsize for memo in identities._MEMOS)
     verify_identity(IdentityId.ID_DERIV, default_grid(IdentityId.ID_DERIV, max_n=2))
@@ -288,16 +294,18 @@ def test_identity_memos_last_one_call():
         assert memo.cache_info().currsize == 0, memo.__name__
 
 
-def test_thm4_lambda_sums_are_shared_by_every_mode():
-    # the memo is keyed on (n, j, k, y) only: each mode reads the same value
+def test_basis_coefficients_are_shared_by_every_mode():
+    # the memo is keyed on (weight, n, j, k, y) only: each mode reads the
+    # same symbolic coefficient
     from apobern import identities
 
-    grid = default_grid(IdentityId.ID_THM4, max_n=3)
-    modes = {pt.mode for pt in grid}
-    verify_identity(IdentityId.ID_THM4, grid)
-    info = identities._thm4_coefficient.cache_info()
-    assert len(modes) == 3 and info.misses
-    assert info.hits == (len(modes) - 1) * info.misses
+    for ident in (IdentityId.ID_COR_XN, IdentityId.ID_THM2, IdentityId.ID_THM3, IdentityId.ID_THM4):
+        grid = default_grid(ident, max_n=3)
+        modes = {pt.mode for pt in grid}
+        verify_identity(ident, grid)
+        info = identities._basis_coefficient.cache_info()
+        assert len(modes) >= 3 and info.misses, ident
+        assert info.hits == (len(modes) - 1) * info.misses, ident
 
 
 def test_mode_consistency_symbolic_pass_implies_numeric_pass():
