@@ -36,14 +36,12 @@ from .families import (
 from .field import (
     FieldElement,
     LambdaMode,
-    LambdaPoly,
     LambdaRatFunc,
     MixedModeError,
     NonLocalDenominatorError,
     PoleError,
     evaluate_at,
     parse_rational,
-    poly_gcd,
     rational,
     render_rational,
 )
@@ -90,14 +88,12 @@ __all__ = [
     # field
     "FieldElement",
     "LambdaMode",
-    "LambdaPoly",
     "LambdaRatFunc",
     "MixedModeError",
     "NonLocalDenominatorError",
     "PoleError",
     "evaluate_at",
     "parse_rational",
-    "poly_gcd",
     "rational",
     "render_rational",
     # series

@@ -5,8 +5,8 @@ rational series product (dispatched by ``series.convolve``), every
 series reciprocal and every integer product behind the symbolic scalars
 and the x-polynomials bottoms out here, and
 ``power`` is the one binary-powering loop behind every ``__pow__``.
-``prim_gcd_int`` serves ``field.poly_gcd``, which is off the arithmetic
-path.
+``prim_gcd_int`` is off the arithmetic path: it backs the gcd hook that
+``field`` keeps for the benchmark tracer.
 
 Conventions:
 

@@ -142,6 +142,11 @@ def _numbers_table(family: Family, k: int, n_max: int, mode: LambdaMode):
         return apostol_bernoulli_numbers(k, n_max, mode)
     if family is Family.APOSTOL_EULER:
         return apostol_euler_numbers(k, n_max, mode)
+    if k != 1 or not (mode.is_symbolic or mode.is_one):
+        raise UsageError(
+            f"the classical {family.value} numbers have order 1 at lambda = 1: "
+            "--k must be 1 and --lambda 1 or symbolic"
+        )
     if family is Family.BERNOULLI:
         return bernoulli_numbers_by_recurrence(n_max)
     return euler_numbers_by_recurrence(n_max)
@@ -392,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[f.value for f in Family],
         default=Family.APOSTOL_BERNOULLI.value,
         help="number family; the classical families use the umbral recurrences "
-        "and ignore --k and --lambda",
+        "and accept only --k 1 and --lambda 1 or symbolic",
     )
     p_numbers.add_argument("--k", type=int, default=1, help="order of the family")
     p_numbers.add_argument("--n", type=int, required=True, help="largest index")

@@ -38,8 +38,6 @@ __all__ = [
     "rational",
     "parse_rational",
     "render_rational",
-    "LambdaPoly",
-    "poly_gcd",
     "LambdaRatFunc",
     "FieldElement",
     "LambdaMode",
@@ -85,93 +83,26 @@ def _fast_fraction(numerator: int, denominator: int) -> Fraction:
 
 
 class LambdaPoly:
-    """Dense polynomial in the deformation parameter over Q.
+    """Dense polynomial in the deformation parameter over Q: ascending
+    ``coeffs``, no trailing zeros.
 
-    Coefficients ascend by power; no trailing zeros; the zero polynomial
-    has an empty coefficient tuple.
+    No package code uses this class or :func:`poly_gcd`.  They remain
+    only because the benchmark tracer in ``perfbench/tracing.py`` patches
+    ``LambdaPoly.__mul__``, ``poly_gcd`` and ``_kernels.prim_gcd_int`` by
+    name; they go once it stops tracing them.  Symbolic values are
+    :class:`LambdaRatFunc`.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    # -- basic structure -------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree, -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaPoly is immutable")
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LambdaPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            other = LambdaPoly([other])
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("LambdaPoly", self.coeffs))
-
-    def __repr__(self):
-        from .render import render_lambda_poly
-
-        return render_lambda_poly(self, "L")
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return LambdaPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LambdaPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        self.coeffs = tuple(cs)
 
     def __mul__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
+        if not isinstance(other, LambdaPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -185,51 +116,19 @@ class LambdaPoly:
         )
         return LambdaPoly([_fast_fraction(n, d) for n, d in zip(cn, cd)])
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers take nonnegative integer exponents")
-        return power(self, exponent, _POLY_ONE)
-
-    def scale(self, factor: RationalLike) -> "LambdaPoly":
-        factor = Fraction(factor)
-        if not factor:
-            return LambdaPoly()
-        return LambdaPoly([c * factor for c in self.coeffs])
-
-    def evaluate(self, point: RationalLike) -> Fraction:
-        point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
     def int_primitive(self) -> list:
         """Integer coefficient list proportional to this polynomial."""
         if not self.coeffs:
             return []
-        common = lcm(*(c.denominator for c in self.coeffs)) if len(self.coeffs) > 1 else self.coeffs[0].denominator
+        common = lcm(*(c.denominator for c in self.coeffs))
         return [c.numerator * (common // c.denominator) for c in self.coeffs]
-
-
-def _as_poly(value):
-    if isinstance(value, LambdaPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return LambdaPoly([value])
-    return NotImplemented
 
 
 def poly_gcd(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
     """Gcd in Q[L], returned with integer primitive coefficients and a
     positive leading coefficient (constants are units, so any nonzero
     constant gcd comes back as 1)."""
-    g = prim_gcd_int(a.int_primitive(), b.int_primitive())
-    return LambdaPoly(g)
-
-
-_POLY_ONE = LambdaPoly([1])
+    return LambdaPoly(prim_gcd_int(a.int_primitive(), b.int_primitive()))
 
 
 @lru_cache(maxsize=None)
@@ -329,22 +228,17 @@ class LambdaRatFunc:
     no trailing zeros), ``d > 0``, the content of ``N`` is coprime to
     ``d``, N(1) != 0 when a > 0 and N(-1) != 0 when b > 0.  Zero is
     ``((), 1, 0, 0)``.  This form is unique, so equality compares keys.
+
+    There is no public constructor: values come from
+    ``LambdaMode.symbolic().lam``, :meth:`from_rational` and ring
+    arithmetic, which includes ``/`` by units and negative powers.
     """
 
     __slots__ = ("_key",)
 
-    def __init__(self, num, den=_POLY_ONE):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if num is NotImplemented or den is NotImplemented:
-            raise TypeError("LambdaRatFunc takes polynomial or rational operands")
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            value = _RATFUNC_ZERO
-        else:
-            value = _from_poly(num) * _from_poly(den).inverse()
-        object.__setattr__(self, "_key", value._key)
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("build symbolic values from LambdaMode.symbolic().lam, "
+                        "LambdaRatFunc.from_rational and arithmetic")
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "LambdaRatFunc":
@@ -357,17 +251,6 @@ class LambdaRatFunc:
         raise AttributeError("LambdaRatFunc is immutable")
 
     # -- structure --------------------------------------------------------
-
-    @property
-    def num(self) -> LambdaPoly:
-        """Numerator N/d of the reduced fraction with monic denominator."""
-        n, d = self._key[0], self._key[1]
-        return LambdaPoly([Fraction(c, d) for c in n])
-
-    @property
-    def den(self) -> LambdaPoly:
-        """Monic denominator (L-1)^a (L+1)^b."""
-        return LambdaPoly(_pole_poly(*self.pole_orders))
 
     @property
     def pole_orders(self) -> tuple:
@@ -527,12 +410,6 @@ def _new(key: tuple) -> LambdaRatFunc:
     obj = object.__new__(LambdaRatFunc)
     _set_key(obj, key)
     return obj
-
-
-def _from_poly(poly: LambdaPoly) -> LambdaRatFunc:
-    """Embed a polynomial over Q."""
-    d = lcm(*(c.denominator for c in poly.coeffs)) if poly.coeffs else 1
-    return _canonical([c.numerator * (d // c.denominator) for c in poly.coeffs], d, 0, 0)
 
 
 _RATFUNC_ZERO = _new(((), 1, 0, 0))

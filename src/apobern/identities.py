@@ -197,7 +197,7 @@ def _check_deriv(pt: GridPoint) -> CheckOutcome:
 def _check_diff(pt: GridPoint) -> CheckOutcome:
     # (L*p_{n+1}(x+1) - p_{n+1}(x)) / (n+1) equals the order-(k-1) member n.
     p = apostol_bernoulli_poly(pt.n + 1, pt.k, pt.mode)
-    lhs = (shift_poly(p, 1).scalar_mul(pt.mode.lam) - p).scalar_div(pt.n + 1)
+    lhs = lambda_op(p).scalar_div(pt.n + 1)
     rhs = apostol_bernoulli_poly(pt.n, pt.k - 1, pt.mode)
     ok, witness = _check_poly_identity(lhs, rhs)
     return [(None, ok, witness)]

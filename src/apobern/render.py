@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .field import LambdaPoly, LambdaRatFunc, render_rational
+from .field import LambdaRatFunc, render_rational
 
 MACHINE_SYMBOL = "L"
 TEXT_SYMBOL = "λ"
@@ -52,20 +52,14 @@ def _reduced_pair(c: int, d: int) -> tuple:
     return c // g, d // g
 
 
-def render_lambda_poly(poly: LambdaPoly, sym: str = MACHINE_SYMBOL) -> str:
-    """Compact descending rendering, e.g. "L^2-2L+1"."""
-    if poly.is_zero:
-        return "0"
-    return _terms_text([(c.numerator, c.denominator) for c in poly.coeffs], sym)
-
-
 def _nonzero_terms(n) -> int:
     return len(n) - n.count(0)
 
 
 def render_ratfunc(f: LambdaRatFunc, sym: str = MACHINE_SYMBOL) -> str:
     """Canonical "(num)/(den)" rendering with factored denominator
-    "(L-1)^a*(L+1)^b"; reads the key (N, d, a, b), num being N/d."""
+    "(L-1)^a*(L+1)^b", e.g. "L^2-2L+1" or "-2L/(L-1)^2"; reads the key
+    (N, d, a, b), num being N/d."""
     n, d, a, b = f._key
     if not n:
         return "0"

@@ -5,7 +5,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from apobern import LambdaMode, LambdaPoly, LambdaRatFunc, XPolynomial
+from apobern import LambdaMode, LambdaRatFunc, XPolynomial
 
 SYM = LambdaMode.symbolic()
 ONE = LambdaMode.numeric(1)
@@ -21,21 +21,16 @@ def random_fraction(rng: Random, num_bound: int = 9, den_bound: int = 4) -> Frac
     return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
 
 
-def random_lambda_poly(rng: Random, max_deg: int = 2, nonzero: bool = False) -> LambdaPoly:
-    while True:
-        coeffs = [random_fraction(rng, 3, 2) for _ in range(rng.randint(0, max_deg) + 1)]
-        poly = LambdaPoly(coeffs)
-        if not nonzero or not poly.is_zero:
-            return poly
-
-
 def random_ratfunc(rng: Random, max_deg: int = 2) -> LambdaRatFunc:
     """N / (c (L-1)^a (L+1)^b) with N over Q and a, b <= 3: the shape of
     every denominator the symbolic ring represents."""
-    lam = LambdaPoly([0, 1])
+    lam = SYM.lam
     den = (lam - 1) ** rng.randint(0, 3) * (lam + 1) ** rng.randint(0, 3)
     c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
-    return LambdaRatFunc(random_lambda_poly(rng, max_deg), den.scale(c))
+    num = SYM.zero
+    for i in range(rng.randint(0, max_deg) + 1):
+        num = num + SYM.scalar(random_fraction(rng, 3, 2)) * lam ** i
+    return num / (den * SYM.scalar(c))
 
 
 def random_xpoly(rng: Random, mode: LambdaMode, max_deg: int = 6) -> XPolynomial:

@@ -53,6 +53,9 @@ def test_numbers_classical_families(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "E_4 = 5"
+    # the values the classical tables stand for, spelled out, change nothing
+    assert run_cli(capsys, "numbers", "--family", "euler", "--n", "4", "--format", "text",
+                   "--k", "1", "--lambda", "1")[1] == out
 
 
 def test_poly_monomial_case(capsys):
@@ -237,6 +240,10 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "numbers", "--n", "-3")[0] == 2
     assert run_cli(capsys, "numbers", "--family", "euler", "--n", "-1")[0] == 2
     assert run_cli(capsys, "numbers", "--family", "bernoulli", "--n", "-1")[0] == 2
+    # the classical tables have k = 1 and lambda = 1 only
+    assert run_cli(capsys, "numbers", "--family", "bernoulli", "--k", "-5", "--n", "2")[0] == 2
+    assert run_cli(capsys, "numbers", "--family", "euler", "--k", "7", "--n", "2",
+                   "--lambda", "3")[0] == 2
     assert run_cli(capsys, "verify", "--max-n", "3", "--max-m", "5")[0] == 2
 
 

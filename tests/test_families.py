@@ -7,8 +7,6 @@ import pytest
 from apobern import (
     Family,
     LambdaMode,
-    LambdaPoly,
-    LambdaRatFunc,
     PoleError,
     XPolynomial,
     apostol_bernoulli_numbers,
@@ -25,7 +23,7 @@ from apobern import (
 
 from _util import ALL_MODES, ONE, SYM, TWO
 
-LAM = LambdaPoly([0, 1])
+LAM = SYM.lam
 
 # classic tables
 BERNOULLI = [
@@ -101,16 +99,16 @@ def test_order_zero_numbers():
 def test_symbolic_bernoulli_values():
     table = apostol_bernoulli_numbers(1, 3, SYM)
     assert table[0].is_zero
-    assert table[1] == LambdaRatFunc(LambdaPoly([1]), LAM - 1)
-    assert table[2] == LambdaRatFunc(LambdaPoly([0, -2]), (LAM - 1) ** 2)
-    assert table[3] == LambdaRatFunc(LambdaPoly([0, 3, 3]), (LAM - 1) ** 3)
+    assert table[1] == 1 / (LAM - 1)
+    assert table[2] == -2 * LAM / (LAM - 1) ** 2
+    assert table[3] == (3 * LAM + 3 * LAM ** 2) / (LAM - 1) ** 3
 
 
 def test_symbolic_euler_values():
     table = apostol_euler_numbers(1, 2, SYM)
-    assert table[0] == LambdaRatFunc(LambdaPoly([2]), LAM + 1)
-    assert table[1] == LambdaRatFunc(LambdaPoly([0, -2]), (LAM + 1) ** 2)
-    assert table[2] == LambdaRatFunc(LambdaPoly([0, -2, 2]), (LAM + 1) ** 3)
+    assert table[0] == 2 / (LAM + 1)
+    assert table[1] == -2 * LAM / (LAM + 1) ** 2
+    assert table[2] == (2 * LAM ** 2 - 2 * LAM) / (LAM + 1) ** 3
 
 
 def test_euler_symbolic_specializes_to_classical_at_one():
@@ -169,7 +167,7 @@ def test_poly_examples():
     # n=1, k=1 symbolic: the constant 1/(L-1)
     p = apostol_bernoulli_poly(1, 1, SYM)
     assert p.degree == 0
-    assert p.coefficient(0) == LambdaRatFunc(LambdaPoly([1]), LAM - 1)
+    assert p.coefficient(0) == 1 / (LAM - 1)
     # classical branch
     assert apostol_bernoulli_poly(1, 1, ONE) == XPolynomial(
         [Fraction(-1, 2), 1], ONE
@@ -207,9 +205,7 @@ def test_degree_facts():
                 from math import comb, factorial
 
                 lead = sym.leading
-                expected = LambdaRatFunc(
-                    LambdaPoly([comb(j, j - k) * factorial(k)]), (LAM - 1) ** k
-                )
+                expected = comb(j, j - k) * factorial(k) / (LAM - 1) ** k
                 assert lead == expected
             classical = apostol_bernoulli_poly(j, k, ONE)
             assert classical.degree == j

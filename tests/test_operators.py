@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from apobern import (
     DifferencePowerMethod,
     LambdaMode,
-    LambdaPoly,
-    LambdaRatFunc,
     MixedModeError,
     XPolynomial,
     alternating_lambda_sum,
@@ -27,7 +25,6 @@ from apobern import (
 
 from _util import ALL_MODES, ONE, SYM, TWO, random_fraction, random_xpoly, symbolic_scalars
 
-LAM = LambdaPoly([0, 1])
 ITERATED = DifferencePowerMethod.ITERATED
 CLOSED = DifferencePowerMethod.CLOSED_FORM
 
@@ -174,7 +171,7 @@ def test_power_at_zero_examples():
     assert lambda_power_at_zero(sq, 0, CLOSED).is_zero
 
     x = XPolynomial.monomial(SYM, 1)
-    two_step = LambdaRatFunc(LambdaPoly([0, -2, 2]))  # 2L^2 - 2L
+    two_step = 2 * SYM.lam ** 2 - 2 * SYM.lam
     assert lambda_power_at_zero(x, 2, ITERATED) == two_step
     assert lambda_power_at_zero(x, 2, CLOSED) == two_step
 

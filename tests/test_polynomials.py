@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from apobern import (
     LambdaMode,
-    LambdaPoly,
     LambdaRatFunc,
     MixedModeError,
     XPolynomial,
@@ -319,7 +318,7 @@ def test_render_x_poly_spellings():
     assert render_x_poly(XPolynomial([0, 0, Fraction(2, 3)], ONE)) == "2x^2/3"
     assert render_x_poly(XPolynomial([1, -1], ONE)) == "-x + 1"
     lam = SYM.lam
-    inv = LambdaRatFunc(LambdaPoly([1]), LambdaPoly([-1, 1]))
+    inv = 1 / (lam - 1)
     witness = XPolynomial([-lam * inv, -SYM.one], SYM)
     assert render_x_poly(witness) == "-x - L/(L-1)"
     coeff_term = XPolynomial([SYM.zero, inv * 2], SYM)
