@@ -354,8 +354,7 @@ def _cmd_verify(args) -> int:
     document = render_report(reports, args.format)
     _emit(document, args.output)
     if args.write_expect:
-        with open(args.write_expect, "w", encoding="utf-8") as handle:
-            handle.write(expectation_from_reports(reports))
+        _write_file(args.write_expect, expectation_from_reports(reports))
     expected_text = None
     if args.expect:
         with open(args.expect, "r", encoding="utf-8") as handle:

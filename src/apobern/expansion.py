@@ -27,7 +27,7 @@ from .operators import (
     d_op,
     lambda_power_at_zero,
 )
-from .polynomials import XPolynomial
+from .polynomials import XPolynomial, dot
 
 __all__ = [
     "ExpansionMethod",
@@ -86,11 +86,8 @@ def basis_sum(
 ) -> XPolynomial:
     """sum b_j * basis_j over the order-k basis, b_j = coefficients[j - j_lo];
     no coefficients give zero."""
-    total = XPolynomial.zero(mode)
-    for j, b in enumerate(coefficients, j_lo):
-        if b:
-            total = total + apostol_bernoulli_poly(j, k, mode).scalar_mul(b)
-    return total
+    terms = [(b, j) for j, b in enumerate(coefficients, j_lo) if b]
+    return dot(mode, [b for b, _ in terms], [apostol_bernoulli_poly(j, k, mode) for _, j in terms])
 
 
 def reconstruct(expansion: BasisExpansion) -> XPolynomial:

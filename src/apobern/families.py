@@ -41,6 +41,9 @@ __all__ = [
     "clear_caches",
 ]
 
+# The classical families live in the numeric mode at L = 1.
+_ONE = LambdaMode.numeric(1)
+
 
 class Family(enum.Enum):
     APOSTOL_BERNOULLI = "apostol-bernoulli"
@@ -139,7 +142,6 @@ def bernoulli_numbers_by_recurrence(n_max: int) -> NumberTable:
     """
     if n_max < 0:
         raise ValueError("index bound must be nonnegative")
-    mode = LambdaMode.numeric(1)
     values = [Fraction(1)]
     for n in range(2, n_max + 2):
         acc = Fraction(0)
@@ -147,7 +149,7 @@ def bernoulli_numbers_by_recurrence(n_max: int) -> NumberTable:
             acc += comb(n, j) * values[j]
         values.append(-acc / comb(n, n - 1))
     return NumberTable(
-        family=Family.BERNOULLI, k=1, mode=mode, values=tuple(values[: n_max + 1])
+        family=Family.BERNOULLI, k=1, mode=_ONE, values=tuple(values[: n_max + 1])
     )
 
 
@@ -160,14 +162,13 @@ def euler_numbers_by_recurrence(n_max: int) -> NumberTable:
     """
     if n_max < 0:
         raise ValueError("index bound must be nonnegative")
-    mode = LambdaMode.numeric(1)
     values = [Fraction(1)]
     for n in range(1, n_max + 1):
         acc = Fraction(0)
         for j in range(n - 2, -1, -2):
             acc += comb(n, j) * values[j]
         values.append(-acc)
-    return NumberTable(family=Family.EULER, k=1, mode=mode, values=tuple(values))
+    return NumberTable(family=Family.EULER, k=1, mode=_ONE, values=tuple(values))
 
 
 def euler_number_from_half_point(k: int) -> Fraction:
@@ -225,12 +226,12 @@ def poly_by_series_extraction(
 
 def bernoulli_poly(n: int) -> XPolynomial:
     """Classical Bernoulli polynomial (numeric mode at 1)."""
-    return apostol_bernoulli_poly(n, 1, LambdaMode.numeric(1))
+    return apostol_bernoulli_poly(n, 1, _ONE)
 
 
 def euler_poly(n: int) -> XPolynomial:
     """Classical Euler polynomial (numeric mode at 1)."""
-    return apostol_euler_poly(n, 1, LambdaMode.numeric(1))
+    return apostol_euler_poly(n, 1, _ONE)
 
 
 def clear_caches():

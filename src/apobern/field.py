@@ -67,10 +67,10 @@ def parse_rational(text: str) -> Fraction:
 
 def render_rational(value: RationalLike) -> str:
     """Render as "p/q", omitting "/q" when the denominator is 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    p, q = value.numerator, value.denominator
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def _fast_fraction(numerator: int, denominator: int) -> Fraction:
@@ -420,11 +420,32 @@ _RATFUNC_LAMBDA = _new(((0, 1), 1, 0, 0))
 FieldElement = Union[Fraction, LambdaRatFunc]
 
 
-class LambdaMode(NamedTuple):
-    """Scalar-domain selector: symbolic deformation parameter or a fixed
-    rational value.  ``value`` is None in symbolic mode."""
-
+class _ModeFields(NamedTuple):
     value: Optional[Fraction]
+
+
+class LambdaMode(_ModeFields):
+    """Scalar-domain selector: symbolic deformation parameter or a fixed
+    rational value.  ``value`` is None in symbolic mode.
+
+    There is one instance per value, so modes compare and hash by
+    identity, and memos keyed on them do no rational arithmetic."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __new__(cls, value: Optional[RationalLike]):
+        mode = _MODES.get(value)
+        if mode is None:
+            value = None if value is None else Fraction(value)
+            mode = _MODES.setdefault(value, super().__new__(cls, value))
+        return mode
+
+    @classmethod
+    def _make(cls, iterable) -> "LambdaMode":
+        return cls(*iterable)
 
     @classmethod
     def symbolic(cls) -> "LambdaMode":
@@ -489,6 +510,10 @@ class LambdaMode(NamedTuple):
 
     def __str__(self) -> str:
         return self.label()
+
+
+# The one LambdaMode of each value (None for the symbolic mode).
+_MODES: dict = {}
 
 
 def evaluate_at(f: LambdaRatFunc, point: RationalLike) -> Fraction:

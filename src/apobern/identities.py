@@ -43,7 +43,7 @@ from .operators import (
     lambda_power_at_zero,
     shift_poly,
 )
-from .polynomials import XPolynomial, embed_poly
+from .polynomials import XPolynomial, dot, embed_poly
 from .render import render_field_element, render_x_poly
 
 __all__ = [
@@ -314,12 +314,8 @@ def _umbral_weight(numbers: Callable[[int, int, LambdaMode], NumberTable]):
 @lru_cache(maxsize=None)
 def _convolution(poly: Callable[[int], XPolynomial], m: int, y: Fraction) -> XPolynomial:
     """sum_i C(m, i) p_i(x) p_(m-i)(y) for the classical family p."""
-    total = XPolynomial.zero(_ONE)
-    for i in range(m + 1):
-        scalar = comb(m, i) * poly(m - i).evaluate(y)
-        if scalar:
-            total = total + poly(i).scalar_mul(scalar)
-    return total
+    scalars = [comb(m, i) * poly(m - i).evaluate(y) for i in range(m + 1)]
+    return dot(_ONE, scalars, [poly(i) for i in range(m + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -351,13 +347,14 @@ def _thm5_bracket(n: int, m: int, y: Fraction) -> XPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _embedded_thm5_bracket(n: int, m: int, y: Fraction, mode: LambdaMode) -> XPolynomial:
-    return embed_poly(_thm5_bracket(n, m, y), mode)
+def _scaled_thm5_bracket(n: int, j: int, k: int, y: Fraction) -> XPolynomial:
+    # the bracket of basis member j over j!, shared by the modes
+    return _thm5_bracket(n, n - j + k, y).scalar_mul(Fraction(1, factorial(j)))
 
 
 _MEMOS = (
     _basis_coefficient, _convolution, _shifted_euler,
-    _thm4_bracket, _thm5_bracket, _embedded_thm5_bracket,
+    _thm4_bracket, _thm5_bracket, _scaled_thm5_bracket,
 )
 
 
@@ -411,11 +408,9 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
     factor = alternating_lambda_sum(mode, k, lambda a: 2)
     rhs = XPolynomial.zero(mode)
     if factor:
-        for j in range(k, n + 1):
-            bracket = _embedded_thm5_bracket(n, n - j + k, y, mode)
-            term = bracket * apostol_bernoulli_poly(j, k, mode)
-            rhs = rhs + term.scalar_mul(Fraction(1, factorial(j)))
-        rhs = rhs.scalar_mul(factor)
+        js = range(k, n + 1)
+        brackets = [embed_poly(_scaled_thm5_bracket(n, j, k, y), mode) for j in js]
+        rhs = dot(mode, brackets, [apostol_bernoulli_poly(j, k, mode) for j in js]).scalar_mul(factor)
     ok, witness = _check_poly_identity(lhs, rhs)
     return [(None, ok, witness)]
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ._kernels import conv_int, power
 from .field import (
@@ -41,7 +41,7 @@ from .field import (
     _lift,
 )
 
-__all__ = ["XPolynomial", "embed_poly", "shift_poly"]
+__all__ = ["XPolynomial", "dot", "embed_poly", "shift_poly"]
 
 _ZERO_KEY = ((), 1)
 _SYM_ZERO_KEY = ((), 1, 0, 0)
@@ -100,23 +100,31 @@ def _add_into(p: list, q) -> list:
     return p
 
 
-def _sym_add(k1: tuple, k2: tuple) -> tuple:
-    # Lift both to max(a), max(b) and lcm(d), then add rows.
-    r1, d1, a1, b1 = k1
-    r2, d2, a2, b2 = k2
-    a = a1 if a1 > a2 else a2
-    b = b1 if b1 > b2 else b2
-    d = d1 if d1 == d2 else lcm(d1, d2)
-    p = [_lift(r, d // d1, a - a1, b - b1) for r in r1]
-    q = [_lift(r, d // d2, a - a2, b - b2) for r in r2]
-    if len(p) < len(q):
-        p, q = q, p
-    for i, r in enumerate(q):
-        p[i] = _add_into(p[i], r)
-    return _sym_reduced(p, d, a, b)
+def _scaled(symbolic: bool, key: tuple, factor) -> Optional[tuple]:
+    """Unreduced key of a scalar of the mode times a key, None when zero."""
+    if symbolic:
+        n, e, a2, b2 = _scalar_key(factor)
+        if not n or not key[0]:
+            return None
+        rows, d, a, b = key
+        if len(n) == 1:
+            out = [[x * n[0] for x in r] for r in rows]
+        else:
+            out = [conv_int(r, n) for r in rows]
+        return out, d * e, a + a2, b + b2
+    factor = _checked_rational(factor)
+    if not factor or not key[0]:
+        return None
+    p = factor.numerator
+    return [c * p for c in key[0]], key[1] * factor.denominator
 
 
-def _sym_mul(k1: tuple, k2: tuple) -> tuple:
+def _times(symbolic: bool, k1: tuple, k2: tuple) -> Optional[tuple]:
+    """Unreduced key of the product of two keys, None when zero."""
+    if not k1[0] or not k2[0]:
+        return None
+    if not symbolic:
+        return conv_int(k1[0], k2[0]), k1[1] * k2[1]
     r1, d1, a1, b1 = k1
     r2, d2, a2, b2 = k2
     out = [[] for _ in range(len(r1) + len(r2) - 1)]
@@ -125,19 +133,32 @@ def _sym_mul(k1: tuple, k2: tuple) -> tuple:
             for j, s in enumerate(r2):
                 if s:
                     out[i + j] = _add_into(conv_int(r, s), out[i + j])
-    return _sym_reduced(out, d1 * d2, a1 + a2, b1 + b2)
+    return out, d1 * d2, a1 + a2, b1 + b2
 
 
-def _sym_scaled(key: tuple, by: tuple) -> tuple:
-    """A symbolic key times the nonzero scalar with key ``by``."""
-    rows, d, a, b = key
-    n, e, a2, b2 = by
-    if len(n) == 1:
-        c = n[0]
-        out = [[x * c for x in r] for r in rows]
-    else:
-        out = [conv_int(r, n) for r in rows]
-    return _sym_reduced(out, d * e, a + a2, b + b2)
+def _sum(symbolic: bool, terms) -> tuple:
+    """Canonical key of the sum of (unreduced) keys: each is lifted to the
+    lcm of the denominators and, in symbolic mode, the largest pole
+    orders, added in one integer accumulator and reduced once."""
+    d = lcm(*[t[1] for t in terms])
+    if symbolic:
+        a = max([t[2] for t in terms], default=0)
+        b = max([t[3] for t in terms], default=0)
+        acc = []
+        for rows, e, ta, tb in terms:
+            for i, r in enumerate(rows):
+                r = _lift(r, d // e, a - ta, b - tb)
+                if i < len(acc):
+                    acc[i] = _add_into(r, acc[i])
+                else:
+                    acc.append(r)
+        return _sym_reduced(acc, d, a, b)
+    acc = [0] * max([len(t[0]) for t in terms], default=0)
+    for n, e in terms:
+        scale = d // e
+        for i, c in enumerate(n):
+            acc[i] += c * scale
+    return _reduced(acc, d)
 
 
 def _scalar_key(value) -> tuple:
@@ -258,25 +279,11 @@ class XPolynomial:
 
     def __add__(self, other):
         self._check_mode(other)
-        k1, k2 = self._key, other._key
-        if not k2[0]:
+        if not other._key[0]:
             return self
-        if not k1[0]:
+        if not self._key[0]:
             return other
-        if self.mode.is_symbolic:
-            return _new(self.mode, _sym_add(k1, k2))
-        (a, d1), (b, d2) = k1, k2
-        if d1 != d2:
-            g = gcd(d1, d2)
-            a = [c * (d2 // g) for c in a]
-            b = [c * (d1 // g) for c in b]
-            d1 = d1 // g * d2
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return _new(self.mode, _reduced(out, d1))
+        return _new(self.mode, _sum(self.mode.is_symbolic, (self._key, other._key)))
 
     def __sub__(self, other):
         self._check_mode(other)
@@ -293,13 +300,7 @@ class XPolynomial:
         if isinstance(other, int):
             return self.scalar_mul(other)
         self._check_mode(other)
-        k1, k2 = self._key, other._key
-        if not k1[0] or not k2[0]:
-            return XPolynomial.zero(self.mode)
-        if self.mode.is_symbolic:
-            return _new(self.mode, _sym_mul(k1, k2))
-        (a, d1), (b, d2) = k1, k2
-        return _new(self.mode, _reduced(conv_int(a, b), d1 * d2))
+        return _finish(self.mode, _times(self.mode.is_symbolic, self._key, other._key))
 
     __rmul__ = __mul__
 
@@ -309,34 +310,14 @@ class XPolynomial:
         return power(self, exponent, XPolynomial.one(self.mode))
 
     def scalar_mul(self, factor: Union[int, FieldElement]) -> "XPolynomial":
-        mode = self.mode
-        if mode.is_symbolic:
-            by = _scalar_key(factor)
-            if not by[0]:
-                return XPolynomial.zero(mode)
-            return _new(mode, _sym_scaled(self._key, by))
-        factor = _checked_rational(factor)
-        if not factor:
-            return XPolynomial.zero(mode)
-        n, d = self._key
-        p, q = factor.numerator, factor.denominator
-        return _new(mode, _reduced([c * p for c in n], d * q))
+        return _finish(self.mode, _scaled(self.mode.is_symbolic, self._key, factor))
 
     def scalar_div(self, divisor: Union[int, FieldElement]) -> "XPolynomial":
-        mode = self.mode
-        if mode.is_symbolic:
-            if not _scalar_key(divisor)[0]:
-                raise ZeroDivisionError("polynomial divided by the zero scalar")
-            inverse = divisor.inverse() if isinstance(divisor, LambdaRatFunc) else 1 / Fraction(divisor)
-            return _new(mode, _sym_scaled(self._key, _scalar_key(inverse)))
-        divisor = _checked_rational(divisor)
-        if not divisor:
+        ratfunc = isinstance(divisor, LambdaRatFunc) and self.mode.is_symbolic
+        if not (divisor if ratfunc else _checked_rational(divisor)):
             raise ZeroDivisionError("polynomial divided by the zero scalar")
-        n, d = self._key
-        p, q = divisor.numerator, divisor.denominator
-        if p < 0:
-            p, q = -p, -q
-        return _new(mode, _reduced([c * q for c in n], d * p))
+        inverse = divisor.inverse() if ratfunc else 1 / Fraction(divisor)
+        return _finish(self.mode, _scaled(self.mode.is_symbolic, self._key, inverse))
 
     def evaluate(self, point: Union[int, FieldElement]) -> FieldElement:
         mode = self.mode
@@ -387,6 +368,32 @@ def _new(mode: LambdaMode, key: tuple) -> XPolynomial:
     poly = object.__new__(XPolynomial)
     _fill(poly, mode, key)
     return poly
+
+
+def _finish(mode: LambdaMode, raw) -> XPolynomial:
+    # The polynomial of an unreduced key, or zero for None.
+    if raw is None:
+        return XPolynomial.zero(mode)
+    return _new(mode, _sym_reduced(*raw) if mode.is_symbolic else _reduced(*raw))
+
+
+def dot(mode: LambdaMode, factors: Sequence, polys: Sequence[XPolynomial]) -> XPolynomial:
+    """sum factors[i] * polys[i] over polynomials of ``mode``, each factor a
+    scalar of the mode or an XPolynomial of it; the empty sum is zero.
+    The raw integer products are summed and reduced once."""
+    symbolic = mode.is_symbolic
+    terms = []
+    for factor, poly in zip(factors, polys, strict=True):
+        if poly.mode is not mode:
+            raise MixedModeError("polynomials from different modes")
+        if isinstance(factor, XPolynomial):
+            poly._check_mode(factor)
+            term = _times(symbolic, factor._key, poly._key)
+        else:
+            term = _scaled(symbolic, poly._key, factor)
+        if term is not None:
+            terms.append(term)
+    return _new(mode, _sum(symbolic, terms))
 
 
 def embed_poly(poly: XPolynomial, mode: LambdaMode) -> XPolynomial:

@@ -8,6 +8,7 @@ pass line on success; a failed assert marks the criterion failed.
 import hashlib
 import time
 from fractions import Fraction
+from importlib import resources
 from random import Random
 
 import pytest
@@ -39,7 +40,7 @@ from apobern import (
 from apobern.cli import _load_default_expectation
 from apobern.families import clear_caches
 from apobern.identities import GridPoint
-from apobern.reporting import expectation_mismatches
+from apobern.reporting import expectation_from_reports, expectation_mismatches
 
 from _util import ALL_MODES, NOT_ONE_MODES, ONE, SYM, random_xpoly
 
@@ -207,6 +208,9 @@ def test_criterion_08_formula_audit(default_reports):
 
     second = run_suite(default_suite_config())
     assert reports_to_json(second) == reports_to_json(default_reports)
+    # --write-expect of the default suite reproduces the packaged file
+    packaged = resources.files("apobern").joinpath("data", "expected_verdicts.json")
+    assert expectation_from_reports(default_reports).encode("utf-8") == packaged.read_bytes()
 
     # the default report is pinned byte for byte in every format
     pinned = {

@@ -142,6 +142,23 @@ def test_verify_write_expect_and_recheck(capsys, tmp_path):
     assert code == 0 and "mismatch" not in err
 
 
+def test_failed_write_expect_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "observed.json"
+    target.write_text("old\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", refuse)
+    code, _, err = run_cli(
+        capsys, "verify", "--ids", "ID_EULER_RAMANUJAN", "--write-expect", str(target),
+        "--format", "csv",
+    )
+    assert code == 1 and "disk full" in err
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["observed.json"]
+
+
 def test_output_file(capsys, tmp_path):
     out_file = tmp_path / "table.json"
     code, out, _ = run_cli(

@@ -256,6 +256,18 @@ def test_lambda_mode_parse_and_labels():
     assert LambdaMode.symbolic().label() == "symbolic"
 
 
+def test_lambda_modes_are_interned():
+    two = LambdaMode.numeric(2)
+    assert LambdaMode.parse(" 4/2 ") is two
+    assert LambdaMode.parse("symbolic") is LambdaMode.symbolic()
+    assert LambdaMode(Fraction(2)) is two and LambdaMode._make([2]) is two
+    assert two._replace(value=None) is LambdaMode.symbolic()
+    assert two != LambdaMode.numeric(-2) and not two == LambdaMode.numeric(-2)
+    memo = {two: "2", LambdaMode.numeric(-2): "-2", LambdaMode.symbolic(): "symbolic"}
+    assert memo[LambdaMode.parse("2")] == "2" and memo[LambdaMode.numeric(-2)] == "-2"
+    assert memo[LambdaMode(None)] == "symbolic" and len(memo) == 3
+
+
 def test_lambda_mode_scalar_embedding():
     sym = LambdaMode.symbolic()
     assert isinstance(sym.scalar(Fraction(1, 2)), LambdaRatFunc)

@@ -16,6 +16,7 @@ from apobern import (
     embed_poly,
     shift_poly,
 )
+from apobern.polynomials import dot
 from apobern.render import render_x_poly
 
 from _util import ONE, SYM, TWO, random_xpoly, symbolic_scalars
@@ -262,6 +263,50 @@ def test_symbolic_equal_values_have_equal_keys_and_hashes(a, b, unit, h):
     ):
         assert left == right
         assert left._key == right._key and hash(left) == hash(right)
+
+
+def _running_sum(mode, factors, polys):
+    # the reference: a running sum of coefficients in the scalar domain
+    total = ()
+    for f, p in zip(factors, polys):
+        if isinstance(f, XPolynomial):
+            term = _ref_mul(f.coeffs, p.coeffs)
+        else:
+            term = _ref_strip([mode.scalar(f) * c for c in p.coeffs])
+        total = _ref_add(total, term)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dot_matches_the_running_sum(data):
+    for mode in (SYM, data.draw(modes)):
+        coeffs = sym_coeff_lists if mode is SYM else coeff_lists
+        polys = coeffs.map(lambda cs: XPolynomial(cs, mode))
+        # symbolic scalars carry poles of several orders at L = 1 and L = -1
+        scalars = st.just(0) | small_fractions
+        if mode is SYM:
+            scalars = scalars | symbolic_scalars()
+        pairs = data.draw(st.lists(st.tuples(scalars | polys, polys), max_size=4))
+        factors, terms = [f for f, _ in pairs], [p for _, p in pairs]
+        got = dot(mode, factors, terms)
+        assert got.coeffs == _running_sum(mode, factors, terms) and got.mode is mode
+        (_assert_symbolic_canonical if mode is SYM else _assert_canonical)(got)
+        # the same terms again, negated, cancel to zero
+        assert dot(mode, factors + [-f for f in factors], terms + terms) == XPolynomial.zero(mode)
+
+
+def test_dot_refuses_mixed_modes():
+    p, s = XPolynomial([1, 2], TWO), XPolynomial([1, SYM.lam], SYM)
+    for mode, factors, polys in (
+        (TWO, [1], [s]),
+        (TWO, [SYM.lam], [p]),
+        (TWO, [s], [p]),
+        (SYM, [p], [s]),
+        (SYM, [1], [XPolynomial([1], ONE)]),
+    ):
+        with pytest.raises(MixedModeError):
+            dot(mode, factors, polys)
 
 
 def test_numeric_mode_refuses_symbolic_scalars():

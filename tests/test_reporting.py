@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apobern import (
     IdentityId,
@@ -16,6 +18,9 @@ from apobern import (
     run_suite,
     verify_identity,
 )
+from apobern.identities import GridPoint, IdentityReport, IdentitySummary, ResultEntry
+
+from _util import ALL_MODES
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +135,34 @@ def test_report_to_dict_grid_unique_points():
     assert len(payload["grid"]) * 2 >= len(payload["results"])
     seen = [json.dumps(p, sort_keys=True) for p in payload["grid"]]
     assert len(seen) == len(set(seen))
+
+
+# Strings with what JSON must escape: quotes, backslashes, control
+# characters and non-ASCII, including characters beyond the BMP.
+_texts = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f aL\u03bb\u00e9\u20ac\U0001d505') | st.characters(),
+                 max_size=8)
+_points = st.builds(
+    GridPoint,
+    n=st.integers(0, 2) | st.integers(-10**20, 10**20),
+    k=st.none() | st.integers(0, 2),
+    mode=st.none() | st.sampled_from(ALL_MODES),
+    y=st.none() | st.fractions(max_denominator=9),
+)
+_entries = st.builds(ResultEntry, point=_points, variant=st.none() | _texts,
+                     passed=st.booleans(), witness=st.none() | _texts)
+_reports = st.builds(
+    IdentityReport,
+    identity=st.sampled_from(IdentityId),
+    results=st.lists(_entries, max_size=4).map(tuple),
+    summary=st.builds(IdentitySummary, passed=st.integers(0, 99), failed=st.integers(0, 99),
+                      validity_domain=_texts),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_reports, max_size=2), st.booleans())
+def test_json_writer_matches_json_dumps(reports, include_witness):
+    # the reference: the payload through json.dumps
+    payload = [report_to_dict(r, include_witness) for r in reports]
+    expected = json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+    assert reports_to_json(reports, include_witness) == expected
