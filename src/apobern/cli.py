@@ -3,8 +3,9 @@ and the identity-verification suite.
 
 Exit codes: 0 on success (for ``verify``, success additionally means the
 verdict pattern matched the expectation file in force), 2 on usage errors
-(bad flags, malformed rationals, pole configurations), 1 on internal
-errors or expectation mismatches.
+(bad flags, malformed rationals, pole configurations, unreadable or
+malformed expectation files), 1 on internal errors or expectation
+mismatches.
 """
 
 from __future__ import annotations
@@ -346,6 +347,15 @@ def _load_default_expectation() -> Optional[str]:
 
 def _cmd_verify(args) -> int:
     ids = _parse_ids(args.ids)
+    expected_text = None
+    if args.expect:
+        try:
+            with open(args.expect, "r", encoding="utf-8") as handle:
+                expected_text = handle.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read expectation file: {exc}") from exc
+    elif args.max_n is None and args.max_k is None:
+        expected_text = _load_default_expectation()
     try:
         config = SuiteConfig(ids=ids, max_n=args.max_n, max_k=args.max_k)
         reports = run_suite(config)
@@ -355,12 +365,6 @@ def _cmd_verify(args) -> int:
     _emit(document, args.output)
     if args.write_expect:
         _write_file(args.write_expect, expectation_from_reports(reports))
-    expected_text = None
-    if args.expect:
-        with open(args.expect, "r", encoding="utf-8") as handle:
-            expected_text = handle.read()
-    elif args.max_n is None and args.max_k is None:
-        expected_text = _load_default_expectation()
     if expected_text is not None:
         mismatches = expectation_mismatches(reports, expected_text)
         if mismatches:
@@ -470,10 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PoleError, MixedModeError, ValueError) as exc:
+    except (UsageError, PoleError, MixedModeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -34,7 +34,7 @@ from .families import (
     bernoulli_poly,
     euler_poly,
 )
-from .field import LambdaMode, LambdaRatFunc
+from .field import FieldElement, LambdaMode, LambdaRatFunc
 from .operators import (
     DifferencePowerMethod,
     alternating_lambda_sum,
@@ -69,12 +69,7 @@ _FULL_MODES = (
     LambdaMode.numeric(-2),
     LambdaMode.numeric(Fraction(1, 3)),
 )
-_NOT_ONE_MODES = (
-    _SYM,
-    LambdaMode.numeric(2),
-    LambdaMode.numeric(-2),
-    LambdaMode.numeric(Fraction(1, 3)),
-)
+_NOT_ONE_MODES = tuple(mode for mode in _FULL_MODES if not mode.is_one)
 _AUDIT_MODES = (_SYM, LambdaMode.numeric(2), LambdaMode.numeric(Fraction(1, 3)))
 
 
@@ -168,18 +163,21 @@ def _y_samples(count: int) -> List[Fraction]:
     return [Fraction(2 * i - 1, 2) for i in range(count)]
 
 
-def _poly_witness(diff: XPolynomial) -> Optional[str]:
-    if diff.is_zero:
+# A residual is LHS - RHS (an x-polynomial or a scalar), or, where no
+# single difference says what failed, None for a pass and the witness text
+# for a fail; zero means the point passes.
+Residual = Union[None, str, XPolynomial, FieldElement]
+CheckOutcome = List[Tuple[Optional[str], Residual]]
+
+
+def _witness(residual: Residual) -> Optional[str]:
+    if not residual:
         return None
-    return render_x_poly(diff)
-
-
-def _check_poly_identity(lhs: XPolynomial, rhs: XPolynomial):
-    diff = lhs - rhs
-    return diff.is_zero, _poly_witness(diff)
-
-
-CheckOutcome = List[Tuple[Optional[str], bool, Optional[str]]]
+    if isinstance(residual, str):
+        return residual
+    if isinstance(residual, XPolynomial):
+        return render_x_poly(residual)
+    return render_field_element(residual)
 
 
 # --------------------------------------------------------------------------
@@ -190,8 +188,7 @@ def _check_deriv(pt: GridPoint) -> CheckOutcome:
     # d/dx of the order-k family member n equals n times member n-1.
     lhs = apostol_bernoulli_poly(pt.n, pt.k, pt.mode).derivative()
     rhs = apostol_bernoulli_poly(pt.n - 1, pt.k, pt.mode) * pt.n
-    ok, witness = _check_poly_identity(lhs, rhs)
-    return [(None, ok, witness)]
+    return [(None, lhs - rhs)]
 
 
 def _check_diff(pt: GridPoint) -> CheckOutcome:
@@ -199,16 +196,14 @@ def _check_diff(pt: GridPoint) -> CheckOutcome:
     p = apostol_bernoulli_poly(pt.n + 1, pt.k, pt.mode)
     lhs = lambda_op(p).scalar_div(pt.n + 1)
     rhs = apostol_bernoulli_poly(pt.n, pt.k - 1, pt.mode)
-    ok, witness = _check_poly_identity(lhs, rhs)
-    return [(None, ok, witness)]
+    return [(None, lhs - rhs)]
 
 
 def _check_lower_order(pt: GridPoint) -> CheckOutcome:
     # The twisted difference drops the order by one and the index by one.
     lhs = lambda_op(apostol_bernoulli_poly(pt.n, pt.k, pt.mode))
     rhs = apostol_bernoulli_poly(pt.n - 1, pt.k - 1, pt.mode) * pt.n
-    ok, witness = _check_poly_identity(lhs, rhs)
-    return [(None, ok, witness)]
+    return [(None, lhs - rhs)]
 
 
 def _check_zero_order(pt: GridPoint) -> CheckOutcome:
@@ -216,14 +211,9 @@ def _check_zero_order(pt: GridPoint) -> CheckOutcome:
     monomial = XPolynomial.monomial(pt.mode, pt.n)
     bern = apostol_bernoulli_poly(pt.n, 0, pt.mode) - monomial
     euler = apostol_euler_poly(pt.n, 0, pt.mode) - monomial
-    if bern.is_zero and euler.is_zero:
-        return [(None, True, None)]
-    parts = []
-    if not bern.is_zero:
-        parts.append(f"bernoulli-type: {render_x_poly(bern)}")
-    if not euler.is_zero:
-        parts.append(f"euler-type: {render_x_poly(euler)}")
-    return [(None, False, "; ".join(parts))]
+    parts = [f"{label}: {render_x_poly(diff)}"
+             for label, diff in (("bernoulli-type", bern), ("euler-type", euler)) if diff]
+    return [(None, "; ".join(parts) or None)]
 
 
 def _check_lemma(pt: GridPoint) -> CheckOutcome:
@@ -233,17 +223,11 @@ def _check_lemma(pt: GridPoint) -> CheckOutcome:
     direct = lambda_power_at_zero(p, pt.k, DifferencePowerMethod.ITERATED)
     closed = lambda_power_at_zero(p, pt.k, DifferencePowerMethod.CLOSED_FORM)
     corrected = corrected_power_at_zero(p, pt.k)
-    out: CheckOutcome = []
-    for variant, value in (("closed-form", closed), ("corrected-sign", corrected)):
-        if value == direct:
-            out.append((variant, True, None))
-        else:
-            witness = (
-                f"iterated = {render_field_element(direct)}, "
-                f"{variant} = {render_field_element(value)}"
-            )
-            out.append((variant, False, witness))
-    return out
+    return [
+        (variant, None if value == direct else
+         f"iterated = {render_field_element(direct)}, {variant} = {render_field_element(value)}")
+        for variant, value in (("closed-form", closed), ("corrected-sign", corrected))
+    ]
 
 
 def _check_thm1(pt: GridPoint) -> CheckOutcome:
@@ -251,11 +235,8 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
     # the cataloged window k..n and for the repaired window k..k+n.
     q = XPolynomial.monomial(pt.mode, pt.n)
     oracle = expand_oracle(q, pt.k)
-    out: CheckOutcome = []
-
-    literal = closed_form_coefficients(q, pt.k)
-    diff = reconstruct(literal) - q
-    out.append(("closed-form", literal.exact, _poly_witness(diff)))
+    # literal.exact holds exactly when its reconstruction residual is zero
+    out: CheckOutcome = [("closed-form", reconstruct(closed_form_coefficients(q, pt.k)) - q)]
 
     if pt.mode.is_one:
         # The repaired window presumes basis degrees j-k, which only holds
@@ -269,10 +250,10 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
         and corrected.j_hi == oracle.j_hi
         and corrected.coefficients == oracle.coefficients
     )
-    witness = None
+    residual = None
     if not agrees:
-        witness = _poly_witness(reconstruct(corrected) - q) or "coefficients differ from oracle"
-    out.append(("corrected", agrees, witness))
+        residual = reconstruct(corrected) - q or "coefficients differ from oracle"
+    out.append(("corrected", residual))
     return out
 
 
@@ -296,8 +277,7 @@ def _basis_checker(lhs: Callable[[GridPoint], XPolynomial], weight):
     def check(pt: GridPoint) -> CheckOutcome:
         n, k, mode = pt.n, pt.k, pt.mode
         coeffs = [mode.specialize(_basis_coefficient(weight, n, j, k, pt.y)) for j in range(k, n + 1)]
-        ok, witness = _check_poly_identity(lhs(pt), basis_sum(coeffs, k, k, mode))
-        return [(None, ok, witness)]
+        return [(None, lhs(pt) - basis_sum(coeffs, k, k, mode))]
 
     return check
 
@@ -367,8 +347,7 @@ def _check_hansen(pt: GridPoint) -> CheckOutcome:
     if m >= 1:
         affine = XPolynomial([y - 1, 1], _ONE)
         rhs = rhs + (affine * shift_poly(bernoulli_poly(m - 1), y)) * m
-    ok, witness = _check_poly_identity(lhs, rhs)
-    return [(None, ok, witness)]
+    return [(None, lhs - rhs)]
 
 
 def _check_euler_ramanujan(pt: GridPoint) -> CheckOutcome:
@@ -379,10 +358,7 @@ def _check_euler_ramanujan(pt: GridPoint) -> CheckOutcome:
     for i in range(2, m - 1):
         acc += comb(m, i) * numbers[i] * numbers[m - i]
     rhs = -acc / (m + 1)
-    diff = numbers[m] - rhs
-    if not diff:
-        return [(None, True, None)]
-    return [(None, False, render_field_element(diff))]
+    return [(None, numbers[m] - rhs)]
 
 
 def _check_dilcher(pt: GridPoint) -> CheckOutcome:
@@ -393,8 +369,7 @@ def _check_dilcher(pt: GridPoint) -> CheckOutcome:
     affine = XPolynomial([1 - y, -1], _ONE)
     rhs = (affine * _shifted_euler(n, y)) * 2
     rhs = rhs + _shifted_euler(n + 1, y) * 2
-    ok, witness = _check_poly_identity(lhs, rhs)
-    return [(None, ok, witness)]
+    return [(None, lhs - rhs)]
 
 
 def _check_thm5(pt: GridPoint) -> CheckOutcome:
@@ -411,8 +386,7 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
         js = range(k, n + 1)
         brackets = [embed_poly(_scaled_thm5_bracket(n, j, k, y), mode) for j in js]
         rhs = dot(mode, brackets, [apostol_bernoulli_poly(j, k, mode) for j in js]).scalar_mul(factor)
-    ok, witness = _check_poly_identity(lhs, rhs)
-    return [(None, ok, witness)]
+    return [(None, lhs - rhs)]
 
 
 # --------------------------------------------------------------------------
@@ -582,10 +556,8 @@ def verify_identity(identity: IdentityId, grid: Sequence[GridPoint]) -> Identity
     ordered = sorted(set(grid), key=_point_sort_key)
     results: List[ResultEntry] = []
     for pt in ordered:
-        for variant, passed, witness in checker(pt):
-            results.append(
-                ResultEntry(point=pt, variant=variant, passed=passed, witness=witness)
-            )
+        for variant, residual in checker(pt):
+            results.append(ResultEntry(pt, variant, not residual, _witness(residual)))
     passed = sum(1 for r in results if r.passed)
     summary = IdentitySummary(
         passed=passed,

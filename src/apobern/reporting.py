@@ -140,7 +140,12 @@ def expectation_mismatches(
     Matching is per identity so a subset run can be checked against the
     full default expectation file.
     """
-    expected = {item["identity"]: item for item in json.loads(expected_text)}
+    items = json.loads(expected_text)
+    if not isinstance(items, list) or not all(
+        isinstance(item, dict) and isinstance(item.get("identity"), str) for item in items
+    ):
+        raise ValueError("malformed expectation file: expected a list of identity objects")
+    expected = {item["identity"]: item for item in items}
     mismatches = []
     for report in reports:
         name = report.identity.value

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from apobern.cli import build_parser, main
 
 
@@ -128,6 +130,25 @@ def test_verify_expectation_mismatch_exits_1(capsys, tmp_path):
     assert "expectation mismatch" in err
 
 
+def test_verify_unreadable_expectation_file_exits_2_before_running(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "verify", "--ids", "ID_EULER_RAMANUJAN", "--expect", str(tmp_path / "missing.json"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read expectation file: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", ['{"a": 1}', '"text"', "[1]", '[{"grid": []}]'])
+def test_verify_malformed_expectation_file_exits_2(capsys, tmp_path, content):
+    bad = tmp_path / "expect.json"
+    bad.write_text(content)
+    code, _, err = run_cli(
+        capsys, "verify", "--ids", "ID_EULER_RAMANUJAN", "--expect", str(bad), "--format", "csv",
+    )
+    assert code == 2
+    assert err == "error: malformed expectation file: expected a list of identity objects\n"
+
+
 def test_verify_write_expect_and_recheck(capsys, tmp_path):
     target = tmp_path / "observed.json"
     code, _, _ = run_cli(
@@ -140,6 +161,15 @@ def test_verify_write_expect_and_recheck(capsys, tmp_path):
         "--format", "csv",
     )
     assert code == 0 and "mismatch" not in err
+
+
+def test_expect_and_write_expect_on_one_file_compare_the_old_content(capsys, tmp_path):
+    target = tmp_path / "expect.json"
+    target.write_text("[]\n", encoding="utf-8")
+    argv = ("verify", "--ids", "ID_EULER_RAMANUJAN", "--format", "csv")
+    code, _, err = run_cli(capsys, *argv, "--expect", str(target), "--write-expect", str(target))
+    assert code == 1 and "ID_EULER_RAMANUJAN: no expectation recorded" in err
+    assert run_cli(capsys, *argv, "--expect", str(target))[0] == 0
 
 
 def test_failed_write_expect_keeps_the_old_file(capsys, tmp_path, monkeypatch):

@@ -136,6 +136,45 @@ def test_zero_order_covers_both_families():
     assert report.summary.passed == 1
 
 
+def test_failure_witnesses_the_default_report_never_shows(monkeypatch):
+    # families broken on purpose: each witness is pinned as it renders
+    from apobern import XPolynomial, identities
+
+    def off_by(poly, extra):
+        return lambda n, k, mode: poly(n, k, mode) + XPolynomial(extra, mode)
+
+    monkeypatch.setattr(identities, "apostol_euler_poly", off_by(identities.apostol_euler_poly, [1]))
+    grid = [GridPoint(n=3, k=0, mode=ONE)]
+    (entry,) = verify_identity(IdentityId.ID_ZERO_ORDER, grid).results
+    assert not entry.passed and entry.witness == "euler-type: 1"
+    monkeypatch.setattr(
+        identities, "apostol_bernoulli_poly", off_by(identities.apostol_bernoulli_poly, [0, 1])
+    )
+    (entry,) = verify_identity(IdentityId.ID_ZERO_ORDER, grid).results
+    assert not entry.passed and entry.witness == "bernoulli-type: x; euler-type: 1"
+    monkeypatch.undo()
+
+    def shifted_oracle(q, k):
+        oracle = original_oracle(q, k)
+        return oracle._replace(coefficients=tuple(c + 1 for c in oracle.coefficients))
+
+    original_oracle = identities.expand_oracle
+    monkeypatch.setattr(identities, "expand_oracle", shifted_oracle)
+    rep = verify_identity(IdentityId.ID_THM1, [GridPoint(n=2, k=1, mode=SYM)])
+    corrected = entries(rep, variant="corrected")[0]
+    assert not corrected.passed and corrected.witness == "coefficients differ from oracle"
+    monkeypatch.undo()
+
+    # B_1 one too large: d/dx B_2 - 2 B_1 = -2, LHS minus RHS
+    original_poly = identities.apostol_bernoulli_poly
+    monkeypatch.setattr(
+        identities, "apostol_bernoulli_poly",
+        lambda n, k, mode: original_poly(n, k, mode) + XPolynomial([int(n == 1)], mode),
+    )
+    (entry,) = verify_identity(IdentityId.ID_DERIV, [GridPoint(n=2, k=1, mode=ONE)]).results
+    assert not entry.passed and entry.witness == "-2"
+
+
 def test_verify_rejects_bad_input():
     with pytest.raises(ValueError):
         verify_identity(IdentityId.ID_DERIV, [])
