@@ -3,9 +3,9 @@ and the identity-verification suite.
 
 Exit codes: 0 on success (for ``verify``, success additionally means the
 verdict pattern matched the expectation file in force), 2 on usage errors
-(bad flags, malformed rationals, pole configurations, unreadable or
-malformed expectation files), 1 on internal errors or expectation
-mismatches.
+(bad flags, malformed rationals, negative --n or --k, the Euler family at
+its pole, empty grids, unreadable or malformed expectation files, all
+refused before any work), 1 on internal faults or expectation mismatches.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .families import (
     bernoulli_numbers_by_recurrence,
     euler_numbers_by_recurrence,
 )
-from .field import LambdaMode, MixedModeError, PoleError, parse_rational
+from .field import LambdaMode, parse_rational
 from .identities import GridBoundsError, IdentityId, SuiteConfig, run_suite
 from .polynomials import XPolynomial
 from .render import (
@@ -49,6 +49,7 @@ from .reporting import (
     FORMATS,
     expectation_from_reports,
     expectation_mismatches,
+    parse_expectation,
     render_report,
 )
 
@@ -187,9 +188,24 @@ def _render_numbers(table, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_numbers(args) -> int:
+def _check_nonnegative(args, *flags: str):
+    for flag in flags:
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
+
+
+def _parse_family_request(args):
+    """Family and mode of a numbers or poly request, checked before any work."""
+    _check_nonnegative(args, "n", "k")
     family = Family(args.family)
     mode = _parse_mode(args.lam)
+    if family is Family.APOSTOL_EULER and mode.value == -1:
+        raise UsageError("the apostol-euler family has a pole at lambda = -1")
+    return family, mode
+
+
+def _cmd_numbers(args) -> int:
+    family, mode = _parse_family_request(args)
     table = _numbers_table(family, args.k, args.n, mode)
     _emit(_render_numbers(table, args.format), args.output)
     return 0
@@ -200,8 +216,7 @@ def _cmd_numbers(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    family = Family(args.family)
-    mode = _parse_mode(args.lam)
+    family, mode = _parse_family_request(args)
     if family in (Family.APOSTOL_BERNOULLI, Family.BERNOULLI):
         poly = apostol_bernoulli_poly(args.n, args.k, mode)
     else:
@@ -255,6 +270,7 @@ def _expansion_row(expansion: Optional[BasisExpansion], sym: str):
 
 
 def _cmd_expand(args) -> int:
+    _check_nonnegative(args, "k")
     mode = _parse_mode(args.lam)
     q = _parse_coeffs(args.coeffs, mode)
     rows = {"oracle": expand_oracle(q, args.k)}
@@ -354,12 +370,15 @@ def _cmd_verify(args) -> int:
                 expected_text = handle.read()
         except OSError as exc:
             raise UsageError(f"cannot read expectation file: {exc}") from exc
+        try:
+            parse_expectation(expected_text)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     elif args.max_n is None and args.max_k is None:
         expected_text = _load_default_expectation()
     try:
-        config = SuiteConfig(ids=ids, max_n=args.max_n, max_k=args.max_k)
-        reports = run_suite(config)
-    except (GridBoundsError, ValueError) as exc:
+        reports = run_suite(SuiteConfig(ids=ids, max_n=args.max_n, max_k=args.max_k))
+    except GridBoundsError as exc:
         raise UsageError(str(exc)) from exc
     document = render_report(reports, args.format)
     _emit(document, args.output)
@@ -474,7 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, PoleError, MixedModeError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -67,42 +67,30 @@ class NumberTable(NamedTuple):
         return len(self.values)
 
 
-def _exp_series(mode: LambdaMode, order: int) -> TruncatedSeries:
-    return exp_scaled_series(mode.one, order)
+def _kernel(k: int, order: int, mode: LambdaMode, s: int) -> TruncatedSeries:
+    """1 / (L e^t + s)^k for s = +-1, and 1 for k = 0."""
+    if k == 0:
+        return TruncatedSeries([mode.one] + [mode.zero] * order)
+    lam_exp = exp_scaled_series(mode.one, order).scale(mode.lam).coeffs
+    return (TruncatedSeries([lam_exp[0] + s, *lam_exp[1:]]) ** k).recip()
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_kernel(k: int, order: int, mode: LambdaMode) -> TruncatedSeries:
-    if k == 0:
-        return TruncatedSeries([mode.one] + [mode.zero] * order)
-    if mode.is_one:
+    if k and mode.is_one:
         # (e^t - 1)/t has coefficients 1/(m+1)! and unit constant term.
         base = TruncatedSeries(
             [Fraction(1, factorial(m + 1)) for m in range(order + 1)]
         )
         return (base ** k).recip()
-    lam = mode.lam
-    exp_t = _exp_series(mode, order)
-    affine = TruncatedSeries(
-        [exp_t.coefficient(0) * lam - mode.one]
-        + [exp_t.coefficient(m) * lam for m in range(1, order + 1)]
-    )
-    return (affine ** k).recip().times_t_power(k)
+    return _kernel(k, order, mode, -1).times_t_power(k)
 
 
 @lru_cache(maxsize=None)
 def _euler_kernel(k: int, order: int, mode: LambdaMode) -> TruncatedSeries:
     if not mode.is_symbolic and mode.value == -1:
         raise PoleError("Euler-family kernel has a pole at lambda = -1")
-    if k == 0:
-        return TruncatedSeries([mode.one] + [mode.zero] * order)
-    lam = mode.lam
-    exp_t = _exp_series(mode, order)
-    affine = TruncatedSeries(
-        [exp_t.coefficient(0) * lam + mode.one]
-        + [exp_t.coefficient(m) * lam for m in range(1, order + 1)]
-    )
-    return (affine ** k).recip().scale(mode.scalar(2 ** k))
+    return _kernel(k, order, mode, 1).scale(mode.scalar(2 ** k))
 
 
 def _table_from_kernel(

@@ -13,9 +13,10 @@ The families come from the kernels t^k/(L e^t - 1)^k and
 d (L-1)^a (L+1)^b.  :class:`LambdaRatFunc` is therefore the ring Z[L]
 localized at the integers and at L-1 and L+1: it stores an integer
 numerator list next to d, a and b, and normalizes by synthetic division
-at L = +-1 and by integer content, with no polynomial gcd.  Inverting an
-element whose numerator has any other non-constant factor raises
-:class:`NonLocalDenominatorError`.
+at L = +-1 and by integer content, with no polynomial gcd.  One routine,
+``_sym_reduced``, does this for the rows of an x-polynomial; a scalar is
+its one-row case.  Inverting an element whose numerator has any other
+non-constant factor raises :class:`NonLocalDenominatorError`.
 
 Both domains are immutable, exact, and have a unique canonical form, so
 equality is a plain field-by-field comparison.
@@ -157,12 +158,12 @@ def _div_root(n, root: int) -> list:
     return q
 
 
-def _strip_root(n: list, root: int, limit: int) -> tuple:
-    """Divide (L - root) out of the nonzero n, root = +-1, at most limit
-    times; returns the quotient and the count."""
+def _strip_root(n: list, root: int) -> tuple:
+    """Divide every factor (L - root) out of the nonzero n, root = +-1;
+    returns the quotient and the count."""
     value_at = sum if root == 1 else _alt_sum
     count = 0
-    while count < limit and not value_at(n):
+    while not value_at(n):
         n = _div_root(n, root)
         count += 1
     return n, count
@@ -178,33 +179,51 @@ def _horner(n, u: int, v: int) -> tuple:
     return acc, v_power
 
 
-def _canonical(n: list, d: int, a: int, b: int) -> "LambdaRatFunc":
-    """The element n / (d (L-1)^a (L+1)^b) in canonical form.
+def _lowest_terms(c: int, d: int) -> tuple:
+    """c / d in lowest terms as a pair, for d > 0."""
+    g = gcd(c, d)
+    return c // g, d // g
 
-    ``n`` is a fresh integer list (trailing zeros allowed) and ``d > 0``.
-    Cancels L-1 and L+1 against the numerator by synthetic division and
-    the integer content against ``d``.
-    """
-    while n and not n[-1]:
-        n.pop()
-    if not n:
-        return _RATFUNC_ZERO
-    if a:
-        n, k = _strip_root(n, 1, a)
-        a -= k
-    if b:
-        n, k = _strip_root(n, -1, b)
-        b -= k
+
+_ZERO_KEY = ((), 1, 0, 0)
+
+
+def _sym_reduced(rows: list, d: int, a: int, b: int) -> tuple:
+    """Canonical key of sum rows[i] x^i / (d (L-1)^a (L+1)^b), the one
+    reduction of the symbolic ring; ``rows`` is a fresh list of fresh int
+    lists (trailing zeros allowed) and ``d > 0``.  Divides L-1 and L+1 out
+    of all rows at once while every row vanishes there, then the content
+    out against ``d``."""
+    for r in rows:
+        while r and not r[-1]:
+            r.pop()
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        return _ZERO_KEY
+    while a and not any(map(sum, rows)):
+        rows = [_div_root(r, 1) for r in rows]
+        a -= 1
+    while b and not any(map(_alt_sum, rows)):
+        rows = [_div_root(r, -1) for r in rows]
+        b -= 1
     if d != 1:
         g = d
-        for c in n:
-            g = gcd(g, c)
+        for r in rows:
+            g = gcd(g, *r)
             if g == 1:
                 break
         if g != 1:
-            n = [c // g for c in n]
+            rows = [[c // g for c in r] for r in rows]
             d //= g
-    return _new((tuple(n), d, a, b))
+    return tuple(map(tuple, rows)), d, a, b
+
+
+def _canonical(n: list, d: int, a: int, b: int) -> tuple:
+    """Canonical key of the element n / (d (L-1)^a (L+1)^b): the one-row
+    case of :func:`_sym_reduced`."""
+    rows, d, a, b = _sym_reduced([n], d, a, b)
+    return (rows[0] if rows else (), d, a, b)
 
 
 def _lift(n: tuple, scale: int, a: int, b: int) -> list:
@@ -320,7 +339,7 @@ class LambdaRatFunc:
             p, q = q, p
         for i, c in enumerate(q):
             p[i] += c
-        return _canonical(p, d, a, b)
+        return _new(_canonical(p, d, a, b))
 
     __radd__ = __add__
 
@@ -348,7 +367,7 @@ class LambdaRatFunc:
         n2, d2, a2, b2 = rhs._key
         if not n1 or not n2:
             return _RATFUNC_ZERO
-        return _canonical(conv_int(list(n1), list(n2)), d1 * d2, a1 + a2, b1 + b2)
+        return _new(_canonical(conv_int(list(n1), list(n2)), d1 * d2, a1 + a2, b1 + b2))
 
     __rmul__ = __mul__
 
@@ -357,8 +376,8 @@ class LambdaRatFunc:
         n, d, a, b = self._key
         if not n:
             raise ZeroDivisionError("inverse of the zero rational function")
-        rest, p = _strip_root(list(n), 1, len(n))
-        rest, q = _strip_root(rest, -1, len(rest))
+        rest, p = _strip_root(list(n), 1)
+        rest, q = _strip_root(rest, -1)
         if len(rest) > 1:
             raise NonLocalDenominatorError(
                 f"1/({self!r}) has a denominator factor other than L-1 and L+1"
@@ -412,7 +431,7 @@ def _new(key: tuple) -> LambdaRatFunc:
     return obj
 
 
-_RATFUNC_ZERO = _new(((), 1, 0, 0))
+_RATFUNC_ZERO = _new(_ZERO_KEY)
 _RATFUNC_ONE = _new(((1,), 1, 0, 0))
 _RATFUNC_LAMBDA = _new(((0, 1), 1, 0, 0))
 

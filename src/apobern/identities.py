@@ -96,7 +96,7 @@ _ID_ORDER = {identity: i for i, identity in enumerate(IdentityId)}
 
 
 class GridBoundsError(ValueError):
-    """Grid outside the desk-scale bounds the catalog certifies."""
+    """Grid that is empty or outside the desk-scale bounds of the catalog."""
 
 
 class GridPoint(NamedTuple):
@@ -548,7 +548,7 @@ def verify_identity(identity: IdentityId, grid: Sequence[GridPoint]) -> Identity
     if not isinstance(identity, IdentityId):
         raise ValueError(f"unknown identity: {identity!r}")
     if not grid:
-        raise ValueError("empty grid")
+        raise GridBoundsError("empty grid")
     _check_bounds(identity, grid)
     for memo in _MEMOS:
         memo.cache_clear()

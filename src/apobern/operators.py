@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Union
 
-from .field import FieldElement, LambdaMode, LambdaRatFunc, RationalLike, _canonical
+from .field import FieldElement, LambdaMode, LambdaRatFunc, RationalLike, _canonical, _new
 from .polynomials import XPolynomial, shift_poly
 
 __all__ = [
@@ -91,7 +91,7 @@ def alternating_lambda_sum(
             (-1) ** a * comb(k, a) * w.numerator * (d // w.denominator)
             for a, w in enumerate(weights)
         ]
-        return mode.specialize(_canonical(n, d, 0, 0))
+        return mode.specialize(_new(_canonical(n, d, 0, 0)))
     neg_lam = -mode.lam
     acc = mode.zero
     for a in range(k, -1, -1):

@@ -15,10 +15,11 @@ once per result, not once per coefficient.
   no trailing zeros (``()`` is a zero coefficient).  There is no
   trailing zero row, not every row vanishes at L = 1 when a > 0 (nor at
   L = -1 when b > 0), d > 0 and the content of all rows is coprime to
-  ``d``; zero is ``((), 1, 0, 0)``.
+  ``d``; zero is ``((), 1, 0, 0)``.  ``field._sym_reduced`` reduces it.
 
-Coefficients ascend by power.  ``coeffs`` reads them as scalars of the
-mode, Fractions or one LambdaRatFunc per row, built on first read.
+Coefficients ascend by power.  ``coeffs`` and ``coefficient`` build the
+mode's scalars on each read, uncached, from each coefficient's canonical
+scalar key ``(N, d, a, b)``, which the renderer reads directly.
 """
 
 from __future__ import annotations
@@ -29,22 +30,23 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ._kernels import conv_int, power
 from .field import (
+    _ZERO_KEY as _SYM_ZERO_KEY,
     FieldElement,
     LambdaMode,
     LambdaRatFunc,
     MixedModeError,
-    _alt_sum,
     _canonical,
-    _div_root,
     _fast_fraction,
     _horner,
     _lift,
+    _lowest_terms,
+    _new as _ratfunc,
+    _sym_reduced,
 )
 
 __all__ = ["XPolynomial", "dot", "embed_poly", "shift_poly"]
 
 _ZERO_KEY = ((), 1)
-_SYM_ZERO_KEY = ((), 1, 0, 0)
 
 
 def _reduced(n: list, d: int) -> tuple:
@@ -59,36 +61,6 @@ def _reduced(n: list, d: int) -> tuple:
         n = [c // g for c in n]
         d //= g
     return tuple(n), d
-
-
-def _sym_reduced(rows: list, d: int, a: int, b: int) -> tuple:
-    """Canonical symbolic key of sum rows[i] x^i / (d (L-1)^a (L+1)^b);
-    ``rows`` is a fresh list of fresh int lists (trailing zeros allowed)
-    and ``d > 0``.  Divides L-1 and L+1 out of all rows at once while
-    every row vanishes there, then the content out against ``d``."""
-    for r in rows:
-        while r and not r[-1]:
-            r.pop()
-    while rows and not rows[-1]:
-        rows.pop()
-    if not rows:
-        return _SYM_ZERO_KEY
-    while a and not any(map(sum, rows)):
-        rows = [_div_root(r, 1) for r in rows]
-        a -= 1
-    while b and not any(map(_alt_sum, rows)):
-        rows = [_div_root(r, -1) for r in rows]
-        b -= 1
-    if d != 1:
-        g = d
-        for r in rows:
-            g = gcd(g, *r)
-            if g == 1:
-                break
-        if g != 1:
-            rows = [[c // g for c in r] for r in rows]
-            d //= g
-    return tuple(map(tuple, rows)), d, a, b
 
 
 def _add_into(p: list, q) -> list:
@@ -171,12 +143,6 @@ def _scalar_key(value) -> tuple:
     raise MixedModeError("scalar domain does not match the mode")
 
 
-def _fraction(c: int, d: int) -> Fraction:
-    """c / d in lowest terms, for d > 0."""
-    g = gcd(c, d)
-    return _fast_fraction(c // g, d // g)
-
-
 def _checked_rational(value) -> Union[int, Fraction]:
     """A scalar of a numeric mode: an int or a Fraction, else MixedModeError."""
     if isinstance(value, (int, Fraction)):
@@ -187,7 +153,7 @@ def _checked_rational(value) -> Union[int, Fraction]:
 class XPolynomial:
     """Immutable polynomial in x over the scalars selected by ``mode``."""
 
-    __slots__ = ("mode", "_key", "_coeffs")
+    __slots__ = ("mode", "_key")
 
     def __init__(self, coeffs: Iterable[Union[int, FieldElement]], mode: LambdaMode):
         if mode.is_symbolic:
@@ -196,11 +162,13 @@ class XPolynomial:
             b = max([k[3] for k in keys], default=0)
             d = lcm(*[k[1] for k in keys])
             rows = [_lift(n, d // e, a - ai, b - bi) for n, e, ai, bi in keys]
-            _fill(self, mode, _sym_reduced(rows, d, a, b))
+            key = _sym_reduced(rows, d, a, b)
         else:
             cs = [_checked_rational(c) for c in coeffs]
             d = lcm(*[c.denominator for c in cs])
-            _fill(self, mode, _reduced([c.numerator * (d // c.denominator) for c in cs], d))
+            key = _reduced([c.numerator * (d // c.denominator) for c in cs], d)
+        _set_mode(self, mode)
+        _set_key(self, key)
 
     def __setattr__(self, name, value):
         raise AttributeError("XPolynomial is immutable")
@@ -224,16 +192,17 @@ class XPolynomial:
     @property
     def coeffs(self) -> tuple:
         """Coefficients as scalars of the mode, ascending, no trailing zeros."""
-        cs = self._coeffs
-        if cs is None:
-            if self.mode.is_symbolic:
-                rows, d, a, b = self._key
-                cs = tuple([_canonical(list(r), d, a, b) for r in rows])
-            else:
-                n, d = self._key
-                cs = tuple([_fraction(c, d) for c in n])
-            _set_coeffs(self, cs)
-        return cs
+        return tuple([self.coefficient(i) for i in range(len(self._key[0]))])
+
+    def _coeff_key(self, exponent: int) -> tuple:
+        """Canonical scalar key (N, d, a, b) of the coefficient of
+        x^exponent, 0 <= exponent <= degree: a numeric c/d gives
+        ((c,), d, 0, 0) and zero ((), 1, 0, 0)."""
+        if self.mode.is_symbolic:
+            rows, d, a, b = self._key
+            return _canonical(list(rows[exponent]), d, a, b)
+        c, d = _lowest_terms(self._key[0][exponent], self._key[1])
+        return ((c,), d, 0, 0) if c else _SYM_ZERO_KEY
 
     @property
     def degree(self) -> int:
@@ -249,9 +218,12 @@ class XPolynomial:
         return self.coefficient(self.degree)
 
     def coefficient(self, exponent: int) -> FieldElement:
-        if 0 <= exponent < len(self._key[0]):
-            return self.coeffs[exponent]
-        return self.mode.zero
+        if not 0 <= exponent < len(self._key[0]):
+            return self.mode.zero
+        key = self._coeff_key(exponent)
+        if self.mode.is_symbolic:
+            return _ratfunc(key)
+        return _fast_fraction(key[0][0], key[1]) if key[0] else Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self._key[0])
@@ -334,7 +306,7 @@ class XPolynomial:
                 v_power = conv_int(v_power, v)
                 acc = _add_into(conv_int(acc, u), conv_int(r, v_power))
             t = len(rows) - 1
-            return _canonical(acc, d * e ** t, a + t * pa, b + t * pb)
+            return _ratfunc(_canonical(acc, d * e ** t, a + t * pa, b + t * pb))
         # Horner on integers: S = sum N_i u^i v^(t-i), value S / (d v^t).
         point = _checked_rational(point)
         n, d = self._key
@@ -354,19 +326,13 @@ class XPolynomial:
 
 _set_mode = XPolynomial.mode.__set__
 _set_key = XPolynomial._key.__set__
-_set_coeffs = XPolynomial._coeffs.__set__
-
-
-def _fill(poly: XPolynomial, mode: LambdaMode, key: tuple):
-    _set_mode(poly, mode)
-    _set_key(poly, key)
-    _set_coeffs(poly, None)
 
 
 def _new(mode: LambdaMode, key: tuple) -> XPolynomial:
     # Trusted constructor: the key is already canonical.
     poly = object.__new__(XPolynomial)
-    _fill(poly, mode, key)
+    _set_mode(poly, mode)
+    _set_key(poly, key)
     return poly
 
 

@@ -2,15 +2,14 @@
 
 Machine formats (json, csv) spell the deformation parameter "L"; the
 human text format uses the Greek letter and latex uses a macro.  All
-rendering is pure string work over canonical forms, so equal values
-always produce identical bytes.
+rendering is pure string work over canonical keys (N, d, a, b): a
+rational function and each x-polynomial coefficient go through one
+key-to-text path, so equal values always produce identical bytes.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from .field import LambdaRatFunc, render_rational
+from .field import LambdaRatFunc, _lowest_terms, render_rational
 
 MACHINE_SYMBOL = "L"
 TEXT_SYMBOL = "λ"
@@ -47,23 +46,15 @@ def _terms_text(pairs, sym: str) -> str:
     return "".join(parts)
 
 
-def _reduced_pair(c: int, d: int) -> tuple:
-    g = gcd(c, d)
-    return c // g, d // g
-
-
 def _nonzero_terms(n) -> int:
     return len(n) - n.count(0)
 
 
-def render_ratfunc(f: LambdaRatFunc, sym: str = MACHINE_SYMBOL) -> str:
-    """Canonical "(num)/(den)" rendering with factored denominator
-    "(L-1)^a*(L+1)^b", e.g. "L^2-2L+1" or "-2L/(L-1)^2"; reads the key
-    (N, d, a, b), num being N/d."""
-    n, d, a, b = f._key
-    if not n:
-        return "0"
-    num = _terms_text([_reduced_pair(c, d) for c in n], sym)
+def _key_text(n, d: int, a: int, b: int, sym: str) -> str:
+    """Canonical "(num)/(den)" text of the nonzero scalar key (N, d, a, b),
+    num being N/d and den the factored "(L-1)^a*(L+1)^b", e.g. "L^2-2L+1"
+    or "-2L/(L-1)^2"."""
+    num = _terms_text([_lowest_terms(c, d) for c in n], sym)
     factors = []
     for sign, count in (("-", a), ("+", b)):
         if count:
@@ -77,58 +68,43 @@ def render_ratfunc(f: LambdaRatFunc, sym: str = MACHINE_SYMBOL) -> str:
     return f"{num}/{den}"
 
 
+def render_ratfunc(f: LambdaRatFunc, sym: str = MACHINE_SYMBOL) -> str:
+    """Canonical rendering of a rational function, "0" for zero."""
+    n, d, a, b = f._key
+    return _key_text(n, d, a, b, sym) if n else "0"
+
+
 def render_field_element(value, sym: str = MACHINE_SYMBOL) -> str:
     if isinstance(value, LambdaRatFunc):
         return render_ratfunc(value, sym)
     return render_rational(value)
 
 
-def _element_sign(value) -> int:
-    """Display sign: for rational functions, the sign of the leading
-    numerator coefficient (the denominator is positive and monic)."""
-    if isinstance(value, LambdaRatFunc):
-        n = value._key[0]
-        if not n:
-            return 0
-        return 1 if n[-1] > 0 else -1
-    if not value:
-        return 0
-    return 1 if value > 0 else -1
-
-
-def _coeff_times_x(magnitude, sym: str, exponent: int) -> str:
-    """One polynomial term with a positive coefficient; the caller
-    handles the sign."""
-    xpow = _power("x", exponent)
+def _term_text(n, d: int, a: int, b: int, sym: str, exponent: int) -> str:
+    """One polynomial term whose coefficient has the key (N, d, a, b) with
+    N[-1] > 0; the caller handles the sign."""
+    if not (a or b or len(n) > 1):
+        return _monomial(n[0], d, "x", exponent)
+    body = _key_text(n, d, a, b, sym)
     if exponent == 0:
-        return render_field_element(magnitude, sym)
-    if isinstance(magnitude, LambdaRatFunc):
-        n, q, a, b = magnitude._key
-        if a or b or len(n) > 1:
-            body = render_field_element(magnitude, sym)
-            if a or b or _nonzero_terms(n) > 1:
-                body = f"({body})"
-            return f"{body}*{xpow}"
-        p = n[0]
-    else:
-        p, q = magnitude.numerator, magnitude.denominator
-    head = xpow if p == 1 else f"{p}{xpow}"
-    return head if q == 1 else f"{head}/{q}"
+        return body
+    if a or b or _nonzero_terms(n) > 1:
+        body = f"({body})"
+    return f"{body}*{_power('x', exponent)}"
 
 
 def render_x_poly(poly, sym: str = MACHINE_SYMBOL) -> str:
-    """Descending rendering of a polynomial in x, e.g. "x - 1/2"."""
-    if poly.is_zero:
-        return "0"
+    """Descending rendering of a polynomial in x, e.g. "x - 1/2", read from
+    the coefficient keys; a term's sign is that of its last N entry."""
     parts = []
     for exponent in range(poly.degree, -1, -1):
-        c = poly.coefficient(exponent)
-        sign = _element_sign(c)
-        if sign == 0:
+        n, d, a, b = poly._coeff_key(exponent)
+        if not n:
             continue
-        body = _coeff_times_x(c if sign > 0 else -c, sym, exponent)
-        if not parts:
-            parts.append(body if sign > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if sign > 0 else f" - {body}")
-    return "".join(parts)
+        negative = n[-1] < 0
+        if parts:
+            parts.append(" - " if negative else " + ")
+        elif negative:
+            parts.append("-")
+        parts.append(_term_text([-c for c in n] if negative else n, d, a, b, sym, exponent))
+    return "".join(parts) or "0"

@@ -29,6 +29,7 @@ __all__ = [
     "reports_to_json",
     "expectation_from_reports",
     "expectation_mismatches",
+    "parse_expectation",
     "render_report",
 ]
 
@@ -132,6 +133,18 @@ def expectation_from_reports(reports: Sequence[IdentityReport]) -> str:
     return reports_to_json(reports, include_witness=False)
 
 
+def parse_expectation(expected_text: str) -> dict:
+    """Expectation-file content as {identity name: expected report}; a
+    text that is not JSON, or not a list of identity objects, raises
+    ValueError."""
+    items = json.loads(expected_text)
+    if not isinstance(items, list) or not all(
+        isinstance(item, dict) and isinstance(item.get("identity"), str) for item in items
+    ):
+        raise ValueError("malformed expectation file: expected a list of identity objects")
+    return {item["identity"]: item for item in items}
+
+
 def expectation_mismatches(
     reports: Sequence[IdentityReport], expected_text: str
 ) -> List[str]:
@@ -140,12 +153,7 @@ def expectation_mismatches(
     Matching is per identity so a subset run can be checked against the
     full default expectation file.
     """
-    items = json.loads(expected_text)
-    if not isinstance(items, list) or not all(
-        isinstance(item, dict) and isinstance(item.get("identity"), str) for item in items
-    ):
-        raise ValueError("malformed expectation file: expected a list of identity objects")
-    expected = {item["identity"]: item for item in items}
+    expected = parse_expectation(expected_text)
     mismatches = []
     for report in reports:
         name = report.identity.value

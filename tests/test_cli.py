@@ -142,10 +142,10 @@ def test_verify_unreadable_expectation_file_exits_2_before_running(capsys, tmp_p
 def test_verify_malformed_expectation_file_exits_2(capsys, tmp_path, content):
     bad = tmp_path / "expect.json"
     bad.write_text(content)
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "verify", "--ids", "ID_EULER_RAMANUJAN", "--expect", str(bad), "--format", "csv",
     )
-    assert code == 2
+    assert code == 2 and out == ""
     assert err == "error: malformed expectation file: expected a list of identity objects\n"
 
 
@@ -264,14 +264,9 @@ def test_byte_identical_output(capsys):
 
 
 def test_console_entry_point_subprocess():
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-m", "apobern", "poly", "--family", "apostol-bernoulli",
-         "--k", "0", "--n", "3", "--lambda", "2"],
-        capture_output=True,
-        text=True,
+    out = _fresh_process(
+        "-m", "apobern", "poly", "--family", "apostol-bernoulli",
+        "--k", "0", "--n", "3", "--lambda", "2",
     )
     assert out.returncode == 0
     assert out.stdout == "x^3\n"
@@ -292,6 +287,18 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "numbers", "--family", "euler", "--k", "7", "--n", "2",
                    "--lambda", "3")[0] == 2
     assert run_cli(capsys, "verify", "--max-n", "3", "--max-m", "5")[0] == 2
+    # refused before any work: negative sizes, the Euler pole, empty grids
+    for argv in (
+        ("numbers", "--k", "-1", "--n", "2"),
+        ("poly", "--n", "-1"),
+        ("poly", "--k", "-2", "--n", "2", "--lambda", "2"),
+        ("poly", "--family", "apostol-euler", "--n", "2", "--lambda", "-1"),
+        ("expand", "--coeffs", "1,2", "--k", "-1"),
+        ("verify", "--ids", "ID_DIFF", "--max-k", "0"),
+        ("verify", "--max-n", "-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
 
 
 def test_pole_diagnostic_is_one_line(capsys):
@@ -301,6 +308,23 @@ def test_pole_diagnostic_is_one_line(capsys):
     assert code == 2
     assert err.strip().count("\n") == 0
     assert "pole" in err
+
+
+def test_value_errors_of_the_program_are_internal_faults(capsys, monkeypatch):
+    # a ValueError raised by a checker or a family is a program fault:
+    # exit 1, not the usage-error exit 2
+    from apobern import cli, identities
+
+    def broken(*args):
+        raise ValueError("checker fault")
+
+    spec = identities._CATALOG[identities.IdentityId.ID_DIFF]
+    monkeypatch.setitem(identities._CATALOG, identities.IdentityId.ID_DIFF,
+                        spec._replace(checker=broken))
+    monkeypatch.setattr(cli, "apostol_bernoulli_numbers", broken)
+    for argv in (("verify", "--ids", "ID_DIFF", "--format", "csv"), ("numbers", "--n", "2")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err == "internal error: checker fault\n", argv
 
 
 def test_non_local_denominator_is_an_internal_fault(capsys, monkeypatch):

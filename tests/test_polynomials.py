@@ -17,7 +17,7 @@ from apobern import (
     shift_poly,
 )
 from apobern.polynomials import dot
-from apobern.render import render_x_poly
+from apobern.render import LATEX_SYMBOL, TEXT_SYMBOL, render_field_element, render_x_poly
 
 from _util import ONE, SYM, TWO, random_xpoly, symbolic_scalars
 
@@ -368,3 +368,65 @@ def test_render_x_poly_spellings():
     assert render_x_poly(witness) == "-x - L/(L-1)"
     coeff_term = XPolynomial([SYM.zero, inv * 2], SYM)
     assert render_x_poly(coeff_term) == "(2/(L-1))*x"
+
+
+# The renderer as it read each coefficient as a scalar: the reference for
+# rendering from the coefficient keys.
+
+
+def _ref_sign(value):
+    if isinstance(value, LambdaRatFunc):
+        n = value._key[0]
+        return 0 if not n else (1 if n[-1] > 0 else -1)
+    return 0 if not value else (1 if value > 0 else -1)
+
+
+def _ref_term(magnitude, sym, exponent):
+    xpow = "x" if exponent == 1 else f"x^{exponent}"
+    if exponent == 0:
+        return render_field_element(magnitude, sym)
+    if isinstance(magnitude, LambdaRatFunc):
+        n, q, a, b = magnitude._key
+        if a or b or len(n) > 1:
+            body = render_field_element(magnitude, sym)
+            if a or b or len(n) - n.count(0) > 1:
+                body = f"({body})"
+            return f"{body}*{xpow}"
+        p = n[0]
+    else:
+        p, q = magnitude.numerator, magnitude.denominator
+    head = xpow if p == 1 else f"{p}{xpow}"
+    return head if q == 1 else f"{head}/{q}"
+
+
+def _ref_render_x_poly(poly, sym):
+    if poly.is_zero:
+        return "0"
+    parts = []
+    for exponent in range(poly.degree, -1, -1):
+        c = poly.coefficient(exponent)
+        sign = _ref_sign(c)
+        if sign == 0:
+            continue
+        body = _ref_term(c if sign > 0 else -c, sym, exponent)
+        if not parts:
+            parts.append(body if sign > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if sign > 0 else f" - {body}")
+    return "".join(parts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_render_x_poly_matches_the_per_coefficient_renderer(data):
+    # symbolic coefficients carry poles at both L = 1 and L = -1,
+    # multi-term numerators and negative leading entries; pole-free
+    # monomials c L^i take the unbracketed "cL^i*x" spelling
+    mode = data.draw(st.sampled_from((SYM,) + PROPERTY_MODES))
+    monomials = st.lists(st.builds(lambda c, i: SYM.lam ** i * c, st.integers(-3, 3),
+                                   st.integers(0, 2)), max_size=4)
+    coeffs = data.draw((sym_coeff_lists | monomials) if mode is SYM else coeff_lists)
+    p = XPolynomial(coeffs, mode)
+    for poly in (p, -p):
+        for sym in ("L", TEXT_SYMBOL, LATEX_SYMBOL):
+            assert render_x_poly(poly, sym) == _ref_render_x_poly(poly, sym)
