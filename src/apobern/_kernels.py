@@ -1,4 +1,4 @@
-"""Pure-Python dense arithmetic kernels.
+"""Dense integer and rational arithmetic kernels, one pure-Python module.
 
 These functions carry the inner loops of the whole package: every
 rational series product (dispatched by ``series.convolve``), every

@@ -217,7 +217,7 @@ def _cmd_numbers(args) -> int:
 
 def _cmd_poly(args) -> int:
     family, mode = _parse_family_request(args)
-    if family in (Family.APOSTOL_BERNOULLI, Family.BERNOULLI):
+    if family is Family.APOSTOL_BERNOULLI:
         poly = apostol_bernoulli_poly(args.n, args.k, mode)
     else:
         poly = apostol_euler_poly(args.n, args.k, mode)
@@ -368,7 +368,7 @@ def _cmd_verify(args) -> int:
         try:
             with open(args.expect, "r", encoding="utf-8") as handle:
                 expected_text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read expectation file: {exc}") from exc
         try:
             parse_expectation(expected_text)

@@ -9,8 +9,11 @@ degree equal to their index and the natural window is 0..n.
 Three routes are provided: an exact triangular solve (the oracle), the
 closed-form coefficient formula with index window k..n as cataloged, and
 a repaired variant that extends the window to k..k+n and evaluates the
-operator power by literal iteration.  Only the oracle is guaranteed
-exact; the other two carry an exactness flag computed by reconstruction.
+operator power by literal iteration.  The last two are one windowed
+route, b_j = (1/j!) (Lambda^k D^(j-k) q)(0), that differs only in the
+window and in how the operator power at zero is evaluated.  Only the
+oracle is guaranteed exact; the other two carry an exactness flag
+computed by reconstruction.
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .families import apostol_bernoulli_poly
 from .field import FieldElement, LambdaMode
-from .operators import (
-    DifferencePowerMethod,
-    alternating_lambda_sum,
-    d_op,
-    lambda_power_at_zero,
-)
+from .operators import DifferencePowerMethod, lambda_power_at_zero
 from .polynomials import XPolynomial, dot
 
 __all__ = [
@@ -75,12 +73,6 @@ class BasisExpansion(NamedTuple):
         return range(self.j_lo, self.j_hi + 1)
 
 
-def _empty(method: ExpansionMethod, k: int, mode: LambdaMode, j_lo: int, exact: bool) -> BasisExpansion:
-    return BasisExpansion(
-        method=method, k=k, mode=mode, j_lo=j_lo, j_hi=j_lo - 1, coefficients=(), exact=exact
-    )
-
-
 def basis_sum(
     coefficients: Sequence[FieldElement], j_lo: int, k: int, mode: LambdaMode
 ) -> XPolynomial:
@@ -101,10 +93,7 @@ def expand_oracle(q: XPolynomial, k: int) -> BasisExpansion:
     if k < 0:
         raise ValueError("basis order must be nonnegative")
     j_lo = 0 if mode.is_one else k
-    if q.is_zero:
-        return _empty(ExpansionMethod.ORACLE, k, mode, j_lo, exact=True)
-    n = q.degree
-    j_hi = j_lo + n
+    j_hi = j_lo + q.degree
     residual = q
     coeffs: dict[int, FieldElement] = {}
     for j in range(j_hi, j_lo - 1, -1):
@@ -130,6 +119,21 @@ def expand_oracle(q: XPolynomial, k: int) -> BasisExpansion:
     )
 
 
+def _windowed(
+    method: ExpansionMethod, q: XPolynomial, k: int, j_hi: int, power: DifferencePowerMethod
+) -> BasisExpansion:
+    """b_j = (1/j!) (Lambda^k D^(j-k) q)(0) over the window j = k..j_hi,
+    with the operator power at zero evaluated by ``power``; the exactness
+    flag comes from reconstructing and comparing against q."""
+    coeffs = []
+    derivative = q
+    for j in range(k, j_hi + 1):
+        coeffs.append(lambda_power_at_zero(derivative, k, power) / factorial(j))
+        derivative = derivative.derivative()
+    expansion = BasisExpansion(method, k, q.mode, k, j_hi, tuple(coeffs), exact=False)
+    return expansion._replace(exact=reconstruct(expansion) == q)
+
+
 def closed_form_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
     """Coefficient formula over the window j = k..deg q, as cataloged:
 
@@ -139,26 +143,11 @@ def closed_form_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
     basis members there have degree j - k), so the exactness flag is
     computed by reconstructing and comparing against q.
     """
-    mode = q.mode
     if k < 0:
         raise ValueError("basis order must be nonnegative")
-    n = q.degree
-    if n < k:
-        return _empty(ExpansionMethod.CLOSED_FORM, k, mode, k, exact=q.is_zero)
-    coeffs = [
-        alternating_lambda_sum(mode, k, d_op(q, j - k).evaluate) / factorial(j)
-        for j in range(k, n + 1)
-    ]
-    expansion = BasisExpansion(
-        method=ExpansionMethod.CLOSED_FORM,
-        k=k,
-        mode=mode,
-        j_lo=k,
-        j_hi=n,
-        coefficients=tuple(coeffs),
-        exact=False,
+    return _windowed(
+        ExpansionMethod.CLOSED_FORM, q, k, max(q.degree, k - 1), DifferencePowerMethod.CLOSED_FORM
     )
-    return expansion._replace(exact=reconstruct(expansion) == q)
 
 
 def corrected_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
@@ -167,27 +156,10 @@ def corrected_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
         b_j = (1/j!) * (Lambda^k D^{j-k} q)(0),
 
     validated against the oracle rather than assumed."""
-    mode = q.mode
     if k < 0:
         raise ValueError("basis order must be nonnegative")
-    if mode.is_one:
+    if q.mode.is_one:
         raise UnsupportedModeError(
             "the k..k+n window presumes basis degrees j-k, which fails at lambda = 1"
         )
-    if q.is_zero:
-        return _empty(ExpansionMethod.CORRECTED, k, mode, k, exact=True)
-    n = q.degree
-    coeffs = []
-    for j in range(k, k + n + 1):
-        value = lambda_power_at_zero(d_op(q, j - k), k, DifferencePowerMethod.ITERATED)
-        coeffs.append(value / factorial(j))
-    expansion = BasisExpansion(
-        method=ExpansionMethod.CORRECTED,
-        k=k,
-        mode=mode,
-        j_lo=k,
-        j_hi=k + n,
-        coefficients=tuple(coeffs),
-        exact=False,
-    )
-    return expansion._replace(exact=reconstruct(expansion) == q)
+    return _windowed(ExpansionMethod.CORRECTED, q, k, k + q.degree, DifferencePowerMethod.ITERATED)

@@ -158,17 +158,6 @@ def _div_root(n, root: int) -> list:
     return q
 
 
-def _strip_root(n: list, root: int) -> tuple:
-    """Divide every factor (L - root) out of the nonzero n, root = +-1;
-    returns the quotient and the count."""
-    value_at = sum if root == 1 else _alt_sum
-    count = 0
-    while not value_at(n):
-        n = _div_root(n, root)
-        count += 1
-    return n, count
-
-
 def _horner(n, u: int, v: int) -> tuple:
     """(S, v^t) with S = sum n_i u^i v^(t-i) and t = len(n) - 1, so the
     integer polynomial n takes the value S / v^t at u/v; n is nonempty."""
@@ -376,8 +365,10 @@ class LambdaRatFunc:
         n, d, a, b = self._key
         if not n:
             raise ZeroDivisionError("inverse of the zero rational function")
-        rest, p = _strip_root(list(n), 1)
-        rest, q = _strip_root(rest, -1)
+        # with poles of order len(n) to spend, the reduction divides out
+        # every factor L-1 and L+1 of n: p and q count them
+        (rest,), _, a_left, b_left = _sym_reduced([list(n)], 1, len(n), len(n))
+        p, q = len(n) - a_left, len(n) - b_left
         if len(rest) > 1:
             raise NonLocalDenominatorError(
                 f"1/({self!r}) has a denominator factor other than L-1 and L+1"

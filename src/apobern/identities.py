@@ -6,7 +6,9 @@ arithmetic.  Bivariate identities fix the second variable at more
 rational sample points than its degree, which is a complete test for a
 polynomial identity.  Checks never repair a formula: where a repaired
 variant exists it is reported alongside the cataloged form under its own
-variant label.
+variant label.  Each classical formula is written once: the brackets of
+the two convolution expansions (Theorems 4 and 5) are n!/m! times the
+right sides of Hansen's and of Dilcher's identity, with m = n - j + k.
 """
 
 from __future__ import annotations
@@ -153,9 +155,7 @@ def _point_sort_key(point: GridPoint):
 
 
 def _ff(n: int, m: int) -> Fraction:
-    """Falling-factorial quotient n!/m!, zero when m is negative."""
-    if m < 0:
-        return Fraction(0)
+    """Falling-factorial quotient n!/m!."""
     return Fraction(factorial(n), factorial(m))
 
 
@@ -299,55 +299,44 @@ def _convolution(poly: Callable[[int], XPolynomial], m: int, y: Fraction) -> XPo
 
 
 @lru_cache(maxsize=None)
-def _shifted_euler(m: int, y: Fraction) -> XPolynomial:
-    """E_m(x + y) with rational coefficients."""
-    return shift_poly(euler_poly(m), y)
+def _shifted(poly: Callable[[int], XPolynomial], m: int, y: Fraction) -> XPolynomial:
+    """p_m(x + y) with rational coefficients for the classical family p."""
+    return shift_poly(poly(m), y)
 
 
 @lru_cache(maxsize=None)
-def _thm4_bracket(n: int, m: int, y: Fraction, a: int) -> Fraction:
-    # (1 - n + j - k) = (1 - m) with m = n - j + k; the two terms of that
-    # factor share B_m(a + y)
-    arg = a + y
-    value = (1 - m) * _ff(n, m) * bernoulli_poly(m).evaluate(arg)
+def _hansen_rhs(m: int, y: Fraction) -> XPolynomial:
+    """Hansen's right side (1-m) B_m(x+y) + m (x+y-1) B_(m-1)(x+y)."""
+    rhs = _shifted(bernoulli_poly, m, y).scalar_mul(Fraction(1 - m))
     if m >= 1:
-        value += (arg - 1) * _ff(n, m - 1) * bernoulli_poly(m - 1).evaluate(arg)
-    return value
+        rhs = rhs + (XPolynomial([y - 1, 1], _ONE) * _shifted(bernoulli_poly, m - 1, y)) * m
+    return rhs
 
 
 @lru_cache(maxsize=None)
-def _thm5_bracket(n: int, m: int, y: Fraction) -> XPolynomial:
-    # n!/m! (1-x-y) E_m(x+y) - n!/(m+1)! (j-k) E_{m+1}(x+y)
-    # + (n+1)!/(m+1)! E_{m+1}(x+y), with j - k = n - m
-    bracket = (XPolynomial([1 - y, -1], _ONE) * _shifted_euler(m, y)).scalar_mul(_ff(n, m))
-    middle = _ff(n, m + 1) * (n - m)
-    if middle:
-        bracket = bracket - _shifted_euler(m + 1, y).scalar_mul(middle)
-    return bracket + _shifted_euler(m + 1, y).scalar_mul(_ff(n + 1, m + 1))
+def _dilcher_rhs(m: int, y: Fraction) -> XPolynomial:
+    """Half of Dilcher's right side, (1-x-y) E_m(x+y) + E_(m+1)(x+y)."""
+    affine = XPolynomial([1 - y, -1], _ONE)
+    return affine * _shifted(euler_poly, m, y) + _shifted(euler_poly, m + 1, y)
 
 
 @lru_cache(maxsize=None)
 def _scaled_thm5_bracket(n: int, j: int, k: int, y: Fraction) -> XPolynomial:
-    # the bracket of basis member j over j!, shared by the modes
-    return _thm5_bracket(n, n - j + k, y).scalar_mul(Fraction(1, factorial(j)))
+    # the bracket of basis member j over j!, shared by the modes: with
+    # m = n - j + k its E_(m+1) terms n!/(m+1)! (-(n-m) + (n+1)) add up to
+    # n!/m!, so the bracket is n!/m! times half of Dilcher's right side
+    m = n - j + k
+    return _dilcher_rhs(m, y).scalar_mul(_ff(n, m) / factorial(j))
 
 
 _MEMOS = (
-    _basis_coefficient, _convolution, _shifted_euler,
-    _thm4_bracket, _thm5_bracket, _scaled_thm5_bracket,
+    _basis_coefficient, _convolution, _shifted, _hansen_rhs, _dilcher_rhs, _scaled_thm5_bracket,
 )
 
 
 def _check_hansen(pt: GridPoint) -> CheckOutcome:
-    # Binomial convolution of Bernoulli polynomials versus
-    # (1-m) B_m(x+y) + (x+y-1) m B_{m-1}(x+y).
-    m, y = pt.n, pt.y
-    lhs = _convolution(bernoulli_poly, m, y)
-    rhs = shift_poly(bernoulli_poly(m), y).scalar_mul(Fraction(1 - m))
-    if m >= 1:
-        affine = XPolynomial([y - 1, 1], _ONE)
-        rhs = rhs + (affine * shift_poly(bernoulli_poly(m - 1), y)) * m
-    return [(None, lhs - rhs)]
+    # Binomial convolution of Bernoulli polynomials versus Hansen's right side.
+    return [(None, _convolution(bernoulli_poly, pt.n, pt.y) - _hansen_rhs(pt.n, pt.y))]
 
 
 def _check_euler_ramanujan(pt: GridPoint) -> CheckOutcome:
@@ -362,14 +351,8 @@ def _check_euler_ramanujan(pt: GridPoint) -> CheckOutcome:
 
 
 def _check_dilcher(pt: GridPoint) -> CheckOutcome:
-    # Binomial convolution of Euler polynomials versus
-    # 2 (1-x-y) E_n(x+y) + 2 E_{n+1}(x+y).
-    n, y = pt.n, pt.y
-    lhs = _convolution(euler_poly, n, y)
-    affine = XPolynomial([1 - y, -1], _ONE)
-    rhs = (affine * _shifted_euler(n, y)) * 2
-    rhs = rhs + _shifted_euler(n + 1, y) * 2
-    return [(None, lhs - rhs)]
+    # Binomial convolution of Euler polynomials versus Dilcher's right side.
+    return [(None, _convolution(euler_poly, pt.n, pt.y) - _dilcher_rhs(pt.n, pt.y) * 2)]
 
 
 def _check_thm5(pt: GridPoint) -> CheckOutcome:
@@ -436,11 +419,11 @@ _CATALOG: Dict[IdentityId, _Spec] = {
         "k", (0, 8), (0, 3), _AUDIT_MODES),
     IdentityId.ID_HANSEN: _Spec(_check_hansen, "m", (0, 10), y_extra=2),
     IdentityId.ID_EULER_RAMANUJAN: _Spec(_check_euler_ramanujan, "m", (2, 20)),
-    # the bracket is evaluated at a+y per the cataloged display; its memo
-    # leaves out k, on which it does not depend
+    # the bracket, evaluated at a per the cataloged display, is n!/m! times
+    # Hansen's right side
     IdentityId.ID_THM4: _Spec(
         _basis_checker(lambda pt: embed_poly(_convolution(bernoulli_poly, pt.n, pt.y), pt.mode),
-                       lambda n, m, k, y, a: _thm4_bracket(n, m, y, a)),
+                       lambda n, m, k, y, a: _ff(n, m) * _hansen_rhs(m, y).evaluate(a)),
         "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2),
     IdentityId.ID_DILCHER: _Spec(_check_dilcher, "n", (0, 10), y_extra=2),
     IdentityId.ID_THM5: _Spec(_check_thm5, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),

@@ -131,14 +131,22 @@ def test_verify_expectation_mismatch_exits_1(capsys, tmp_path):
 
 
 def test_verify_unreadable_expectation_file_exits_2_before_running(capsys, tmp_path):
-    code, out, err = run_cli(
-        capsys, "verify", "--ids", "ID_EULER_RAMANUJAN", "--expect", str(tmp_path / "missing.json"),
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error: cannot read expectation file: ") and err.count("\n") == 1
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff[]")
+    for path in (tmp_path / "missing.json", not_utf8):
+        code, out, err = run_cli(capsys, "verify", "--ids", "ID_EULER_RAMANUJAN", "--expect", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read expectation file: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("content", ['{"a": 1}', '"text"', "[1]", '[{"grid": []}]'])
+# what a malformed expectation file is reported as, where it is not JSON
+_NOT_JSON = {
+    "{a": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    "": "Expecting value: line 1 column 1 (char 0)",
+}
+
+
+@pytest.mark.parametrize("content", ['{"a": 1}', '"text"', "[1]", '[{"grid": []}]', *_NOT_JSON])
 def test_verify_malformed_expectation_file_exits_2(capsys, tmp_path, content):
     bad = tmp_path / "expect.json"
     bad.write_text(content)
@@ -146,7 +154,9 @@ def test_verify_malformed_expectation_file_exits_2(capsys, tmp_path, content):
         capsys, "verify", "--ids", "ID_EULER_RAMANUJAN", "--expect", str(bad), "--format", "csv",
     )
     assert code == 2 and out == ""
-    assert err == "error: malformed expectation file: expected a list of identity objects\n"
+    reason = f"not JSON: {_NOT_JSON[content]}" if content in _NOT_JSON else (
+        "expected a list of identity objects")
+    assert err == f"error: malformed expectation file: {reason}\n"
 
 
 def test_verify_write_expect_and_recheck(capsys, tmp_path):

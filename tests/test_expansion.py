@@ -1,11 +1,16 @@
 """Basis expansion: oracle soundness and adjudication of the two formulas."""
 
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apobern import (
+    BasisExpansion,
+    DifferencePowerMethod,
     ExpansionMethod,
     UnsupportedModeError,
     XPolynomial,
@@ -14,8 +19,9 @@ from apobern import (
     expand_oracle,
     reconstruct,
 )
+from apobern.operators import alternating_lambda_sum, d_op, lambda_power_at_zero
 
-from _util import ALL_MODES, NOT_ONE_MODES, ONE, SYM, random_xpoly
+from _util import ALL_MODES, NOT_ONE_MODES, ONE, SYM, random_xpoly, symbolic_scalars
 
 
 def test_oracle_monomial_order_zero():
@@ -151,3 +157,93 @@ def test_corrected_matches_oracle_on_grid():
         assert corrected.exact
         assert corrected.coefficients == oracle.coefficients
 
+
+
+# The per-j loops of the two coefficient formulas as they stood before
+# both became one windowed route; the route must reproduce them.
+
+
+def _ref_empty(method, k, mode, exact):
+    return BasisExpansion(method, k, mode, k, k - 1, (), exact)
+
+
+def _ref_closed_form(q, k):
+    mode = q.mode
+    n = q.degree
+    if n < k:
+        return _ref_empty(ExpansionMethod.CLOSED_FORM, k, mode, exact=q.is_zero)
+    coeffs = [
+        alternating_lambda_sum(mode, k, d_op(q, j - k).evaluate) / factorial(j)
+        for j in range(k, n + 1)
+    ]
+    expansion = BasisExpansion(ExpansionMethod.CLOSED_FORM, k, mode, k, n, tuple(coeffs), False)
+    return expansion._replace(exact=reconstruct(expansion) == q)
+
+
+def _ref_corrected(q, k):
+    mode = q.mode
+    if q.is_zero:
+        return _ref_empty(ExpansionMethod.CORRECTED, k, mode, exact=True)
+    n = q.degree
+    coeffs = [
+        lambda_power_at_zero(d_op(q, j - k), k, DifferencePowerMethod.ITERATED) / factorial(j)
+        for j in range(k, k + n + 1)
+    ]
+    expansion = BasisExpansion(ExpansionMethod.CORRECTED, k, mode, k, k + n, tuple(coeffs), False)
+    return expansion._replace(exact=reconstruct(expansion) == q)
+
+
+_small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def _window_cases(draw):
+    """(q, k) in every mode, q of degree at most 4 (zero included), with
+    symbolic coefficients that carry poles in symbolic mode."""
+    mode = draw(st.sampled_from(ALL_MODES))
+    k = draw(st.integers(0, 4))
+    scalars = symbolic_scalars() if mode.is_symbolic else _small_fractions
+    coeffs = draw(st.lists(st.one_of(st.just(0), scalars), max_size=5))
+    return XPolynomial(coeffs, mode), k
+
+
+def _assert_same_route(q, k):
+    routes = [(closed_form_coefficients, _ref_closed_form)]
+    if not q.mode.is_one:
+        routes.append((corrected_coefficients, _ref_corrected))
+    for route, reference in routes:
+        got, want = route(q, k), reference(q, k)
+        assert (got.method, got.k, got.mode) == (want.method, want.k, want.mode)
+        assert (got.j_lo, got.j_hi) == (want.j_lo, want.j_hi)
+        assert got.coefficients == want.coefficients
+        assert got.exact == want.exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window_cases())
+@example((XPolynomial.zero(SYM), 3))
+@example((XPolynomial.one(ONE), 4))
+def test_windowed_route_matches_the_per_j_loops(case):
+    _assert_same_route(*case)
+
+
+def test_windowed_route_on_zero_and_empty_windows():
+    # q = 0 and deg q < k - 1 give empty windows that still end at k - 1
+    for mode in ALL_MODES:
+        for k in range(5):
+            _assert_same_route(XPolynomial.zero(mode), k)
+            for deg in range(k - 1):
+                _assert_same_route(XPolynomial([-1] * deg + [3], mode), k)
+            assert closed_form_coefficients(XPolynomial.zero(mode), k).j_hi == k - 1
+
+
+def test_windowed_route_errors():
+    for mode in ALL_MODES:
+        q = XPolynomial.monomial(mode, 2)
+        # a negative order is refused first, also at L = 1
+        for route in (closed_form_coefficients, corrected_coefficients):
+            with pytest.raises(ValueError) as info:
+                route(q, -1)
+            assert not isinstance(info.value, UnsupportedModeError)
+    with pytest.raises(UnsupportedModeError):
+        corrected_coefficients(XPolynomial.zero(ONE), 0)

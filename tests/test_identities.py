@@ -1,5 +1,7 @@
 """Identity catalog: verdict patterns, witnesses, grids, determinism."""
 
+from fractions import Fraction
+
 import pytest
 
 from apobern import (
@@ -100,8 +102,6 @@ def test_thm1_adjudication():
 
 def test_audit_witnesses_match_hand_computation():
     # spot anchors computed by hand, independent of the checker code
-    from fractions import Fraction
-
     rep = verify_identity(IdentityId.ID_THM2, [GridPoint(n=2, k=1, mode=SYM)])
     assert rep.results[0].witness == "x^2 + (2/(L-1))*x - (L^2+L)/(L-1)^2"
 
@@ -326,11 +326,84 @@ def test_identity_memos_last_one_call():
         if hasattr(value, "cache_clear") and value.__module__ == identities.__name__
     }
     assert defined == {memo.__name__ for memo in identities._MEMOS}
-    verify_identity(IdentityId.ID_THM5, default_grid(IdentityId.ID_THM5, max_n=2))
-    assert any(memo.cache_info().currsize for memo in identities._MEMOS)
+    # between them the two convolution expansions fill every memo
+    filled = set()
+    for ident in (IdentityId.ID_THM4, IdentityId.ID_THM5):
+        verify_identity(ident, default_grid(ident, max_n=2))
+        filled |= {memo.__name__ for memo in identities._MEMOS if memo.cache_info().currsize}
+    assert filled == defined
     verify_identity(IdentityId.ID_DERIV, default_grid(IdentityId.ID_DERIV, max_n=2))
     for memo in identities._MEMOS:
         assert memo.cache_info().currsize == 0, memo.__name__
+
+
+# Theorem 4 and 5 brackets as the paper displays them, with m = n - j + k
+# and the middle term of Theorem 5 written out.
+
+
+def _displayed_thm4_bracket(n, m, y, a):
+    from apobern.families import bernoulli_poly
+    from apobern.identities import _ff
+
+    arg = a + y
+    value = (1 - m) * _ff(n, m) * bernoulli_poly(m).evaluate(arg)
+    if m >= 1:
+        value += (arg - 1) * _ff(n, m - 1) * bernoulli_poly(m - 1).evaluate(arg)
+    return value
+
+
+def _displayed_thm5_bracket(n, m, y):
+    from apobern import XPolynomial, shift_poly
+    from apobern.families import euler_poly
+    from apobern.identities import _ff
+
+    def shifted_euler(i):
+        return shift_poly(euler_poly(i), y)
+
+    bracket = (XPolynomial([1 - y, -1], ONE) * shifted_euler(m)).scalar_mul(_ff(n, m))
+    middle = _ff(n, m + 1) * (n - m)
+    if middle:
+        bracket = bracket - shifted_euler(m + 1).scalar_mul(middle)
+    return bracket + shifted_euler(m + 1).scalar_mul(_ff(n + 1, m + 1))
+
+
+def test_brackets_are_n_over_m_factorial_times_the_classical_right_sides():
+    from math import factorial
+
+    from apobern import identities
+
+    checked = 0
+    for ident in (IdentityId.ID_THM4, IdentityId.ID_THM5):
+        points = {(pt.n, pt.k, pt.y) for pt in default_grid(ident)}
+        assert {n for n, _, _ in points} == set(range(9))
+        assert {k for _, k, _ in points} == set(range(4))
+        for n, k, y in sorted(points):
+            for j in range(k, n + 1):
+                m = n - j + k
+                scale = identities._ff(n, m)
+                if ident is IdentityId.ID_THM4:
+                    hansen = identities._hansen_rhs(m, y)
+                    for a in range(k + 1):
+                        assert _displayed_thm4_bracket(n, m, y, a) == scale * hansen.evaluate(a)
+                        checked += 1
+                else:
+                    bracket = _displayed_thm5_bracket(n, m, y)
+                    assert bracket == identities._dilcher_rhs(m, y).scalar_mul(scale)
+                    assert identities._scaled_thm5_bracket(n, j, k, y) == bracket.scalar_mul(
+                        Fraction(1, factorial(j)))
+                    checked += 1
+    assert checked > 3000
+
+
+def test_hansen_right_side_is_built_once_per_index_and_sample():
+    from apobern import identities
+
+    grid = default_grid(IdentityId.ID_THM4)
+    verify_identity(IdentityId.ID_THM4, grid)
+    info = identities._hansen_rhs.cache_info()
+    distinct = {(pt.n - j + pt.k, pt.y) for pt in grid for j in range(pt.k, pt.n + 1)}
+    assert info.misses == info.currsize <= len(distinct)
+    assert info.hits > 0
 
 
 def test_basis_coefficients_are_shared_by_every_mode():

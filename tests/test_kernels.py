@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-import apobern._kernels._pure as pure
+import apobern._kernels as pure
 
 
 # One implementation; the parameter id keeps the test names stable.
