@@ -42,6 +42,7 @@ from .render import (
     LATEX_SYMBOL,
     MACHINE_SYMBOL,
     TEXT_SYMBOL,
+    _key_text,
     render_field_element,
     render_x_poly,
 )
@@ -223,6 +224,9 @@ def _cmd_poly(args) -> int:
         poly = apostol_euler_poly(args.n, args.k, mode)
     sym = _symbol_for(args.format)
     rendered = render_x_poly(poly, sym)
+    # each coefficient written from its canonical key, "0" for a zero one
+    coefficients = [_key_text(*key, sym) if key[0] else "0"
+                    for key in map(poly._coeff_key, range(poly.degree + 1))]
     if args.format == "json":
         payload = {
             "family": family.value,
@@ -230,16 +234,12 @@ def _cmd_poly(args) -> int:
             "n": args.n,
             "lambda": mode.label(),
             "poly": rendered,
-            "coefficients": [
-                render_field_element(poly.coefficient(m), sym)
-                for m in range(poly.degree + 1)
-            ],
+            "coefficients": coefficients,
         }
         document = json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
     elif args.format == "csv":
         lines = ["m,coefficient"]
-        for m in range(poly.degree + 1):
-            lines.append(f"{m},{render_field_element(poly.coefficient(m), sym)}")
+        lines.extend(f"{m},{text}" for m, text in enumerate(coefficients))
         document = "\n".join(lines) + "\n"
     elif args.format == "latex":
         document = f"${rendered}$\n"

@@ -9,6 +9,12 @@ variant exists it is reported alongside the cataloged form under its own
 variant label.  Each classical formula is written once: the brackets of
 the two convolution expansions (Theorems 4 and 5) are n!/m! times the
 right sides of Hansen's and of Dilcher's identity, with m = n - j + k.
+
+Each residual is computed once.  Where a check is ring arithmetic in
+Z[L] localized at L-1 and L+1, evaluation at a rational L other than +-1
+is a ring map, so a numeric point whose symbolic twin (same n, k and y)
+is in the grid takes the twin's residual evaluated there.  L = +-1, and
+grids without a symbolic twin, run the same checker natively.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .operators import (
     lambda_power_at_zero,
     shift_poly,
 )
-from .polynomials import XPolynomial, dot, embed_poly
+from .polynomials import XPolynomial, dot, embed_poly, specialize_poly
 from .render import render_field_element, render_x_poly
 
 __all__ = [
@@ -383,7 +389,8 @@ class _Spec(NamedTuple):
     max_k shrink; an int ``k`` is an order max_k leaves alone, None marks
     an identity without one.  ``modes`` None marks a lambda-free identity;
     ``fixed_modes`` keeps the listed modes whatever the selection.
-    Bivariate identities sample y at n + ``y_extra`` points.
+    Bivariate identities sample y at n + ``y_extra`` points.  ``specializes``
+    marks a checker that is ring arithmetic in L (see the module docstring).
     """
 
     checker: Callable[[GridPoint], CheckOutcome]
@@ -393,12 +400,14 @@ class _Spec(NamedTuple):
     modes: Optional[Tuple[LambdaMode, ...]] = None
     fixed_modes: bool = False
     y_extra: Optional[int] = None
+    specializes: bool = False
 
 
 _CATALOG: Dict[IdentityId, _Spec] = {
-    IdentityId.ID_DERIV: _Spec(_check_deriv, "n", (1, 10), (0, 4), _FULL_MODES),
-    IdentityId.ID_DIFF: _Spec(_check_diff, "n", (0, 8), (1, 4), _FULL_MODES),
-    IdentityId.ID_LOWER_ORDER: _Spec(_check_lower_order, "n", (1, 8), (1, 4), _FULL_MODES),
+    IdentityId.ID_DERIV: _Spec(_check_deriv, "n", (1, 10), (0, 4), _FULL_MODES, specializes=True),
+    IdentityId.ID_DIFF: _Spec(_check_diff, "n", (0, 8), (1, 4), _FULL_MODES, specializes=True),
+    IdentityId.ID_LOWER_ORDER: _Spec(
+        _check_lower_order, "n", (1, 8), (1, 4), _FULL_MODES, specializes=True),
     IdentityId.ID_ZERO_ORDER: _Spec(_check_zero_order, "n", (0, 10), 0, _FULL_MODES),
     IdentityId.ID_LEMMA_CLOSED_FORM: _Spec(
         _check_lemma, "k", (0, 5), (0, 5), (_SYM,), fixed_modes=True
@@ -408,15 +417,15 @@ _CATALOG: Dict[IdentityId, _Spec] = {
     IdentityId.ID_COR_XN: _Spec(
         _basis_checker(lambda pt: XPolynomial.monomial(pt.mode, pt.n),
                        lambda n, m, k, y, a: _ff(n, m) * a ** m),
-        "k", (0, 8), (0, 3), _FULL_MODES),
+        "k", (0, 8), (0, 3), _FULL_MODES, specializes=True),
     IdentityId.ID_THM2: _Spec(
         _basis_checker(lambda pt: embed_poly(apostol_euler_poly(pt.n, pt.k, _ONE), pt.mode),
                        _umbral_weight(apostol_euler_numbers)),
-        "k", (0, 8), (0, 3), _AUDIT_MODES),
+        "k", (0, 8), (0, 3), _AUDIT_MODES, specializes=True),
     IdentityId.ID_THM3: _Spec(
         _basis_checker(lambda pt: embed_poly(apostol_bernoulli_poly(pt.n, pt.k, _ONE), pt.mode),
                        _umbral_weight(apostol_bernoulli_numbers)),
-        "k", (0, 8), (0, 3), _AUDIT_MODES),
+        "k", (0, 8), (0, 3), _AUDIT_MODES, specializes=True),
     IdentityId.ID_HANSEN: _Spec(_check_hansen, "m", (0, 10), y_extra=2),
     IdentityId.ID_EULER_RAMANUJAN: _Spec(_check_euler_ramanujan, "m", (2, 20)),
     # the bracket, evaluated at a per the cataloged display, is n!/m! times
@@ -424,9 +433,10 @@ _CATALOG: Dict[IdentityId, _Spec] = {
     IdentityId.ID_THM4: _Spec(
         _basis_checker(lambda pt: embed_poly(_convolution(bernoulli_poly, pt.n, pt.y), pt.mode),
                        lambda n, m, k, y, a: _ff(n, m) * _hansen_rhs(m, y).evaluate(a)),
-        "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2),
+        "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2, specializes=True),
     IdentityId.ID_DILCHER: _Spec(_check_dilcher, "n", (0, 10), y_extra=2),
-    IdentityId.ID_THM5: _Spec(_check_thm5, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),
+    IdentityId.ID_THM5: _Spec(
+        _check_thm5, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3, specializes=True),
 }
 
 
@@ -535,11 +545,19 @@ def verify_identity(identity: IdentityId, grid: Sequence[GridPoint]) -> Identity
     _check_bounds(identity, grid)
     for memo in _MEMOS:
         memo.cache_clear()
-    checker = _CATALOG[identity].checker
-    ordered = sorted(set(grid), key=_point_sort_key)
+    spec = _CATALOG[identity]
+    # symbolic outcomes by (n, k, y); the sort puts each before its numeric twins
+    twins: Dict[tuple, CheckOutcome] = {}
     results: List[ResultEntry] = []
-    for pt in ordered:
-        for variant, residual in checker(pt):
+    for pt in sorted(set(grid), key=_point_sort_key):
+        key = (pt.n, pt.k, pt.y)
+        if key in twins and pt.mode.value not in (1, -1):
+            outcome = [(variant, specialize_poly(r, pt.mode)) for variant, r in twins[key]]
+        else:
+            outcome = spec.checker(pt)
+            if spec.specializes and pt.mode.is_symbolic:
+                twins[key] = outcome
+        for variant, residual in outcome:
             results.append(ResultEntry(pt, variant, not residual, _witness(residual)))
     passed = sum(1 for r in results if r.passed)
     summary = IdentitySummary(

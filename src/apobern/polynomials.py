@@ -35,6 +35,7 @@ from .field import (
     LambdaMode,
     LambdaRatFunc,
     MixedModeError,
+    PoleError,
     _canonical,
     _fast_fraction,
     _horner,
@@ -44,7 +45,7 @@ from .field import (
     _sym_reduced,
 )
 
-__all__ = ["XPolynomial", "dot", "embed_poly", "shift_poly"]
+__all__ = ["XPolynomial", "dot", "embed_poly", "shift_poly", "specialize_poly"]
 
 _ZERO_KEY = ((), 1)
 
@@ -375,6 +376,24 @@ def embed_poly(poly: XPolynomial, mode: LambdaMode) -> XPolynomial:
     if mode.is_symbolic:
         return _new(mode, (tuple([(c,) if c else () for c in n]), d, 0, 0))
     return _new(mode, (n, d))
+
+
+def specialize_poly(poly: XPolynomial, mode: LambdaMode) -> XPolynomial:
+    """A symbolic polynomial's value at the numeric mode's L = u/v, the
+    x-polynomial twin of ``LambdaMode.specialize``.
+
+    By Horner row i is S_i / v^(t_i), t_i = len(R_i) - 1, so with T the
+    largest t_i the value is sum S_i v^(T - t_i + a + b) x^i over
+    d v^T (u-v)^a (u+v)^b, reduced once; raises PoleError at a pole."""
+    rows, d, a, b = poly._key
+    u, v = mode.value.numerator, mode.value.denominator
+    top = max([len(r) for r in rows], default=1) - 1
+    den = d * v ** top * (u - v) ** a * (u + v) ** b
+    if not den:
+        raise PoleError(f"pole at {mode.label()}")
+    sign = 1 if den > 0 else -1
+    out = [sign * _horner(r, u, v)[0] * v ** (top + a + b + 1 - len(r)) if r else 0 for r in rows]
+    return _new(mode, _reduced(out, abs(den)))
 
 
 def shift_poly(p: XPolynomial, h: Union[int, Fraction, FieldElement]) -> XPolynomial:

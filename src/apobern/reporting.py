@@ -135,11 +135,11 @@ def expectation_from_reports(reports: Sequence[IdentityReport]) -> str:
 
 def parse_expectation(expected_text: str) -> dict:
     """Expectation-file content as {identity name: expected report}; a
-    text that is not JSON, or not a list of identity objects, raises
-    ValueError."""
+    text that is not JSON (nesting too deep for the parser included), or
+    not a list of identity objects, raises ValueError."""
     try:
         items = json.loads(expected_text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed expectation file: not JSON: {exc}") from exc
     if not isinstance(items, list) or not all(
         isinstance(item, dict) and isinstance(item.get("identity"), str) for item in items

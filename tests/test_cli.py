@@ -140,13 +140,17 @@ def test_verify_unreadable_expectation_file_exits_2_before_running(capsys, tmp_p
 
 
 # what a malformed expectation file is reported as, where it is not JSON
+_DEEP = "[" * 100_000
 _NOT_JSON = {
     "{a": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
     "": "Expecting value: line 1 column 1 (char 0)",
+    _DEEP: "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
 }
 
 
-@pytest.mark.parametrize("content", ['{"a": 1}', '"text"', "[1]", '[{"grid": []}]', *_NOT_JSON])
+@pytest.mark.parametrize("content", [
+    '{"a": 1}', '"text"', "[1]", '[{"grid": []}]', "{a", "", pytest.param(_DEEP, id="deeply-nested"),
+])
 def test_verify_malformed_expectation_file_exits_2(capsys, tmp_path, content):
     bad = tmp_path / "expect.json"
     bad.write_text(content)

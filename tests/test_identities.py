@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apobern import (
     GridBoundsError,
@@ -15,6 +17,7 @@ from apobern import (
     run_suite,
     verify_identity,
 )
+from apobern.polynomials import specialize_poly
 
 from _util import ONE, SYM
 
@@ -408,16 +411,104 @@ def test_hansen_right_side_is_built_once_per_index_and_sample():
 
 def test_basis_coefficients_are_shared_by_every_mode():
     # the memo is keyed on (weight, n, j, k, y) only: each mode reads the
-    # same symbolic coefficient
+    # same symbolic coefficient.  Without the symbolic points no numeric
+    # point has a twin to specialize, so every mode runs the checker.
     from apobern import identities
 
     for ident in (IdentityId.ID_COR_XN, IdentityId.ID_THM2, IdentityId.ID_THM3, IdentityId.ID_THM4):
-        grid = default_grid(ident, max_n=3)
+        grid = [pt for pt in default_grid(ident, max_n=3) if not pt.mode.is_symbolic]
         modes = {pt.mode for pt in grid}
         verify_identity(ident, grid)
         info = identities._basis_coefficient.cache_info()
-        assert len(modes) >= 3 and info.misses, ident
+        assert len(modes) >= 2 and info.misses, ident
         assert info.hits == (len(modes) - 1) * info.misses, ident
+
+
+# The identities whose residual at a rational L other than +-1 is the
+# value of their symbolic residual there.
+SPECIALIZED = (
+    IdentityId.ID_DERIV,
+    IdentityId.ID_DIFF,
+    IdentityId.ID_LOWER_ORDER,
+    IdentityId.ID_COR_XN,
+    IdentityId.ID_THM2,
+    IdentityId.ID_THM3,
+    IdentityId.ID_THM4,
+    IdentityId.ID_THM5,
+)
+
+
+def test_checkers_run_where_no_symbolic_residual_is_specialized(monkeypatch):
+    # on the default grids the specialized checkers run at symbolic and
+    # L = +-1 points only; every other checker runs at every point
+    from apobern import identities
+
+    for ident in IdentityId:
+        spec = identities._CATALOG[ident]
+        calls = []
+
+        def recording(pt, checker=spec.checker, calls=calls):
+            calls.append(pt)
+            return checker(pt)
+
+        monkeypatch.setitem(identities._CATALOG, ident, spec._replace(checker=recording))
+        grid = default_grid(ident)
+        verify_identity(ident, grid)
+        native = [pt for pt in grid
+                  if pt.mode is None or pt.mode.is_symbolic or abs(pt.mode.value) == 1]
+        assert len(calls) == len(set(calls)), ident
+        assert set(calls) == set(native if ident in SPECIALIZED else grid), ident
+
+
+@pytest.fixture(scope="module")
+def default_results():
+    return {
+        (report.identity, entry.point, entry.variant): entry
+        for report in run_suite(default_suite_config())
+        for entry in report.results
+    }
+
+
+@pytest.mark.parametrize("q", [2, -2, Fraction(1, 3)])
+def test_single_mode_suites_match_the_default_suite(q, default_results):
+    # a one-mode grid has no symbolic twin, so every checker runs natively
+    # and must reproduce the default suite's rows at q
+    mode = LambdaMode.numeric(q)
+    ids = tuple(i for i in IdentityId if mode in {pt.mode for pt in default_grid(i)})
+    assert set(SPECIALIZED) & set(ids)
+    native = {
+        (report.identity, entry.point, entry.variant): entry
+        for report in run_suite(SuiteConfig(ids=ids, modes=(mode,)))
+        for entry in report.results
+    }
+    assert native == {key: e for key, e in default_results.items() if key[1].mode is mode}
+
+
+@pytest.fixture(scope="module")
+def symbolic_outcomes():
+    from apobern import identities
+
+    return {
+        (ident, pt): identities._CATALOG[ident].checker(pt)
+        for ident in SPECIALIZED
+        for pt in default_grid(ident, max_n=4, max_k=2, modes=(SYM,))
+    }
+
+
+@settings(max_examples=12, deadline=None)
+@given(q=st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(lambda q: abs(q) != 1))
+@example(q=Fraction(0))
+@example(q=Fraction(3, 2))
+@example(q=Fraction(-1, 2))
+def test_native_residuals_are_the_specialized_symbolic_ones(symbolic_outcomes, q):
+    # the checker run at L = q gives, variant for variant, the symbolic
+    # residual evaluated at q
+    from apobern import identities
+
+    mode = LambdaMode.numeric(q)
+    for (ident, pt), outcome in symbolic_outcomes.items():
+        native = identities._CATALOG[ident].checker(pt._replace(mode=mode))
+        assert native == [(v, specialize_poly(r, mode)) for v, r in outcome], (ident, pt)
 
 
 def test_mode_consistency_symbolic_pass_implies_numeric_pass():

@@ -12,11 +12,12 @@ from apobern import (
     LambdaMode,
     LambdaRatFunc,
     MixedModeError,
+    PoleError,
     XPolynomial,
     embed_poly,
     shift_poly,
 )
-from apobern.polynomials import dot
+from apobern.polynomials import dot, specialize_poly
 from apobern.render import LATEX_SYMBOL, TEXT_SYMBOL, render_field_element, render_x_poly
 
 from _util import ONE, SYM, TWO, random_xpoly, symbolic_scalars
@@ -354,6 +355,32 @@ def test_embed_poly():
     assert back == XPolynomial([Fraction(1, 2), -1], TWO)
     with pytest.raises(ValueError):
         embed_poly(XPolynomial([SYM.lam], SYM), ONE)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=5),
+    st.integers(1, 6),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda q: abs(q) != 1),
+)
+def test_specialize_poly_matches_per_coefficient_evaluation(rows, d, a, b, q):
+    # rows of unequal length, zero rows, poles up to order 4 at L = 1 and
+    # L = -1; q < 1 makes u - v negative
+    lam = SYM.lam
+    den = (lam - 1) ** a * (lam + 1) ** b * d
+    p = XPolynomial([sum((lam ** i * c for i, c in enumerate(r)), SYM.zero) / den for r in rows], SYM)
+    mode = LambdaMode.numeric(q)
+    assert specialize_poly(p, mode) == XPolynomial([c.evaluate_at(q) for c in p.coeffs], mode)
+
+
+def test_specialize_poly_at_a_pole():
+    p = XPolynomial([0, SYM.one / (SYM.lam - 1)], SYM)
+    with pytest.raises(PoleError):
+        specialize_poly(p, ONE)
+    minus_one = LambdaMode.numeric(-1)
+    assert specialize_poly(p, minus_one) == XPolynomial([0, Fraction(-1, 2)], minus_one)
 
 
 def test_render_x_poly_spellings():
