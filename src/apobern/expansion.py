@@ -78,7 +78,8 @@ def basis_sum(
 ) -> XPolynomial:
     """sum b_j * basis_j over the order-k basis, b_j = coefficients[j - j_lo];
     no coefficients give zero."""
-    terms = [(b, j) for j, b in enumerate(coefficients, j_lo) if b]
+    terms = [(b, j) for j, b in enumerate(coefficients, j_lo) if b][::-1]
+    # the largest member first: it builds the table the others read prefixes of
     return dot(mode, [b for b, _ in terms], [apostol_bernoulli_poly(j, k, mode) for _, j in terms])
 
 

@@ -11,6 +11,15 @@ The two kernels are
 Numbers are n! times the n-th ordinary series coefficient; polynomials
 come from the binomial sum over the numbers, with an independent
 series-product extraction kept alongside for cross-checking.
+
+Each (family, k, mode) keeps the longest number table built since the
+last :func:`clear_caches`; a shorter request reads its prefix, and a
+longer one extends it.  Symbolic tables grow by the Z[L] recurrence of
+:func:`_recurrence_values` (Luo and Srivastava, J. Math. Anal. Appl. 308
+(2005)) and never touch the series, so the extraction above is an
+independent check of them; numeric tables are rebuilt from the kernel
+series at the longer order.  ``identities.verify_identity`` walks its
+grid from the largest n down, so a grid builds each table once.
 """
 
 from __future__ import annotations
@@ -21,8 +30,9 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple, Tuple
 
-from .field import FieldElement, LambdaMode, PoleError
-from .polynomials import XPolynomial
+from ._kernels import conv_int
+from .field import FieldElement, LambdaMode, PoleError, _new
+from .polynomials import XPolynomial, _sum
 from .series import TruncatedSeries, exp_scaled_series
 
 __all__ = [
@@ -52,19 +62,29 @@ class Family(enum.Enum):
     EULER = "euler"
 
 
-class NumberTable(NamedTuple):
-    """values[n] = n! * [t^n] of the family's generating kernel."""
-
+class _TableFields(NamedTuple):
     family: Family
     k: int
     mode: LambdaMode
     values: Tuple[FieldElement, ...]
+
+
+class NumberTable(_TableFields):
+    """values[n] = n! * [t^n] of the family's generating kernel; the table
+    indexes and counts its values."""
+
+    __slots__ = ()
 
     def __getitem__(self, n: int) -> FieldElement:
         return self.values[n]
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @classmethod
+    def _make(cls, iterable) -> "NumberTable":
+        # checks the field count, which len() no longer gives
+        return cls(*iterable)
 
 
 def _kernel(k: int, order: int, mode: LambdaMode, s: int) -> TruncatedSeries:
@@ -93,31 +113,59 @@ def _euler_kernel(k: int, order: int, mode: LambdaMode) -> TruncatedSeries:
     return _kernel(k, order, mode, 1).scale(mode.scalar(2 ** k))
 
 
-def _table_from_kernel(
-    family: Family, k: int, n_max: int, mode: LambdaMode, kernel: TruncatedSeries
-) -> NumberTable:
-    values = tuple(
-        kernel.coefficient(n) * factorial(n) for n in range(n_max + 1)
-    )
-    return NumberTable(family=family, k=k, mode=mode, values=values)
+def _recurrence_values(values: tuple, k: int, n_max: int, s: int) -> tuple:
+    """Symbolic numbers of t^k/(L e^t - 1)^k (s = -1) or 2^k/(L e^t + 1)^k
+    (s = 1) through n_max, extending ``values``.  Multiplying the kernel
+    by (L e^t + s)^k = sum_m G_m t^m/m!, with
+    G_m = sum_j C(k,j) s^(k-j) j^m L^j and G_0 = (L+s)^k, gives
+    sum_m C(n,m) G_m v_(n-m) = c_n: c_n = k! [n = k] for s = -1 and
+    2^k [n = 0] for s = 1.  So v_n is (c_n - sum_(m>=1) C(n,m) G_m v_(n-m))
+    over (L+s)^k: one integer accumulator, reduced once."""
+    g = [[comb(k, j) * s ** (k - j) * j ** m for j in range(k + 1)] for m in range(n_max + 1)]
+    ka, kb = (k, 0) if s < 0 else (0, k)
+    keys = [v._key for v in values]
+    for n in range(len(keys), n_max + 1):
+        c = factorial(k) if s < 0 and n == k else 2 ** k if s > 0 and n == 0 else 0
+        terms = [([[c]], 1, ka, kb)] if c else []
+        for m in range(1, n + 1):
+            N, d, a, b = keys[n - m]
+            if N:
+                weights = [-comb(n, m) * x for x in g[m]]
+                terms.append(([conv_int(weights, N)], d, a + ka, b + kb))
+        rows, d, a, b = _sum(True, terms)
+        keys.append((rows[0] if rows else (), d, a, b))
+    return tuple(values) + tuple(map(_new, keys[len(values):]))
+
+
+# The longest table built per (family, k, mode); shorter ones are prefixes.
+_LONGEST: dict = {}
+
+
+def _numbers(family: Family, k: int, n_max: int, mode: LambdaMode) -> NumberTable:
+    if k < 0 or n_max < 0:
+        raise ValueError("order and index bound must be nonnegative")
+    table = _LONGEST.get((family, k, mode))
+    if table is None or len(table) <= n_max:
+        s = -1 if family is Family.APOSTOL_BERNOULLI else 1
+        if mode.is_symbolic:
+            values = _recurrence_values(table.values if table else (), k, n_max, s)
+        else:
+            kernel = (_bernoulli_kernel if s < 0 else _euler_kernel)(k, n_max, mode)
+            values = tuple(kernel.coefficient(n) * factorial(n) for n in range(n_max + 1))
+        table = _LONGEST[family, k, mode] = NumberTable(family, k, mode, values)
+    return table._replace(values=table.values[: n_max + 1])
 
 
 @lru_cache(maxsize=None)
 def apostol_bernoulli_numbers(k: int, n_max: int, mode: LambdaMode) -> NumberTable:
     """Bernoulli-type numbers of order k through index n_max."""
-    if k < 0 or n_max < 0:
-        raise ValueError("order and index bound must be nonnegative")
-    kernel = _bernoulli_kernel(k, n_max, mode)
-    return _table_from_kernel(Family.APOSTOL_BERNOULLI, k, n_max, mode, kernel)
+    return _numbers(Family.APOSTOL_BERNOULLI, k, n_max, mode)
 
 
 @lru_cache(maxsize=None)
 def apostol_euler_numbers(k: int, n_max: int, mode: LambdaMode) -> NumberTable:
     """Euler-type numbers of order k through index n_max."""
-    if k < 0 or n_max < 0:
-        raise ValueError("order and index bound must be nonnegative")
-    kernel = _euler_kernel(k, n_max, mode)
-    return _table_from_kernel(Family.APOSTOL_EULER, k, n_max, mode, kernel)
+    return _numbers(Family.APOSTOL_EULER, k, n_max, mode)
 
 
 @lru_cache(maxsize=None)
@@ -238,3 +286,4 @@ def clear_caches():
         apostol_euler_poly,
     ):
         fn.cache_clear()
+    _LONGEST.clear()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -142,20 +143,20 @@ def _pole_poly(a: int, b: int) -> list:
     return [1]
 
 
-def _alt_sum(n) -> int:
-    """Value of an integer polynomial at L = -1."""
-    return sum(n[0::2]) - sum(n[1::2])
-
-
-def _div_root(n, root: int) -> list:
-    """Quotient of the integer polynomial n by (L - root), root = +-1,
-    by synthetic division; exact when n vanishes at root."""
-    q = [0] * (len(n) - 1)
-    acc = 0
-    for i in range(len(n) - 1, 0, -1):
-        acc = n[i] + root * acc
-        q[i - 1] = acc
-    return q
+def _divided(rows: list, root: int) -> Optional[list]:
+    """The integer rows divided by (L - root), root = +-1, when every row
+    vanishes at root, else None.  Synthetic division in one pass per row:
+    the suffix sums of a row (alternating for root = -1) are its
+    quotient, and the last of them, the row's value at root, is the
+    remainder."""
+    step = None if root == 1 else (lambda acc, c: c - acc)
+    out = []
+    for r in rows:
+        sums = list(accumulate(reversed(r), step))
+        if sums and sums[-1]:
+            return None
+        out.append(sums[-2::-1])
+    return out
 
 
 def _horner(n, u: int, v: int) -> tuple:
@@ -190,12 +191,10 @@ def _sym_reduced(rows: list, d: int, a: int, b: int) -> tuple:
         rows.pop()
     if not rows:
         return _ZERO_KEY
-    while a and not any(map(sum, rows)):
-        rows = [_div_root(r, 1) for r in rows]
-        a -= 1
-    while b and not any(map(_alt_sum, rows)):
-        rows = [_div_root(r, -1) for r in rows]
-        b -= 1
+    while a and (divided := _divided(rows, 1)) is not None:
+        rows, a = divided, a - 1
+    while b and (divided := _divided(rows, -1)) is not None:
+        rows, b = divided, b - 1
     if d != 1:
         g = d
         for r in rows:

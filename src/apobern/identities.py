@@ -22,7 +22,9 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial
+from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expansion import (
@@ -322,8 +324,8 @@ def _hansen_rhs(m: int, y: Fraction) -> XPolynomial:
 @lru_cache(maxsize=None)
 def _dilcher_rhs(m: int, y: Fraction) -> XPolynomial:
     """Half of Dilcher's right side, (1-x-y) E_m(x+y) + E_(m+1)(x+y)."""
-    affine = XPolynomial([1 - y, -1], _ONE)
-    return affine * _shifted(euler_poly, m, y) + _shifted(euler_poly, m + 1, y)
+    top = _shifted(euler_poly, m + 1, y)  # first: the longer Euler table
+    return XPolynomial([1 - y, -1], _ONE) * _shifted(euler_poly, m, y) + top
 
 
 @lru_cache(maxsize=None)
@@ -358,23 +360,27 @@ def _check_euler_ramanujan(pt: GridPoint) -> CheckOutcome:
 
 def _check_dilcher(pt: GridPoint) -> CheckOutcome:
     # Binomial convolution of Euler polynomials versus Dilcher's right side.
-    return [(None, _convolution(euler_poly, pt.n, pt.y) - _dilcher_rhs(pt.n, pt.y) * 2)]
+    # the right side first: it reads E_(n+1), the longest Euler table
+    rhs = _dilcher_rhs(pt.n, pt.y) * 2
+    return [(None, _convolution(euler_poly, pt.n, pt.y) - rhs)]
 
 
 def _check_thm5(pt: GridPoint) -> CheckOutcome:
     # Euler convolution expanded in the order-k basis; the bracket keeps
     # the variable x exactly as the cataloged display does.
     n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
-    lhs = embed_poly(_convolution(euler_poly, n, y), mode)
     # The bracket carries the x-dependence, so the lambda-sum has weight 1
     # and equals (1 - L)^k for every j: the common factor 2 (1 - L)^k is
     # applied once, after the sum over j.
     factor = alternating_lambda_sum(mode, k, lambda a: 2)
     rhs = XPolynomial.zero(mode)
     if factor:
-        js = range(k, n + 1)
-        brackets = [embed_poly(_scaled_thm5_bracket(n, j, k, y), mode) for j in js]
-        rhs = dot(mode, brackets, [apostol_bernoulli_poly(j, k, mode) for j in js]).scalar_mul(factor)
+        # each table at its longest first: the bracket of j = k reads
+        # E_(n+1), the basis member j = n the order-k table through n
+        brackets = [embed_poly(_scaled_thm5_bracket(n, j, k, y), mode) for j in range(k, n + 1)]
+        members = [apostol_bernoulli_poly(j, k, mode) for j in range(n, k - 1, -1)][::-1]
+        rhs = dot(mode, brackets, members).scalar_mul(factor)
+    lhs = embed_poly(_convolution(euler_poly, n, y), mode)
     return [(None, lhs - rhs)]
 
 
@@ -546,19 +552,27 @@ def verify_identity(identity: IdentityId, grid: Sequence[GridPoint]) -> Identity
     for memo in _MEMOS:
         memo.cache_clear()
     spec = _CATALOG[identity]
-    # symbolic outcomes by (n, k, y); the sort puts each before its numeric twins
-    twins: Dict[tuple, CheckOutcome] = {}
-    results: List[ResultEntry] = []
-    for pt in sorted(set(grid), key=_point_sort_key):
-        key = (pt.n, pt.k, pt.y)
-        if key in twins and pt.mode.value not in (1, -1):
-            outcome = [(variant, specialize_poly(r, pt.mode)) for variant, r in twins[key]]
-        else:
-            outcome = spec.checker(pt)
-            if spec.specializes and pt.mode.is_symbolic:
-                twins[key] = outcome
-        for variant, residual in outcome:
-            results.append(ResultEntry(pt, variant, not residual, _witness(residual)))
+    # The n-groups run from the largest n down, so the first point of each
+    # number table builds it at its longest and later points read prefixes;
+    # the entries come out in ascending order all the same.
+    groups = groupby(sorted(set(grid), key=_point_sort_key), key=attrgetter("n"))
+    blocks: List[List[ResultEntry]] = []
+    for group in reversed([list(points) for _, points in groups]):
+        # symbolic outcomes of this n by (k, y); the sort puts each before its numeric twins
+        twins: Dict[tuple, CheckOutcome] = {}
+        block: List[ResultEntry] = []
+        for pt in group:
+            key = (pt.k, pt.y)
+            if key in twins and pt.mode.value not in (1, -1):
+                outcome = [(variant, specialize_poly(r, pt.mode)) for variant, r in twins[key]]
+            else:
+                outcome = spec.checker(pt)
+                if spec.specializes and pt.mode.is_symbolic:
+                    twins[key] = outcome
+            block.extend(ResultEntry(pt, variant, not residual, _witness(residual))
+                         for variant, residual in outcome)
+        blocks.append(block)
+    results = [entry for block in reversed(blocks) for entry in block]
     passed = sum(1 for r in results if r.passed)
     summary = IdentitySummary(
         passed=passed,

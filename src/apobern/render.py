@@ -54,7 +54,9 @@ def _key_text(n, d: int, a: int, b: int, sym: str) -> str:
     """Canonical "(num)/(den)" text of the nonzero scalar key (N, d, a, b),
     num being N/d and den the factored "(L-1)^a*(L+1)^b", e.g. "L^2-2L+1"
     or "-2L/(L-1)^2"."""
-    num = _terms_text([_lowest_terms(c, d) for c in n], sym)
+    # a single entry is in lowest terms already: a key's content is coprime to d
+    pairs = [(n[0], d)] if len(n) == 1 else [_lowest_terms(c, d) for c in n]
+    num = _terms_text(pairs, sym)
     factors = []
     for sign, count in (("-", a), ("+", b)):
         if count:

@@ -5,7 +5,9 @@ and reads the family caches by name.  Loading it here makes a renamed
 or deleted name fail the test suite instead of the benchmark run.  The
 calc digests recorded in ``perfbench/digests.json`` pin the bytes of
 ``numbers``, ``poly`` and ``expand``; one variant of every calc cell is
-checked here, so drift shows in the test suite too.
+checked here, so drift shows in the test suite too.  The benchmark's
+self-test expects a numeric Bernoulli-type table to come from the
+series kernels; that is pinned here as well.
 """
 
 import contextlib
@@ -31,6 +33,19 @@ def test_traced_and_cached_names_are_bound():
     with tracing.installed(tracing.Tracer()):
         for name in tracing.CACHED:
             getattr(families, name).cache_info()
+
+
+def test_numeric_tables_still_reach_the_series_kernels():
+    # perfbench's self-test traces `numbers --k 2 --n 6 --lambda=2` and
+    # requires these spans; moving numeric tables off the series needs a
+    # benchmark change first
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer), contextlib.redirect_stdout(io.StringIO()):
+        families.clear_caches()
+        assert cli.main(["numbers", "--k", "2", "--n", "6", "--lambda=2", "--format", "json"]) == 0
+    assert tracer.calls["kernels.conv_frac"] > 0
+    assert tracer.calls["series.TruncatedSeries.pow"] > 0
 
 
 def test_calc_outputs_match_recorded_digests():

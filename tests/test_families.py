@@ -1,9 +1,14 @@
 """Number tables and polynomial families: frozen values and invariants."""
 
+import collections
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apobern import families
 from apobern import (
     Family,
     LambdaMode,
@@ -20,6 +25,7 @@ from apobern import (
     euler_poly,
     poly_by_series_extraction,
 )
+from apobern.identities import IdentityId, default_grid, default_suite_config, run_suite, verify_identity
 
 from _util import ALL_MODES, ONE, SYM, TWO
 
@@ -258,3 +264,76 @@ def test_memoization_behaves_as_if_absent():
     assert c is a  # equal modes hash alike
     fresh = apostol_bernoulli_numbers(2, 4, SYM)
     assert fresh.values == a.values[:5]
+
+
+def test_number_tables_replace_and_make_by_field():
+    table = apostol_bernoulli_numbers(1, 5, TWO)
+    assert len(table) == 6 and table[3] == 18
+    assert table._replace(k=1) == table
+    shorter = table._replace(values=table.values[:3])
+    assert len(shorter) == 3 and shorter[2] == table[2] and shorter.mode is TWO
+    assert type(table)._make(tuple(table)) == table
+    with pytest.raises(TypeError):
+        type(table)._make(tuple(table)[:3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 4), n=st.integers(0, 12), euler=st.booleans())
+def test_symbolic_recurrence_equals_the_series(k, n, euler):
+    # symbolic tables grow by the Z[L] recurrence; the kernel series is the
+    # independent definition
+    families.clear_caches()
+    numbers, kernel = ((apostol_euler_numbers, families._euler_kernel) if euler
+                       else (apostol_bernoulli_numbers, families._bernoulli_kernel))
+    series = kernel(k, n, SYM)
+    assert numbers(k, n, SYM).values == tuple(
+        series.coefficient(i) * factorial(i) for i in range(n + 1))
+
+
+@pytest.mark.parametrize("mode", ALL_MODES, ids=str)
+@pytest.mark.parametrize("numbers", [apostol_bernoulli_numbers, apostol_euler_numbers])
+def test_short_tables_read_after_long_ones_equal_fresh_tables(mode, numbers):
+    for k in (0, 1, 3):
+        families.clear_caches()
+        fresh = [numbers(k, n, mode) for n in (2, 5)]
+        families.clear_caches()
+        long = numbers(k, 9, mode)
+        assert [numbers(k, n, mode) for n in (2, 5)] == fresh
+        assert long.values[:6] == fresh[1].values
+        # and a table longer than any built so far extends the stored one
+        assert numbers(k, 11, mode).values[:10] == long.values
+
+
+def _kernel_builds(monkeypatch) -> collections.Counter:
+    """Counter of series kernels built, by (family, k, mode)."""
+    builds = collections.Counter()
+    for name in ("_bernoulli_kernel", "_euler_kernel"):
+        build = getattr(families, name).__wrapped__
+
+        def counted(k, order, mode, build=build, name=name):
+            builds[name, k, mode] += 1
+            return build(k, order, mode)
+
+        monkeypatch.setattr(families, name, families.lru_cache(maxsize=None)(counted))
+    return builds
+
+
+def test_a_verify_builds_each_series_kernel_once(monkeypatch):
+    # grids walk from the largest n down and each point reads its longest
+    # table first, so later points read prefixes: one kernel per (family,
+    # k, mode) and identity, and symbolic tables build none
+    builds = _kernel_builds(monkeypatch)
+    for identity in IdentityId:
+        families.clear_caches()
+        builds.clear()
+        verify_identity(identity, default_grid(identity))
+        assert max(builds.values(), default=1) == 1, (identity, builds)
+        assert not any(mode is SYM for _, _, mode in builds), identity
+    # across the suite only the classical Euler table grows once more:
+    # ID_THM2 reads it through n = 8 before ID_DILCHER needs n = 11
+    families.clear_caches()
+    builds.clear()
+    run_suite(default_suite_config())
+    assert {key: count for key, count in builds.items() if count > 1} == {
+        ("_euler_kernel", 1, ONE): 2}
+    assert sum(builds.values()) <= 25

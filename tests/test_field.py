@@ -21,7 +21,8 @@ from apobern import (
     rational,
     render_rational,
 )
-from apobern.field import LambdaPoly, poly_gcd
+from apobern._kernels import conv_int
+from apobern.field import LambdaPoly, _divided, poly_gcd
 from apobern.render import render_ratfunc
 
 from _util import SYM, random_ratfunc
@@ -254,6 +255,20 @@ def test_evaluate_at_is_a_homomorphism(seed, point):
         except PoleError:
             continue
         assert lhs == (ra + rb if op == "add" else ra * rb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda q: q[-1]),
+             min_size=1, max_size=4),
+    st.sampled_from((1, -1)),
+)
+def test_divided_is_synthetic_division_by_l_minus_root(quotients, root):
+    rows = [conv_int(q, [-root, 1]) for q in quotients]
+    assert _divided(rows, root) == quotients
+    # a row that no longer vanishes at root stops the division
+    rows[0][0] += 1
+    assert _divided(rows, root) is None
 
 
 # -- modes -------------------------------------------------------------------
