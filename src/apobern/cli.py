@@ -3,9 +3,11 @@ and the identity-verification suite.
 
 Exit codes: 0 on success (for ``verify``, success additionally means the
 verdict pattern matched the expectation file in force), 2 on usage errors
-(bad flags, malformed rationals, negative --n or --k, the Euler family at
-its pole, empty grids, unreadable or malformed expectation files, all
-refused before any work), 1 on internal faults or expectation mismatches.
+(bad flags, malformed rationals or ones with more than 4300 digits in a
+numerator or denominator, exponents counted, negative --n or --k, the
+Euler family at its pole, empty grids, unreadable or malformed
+expectation files, all refused before any work), 1 on internal faults or
+expectation mismatches.
 """
 
 from __future__ import annotations
@@ -491,6 +493,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact results may hold integers longer than the interpreter's
+    # int-to-str limit; parse_rational bounds the inputs on its own.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -506,6 +513,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # internal errors map to exit 1
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def console_main():

@@ -62,8 +62,24 @@ def rational(numerator: int, denominator: int = 1) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+# The most digits parse_rational lets a numerator or denominator have: the
+# interpreter's default int-to-str limit, which Fraction skips for exponent
+# forms (Fraction("1e16000000") builds the integer first).
+_DIGIT_LIMIT = 4300
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into an exact rational."""
+    """Parse "p", "p/q" or a decimal such as "-1.5e3" into an exact
+    rational.  A part whose digits plus its exponent exceed _DIGIT_LIMIT
+    raises ValueError, judged from the text before any integer is built."""
+    for part in text.split("/"):
+        mantissa, _, exponent = part.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        size = sum(map(str.isdecimal, mantissa))
+        if exponent.isdecimal():
+            size += int(exponent) if len(exponent) <= 4 else _DIGIT_LIMIT + 1
+        if size > _DIGIT_LIMIT:
+            raise ValueError(f"more than {_DIGIT_LIMIT} digits")
     return Fraction(text.strip())
 
 

@@ -10,11 +10,13 @@ variant label.  Each classical formula is written once: the brackets of
 the two convolution expansions (Theorems 4 and 5) are n!/m! times the
 right sides of Hansen's and of Dilcher's identity, with m = n - j + k.
 
-Each residual is computed once.  Where a check is ring arithmetic in
-Z[L] localized at L-1 and L+1, evaluation at a rational L other than +-1
-is a ring map, so a numeric point whose symbolic twin (same n, k and y)
-is in the grid takes the twin's residual evaluated there.  L = +-1, and
-grids without a symbolic twin, run the same checker natively.
+Each residual is computed once.  Every check with a deformation parameter
+is ring arithmetic in Z[L] localized at L-1 and L+1, where evaluation at
+a rational L other than +-1 is a ring map, so a numeric point whose
+symbolic twin (same n, k and y) is in the grid takes the twin's residual
+evaluated there, unless the twin returned witness text, which has no
+value at L.  L = +-1, and grids without a symbolic twin, run the checker
+natively.
 """
 
 from __future__ import annotations
@@ -394,9 +396,8 @@ class _Spec(NamedTuple):
     ``n`` and a pair ``k`` are (first, default last) ranges that max_n and
     max_k shrink; an int ``k`` is an order max_k leaves alone, None marks
     an identity without one.  ``modes`` None marks a lambda-free identity;
-    ``fixed_modes`` keeps the listed modes whatever the selection.
-    Bivariate identities sample y at n + ``y_extra`` points.  ``specializes``
-    marks a checker that is ring arithmetic in L (see the module docstring).
+    a mode selection leaves an identity with a single mode alone.
+    Bivariate identities sample y at n + ``y_extra`` points.
     """
 
     checker: Callable[[GridPoint], CheckOutcome]
@@ -404,34 +405,29 @@ class _Spec(NamedTuple):
     n: Tuple[int, int]
     k: Union[None, int, Tuple[int, int]] = None
     modes: Optional[Tuple[LambdaMode, ...]] = None
-    fixed_modes: bool = False
     y_extra: Optional[int] = None
-    specializes: bool = False
 
 
 _CATALOG: Dict[IdentityId, _Spec] = {
-    IdentityId.ID_DERIV: _Spec(_check_deriv, "n", (1, 10), (0, 4), _FULL_MODES, specializes=True),
-    IdentityId.ID_DIFF: _Spec(_check_diff, "n", (0, 8), (1, 4), _FULL_MODES, specializes=True),
-    IdentityId.ID_LOWER_ORDER: _Spec(
-        _check_lower_order, "n", (1, 8), (1, 4), _FULL_MODES, specializes=True),
+    IdentityId.ID_DERIV: _Spec(_check_deriv, "n", (1, 10), (0, 4), _FULL_MODES),
+    IdentityId.ID_DIFF: _Spec(_check_diff, "n", (0, 8), (1, 4), _FULL_MODES),
+    IdentityId.ID_LOWER_ORDER: _Spec(_check_lower_order, "n", (1, 8), (1, 4), _FULL_MODES),
     IdentityId.ID_ZERO_ORDER: _Spec(_check_zero_order, "n", (0, 10), 0, _FULL_MODES),
-    IdentityId.ID_LEMMA_CLOSED_FORM: _Spec(
-        _check_lemma, "k", (0, 5), (0, 5), (_SYM,), fixed_modes=True
-    ),
+    IdentityId.ID_LEMMA_CLOSED_FORM: _Spec(_check_lemma, "k", (0, 5), (0, 5), (_SYM,)),
     IdentityId.ID_THM1: _Spec(_check_thm1, "k", (0, 6), (0, 3), _NOT_ONE_MODES),
     # basis expansions: (left-hand side, weight w(a) of the coefficient formula)
     IdentityId.ID_COR_XN: _Spec(
         _basis_checker(lambda pt: XPolynomial.monomial(pt.mode, pt.n),
                        lambda n, m, k, y, a: _ff(n, m) * a ** m),
-        "k", (0, 8), (0, 3), _FULL_MODES, specializes=True),
+        "k", (0, 8), (0, 3), _FULL_MODES),
     IdentityId.ID_THM2: _Spec(
         _basis_checker(lambda pt: embed_poly(apostol_euler_poly(pt.n, pt.k, _ONE), pt.mode),
                        _umbral_weight(apostol_euler_numbers)),
-        "k", (0, 8), (0, 3), _AUDIT_MODES, specializes=True),
+        "k", (0, 8), (0, 3), _AUDIT_MODES),
     IdentityId.ID_THM3: _Spec(
         _basis_checker(lambda pt: embed_poly(apostol_bernoulli_poly(pt.n, pt.k, _ONE), pt.mode),
                        _umbral_weight(apostol_bernoulli_numbers)),
-        "k", (0, 8), (0, 3), _AUDIT_MODES, specializes=True),
+        "k", (0, 8), (0, 3), _AUDIT_MODES),
     IdentityId.ID_HANSEN: _Spec(_check_hansen, "m", (0, 10), y_extra=2),
     IdentityId.ID_EULER_RAMANUJAN: _Spec(_check_euler_ramanujan, "m", (2, 20)),
     # the bracket, evaluated at a per the cataloged display, is n!/m! times
@@ -439,10 +435,9 @@ _CATALOG: Dict[IdentityId, _Spec] = {
     IdentityId.ID_THM4: _Spec(
         _basis_checker(lambda pt: embed_poly(_convolution(bernoulli_poly, pt.n, pt.y), pt.mode),
                        lambda n, m, k, y, a: _ff(n, m) * _hansen_rhs(m, y).evaluate(a)),
-        "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2, specializes=True),
+        "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2),
     IdentityId.ID_DILCHER: _Spec(_check_dilcher, "n", (0, 10), y_extra=2),
-    IdentityId.ID_THM5: _Spec(
-        _check_thm5, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3, specializes=True),
+    IdentityId.ID_THM5: _Spec(_check_thm5, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),
 }
 
 
@@ -468,7 +463,7 @@ def default_grid(
     spec = _CATALOG[identity]
     k_values = _clamped(spec.k, max_k) if isinstance(spec.k, tuple) else [spec.k]
     chosen = spec.modes or (None,)
-    if modes is not None and spec.modes and not spec.fixed_modes:
+    if modes is not None and len(chosen) > 1:
         chosen = tuple(m for m in spec.modes if m in modes)
         if not chosen:
             raise ValueError(f"mode selection leaves no grid for {identity.value}")
@@ -564,10 +559,12 @@ def verify_identity(identity: IdentityId, grid: Sequence[GridPoint]) -> Identity
         for pt in group:
             key = (pt.k, pt.y)
             if key in twins and pt.mode.value not in (1, -1):
-                outcome = [(variant, specialize_poly(r, pt.mode)) for variant, r in twins[key]]
+                # a None or zero residual is its own value at L
+                outcome = [(v, r and specialize_poly(r, pt.mode)) for v, r in twins[key]]
             else:
                 outcome = spec.checker(pt)
-                if spec.specializes and pt.mode.is_symbolic:
+                # witness text has no value at L: its twins run the checker
+                if pt.mode is _SYM and not any(isinstance(r, str) for _, r in outcome):
                     twins[key] = outcome
             block.extend(ResultEntry(pt, variant, not residual, _witness(residual))
                          for variant, residual in outcome)

@@ -5,7 +5,8 @@ and reads the family caches by name.  Loading it here makes a renamed
 or deleted name fail the test suite instead of the benchmark run.  The
 calc digests recorded in ``perfbench/digests.json`` pin the bytes of
 ``numbers``, ``poly`` and ``expand``; one variant of every calc cell is
-checked here, so drift shows in the test suite too.  The benchmark's
+checked here, so drift shows in the test suite too, and so is every
+recorded per-identity part of a small verify report.  The benchmark's
 self-test expects a numeric Bernoulli-type table to come from the
 series kernels; that is pinned here as well.
 """
@@ -60,3 +61,26 @@ def test_calc_outputs_match_recorded_digests():
             code = cli.main(list(argv))
         assert code == 0, argv
         assert checks.sha256(out.getvalue()) == recorded[checks.request_key(argv)], argv
+
+
+def test_verify_outputs_match_recorded_digests():
+    # the small grids of the verify stream, where a numeric point may take
+    # its residual from the symbolic twin or run its checker natively
+    streams, checks = _load("streams"), _load("checks")
+    recorded = checks.load_digests()["verify"]
+    seen = set()
+    for max_n in streams.VERIFY_MAX_N:
+        for max_k in streams.VERIFY_MAX_K:
+            for identity in streams.valid_identities(max_k):
+                for fmt in streams.FORMATS:
+                    families.clear_caches()
+                    argv = streams.verify_request([identity], max_n, max_k, fmt)
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = cli.main(list(argv))
+                    assert code == 0, argv
+                    [(name, chunk)] = checks.split_report(out.getvalue(), fmt)
+                    key = checks.chunk_key(name, max_n, max_k, fmt)
+                    assert checks.sha256(chunk) == recorded[key], argv
+                    seen.add(key)
+    assert seen == set(recorded)

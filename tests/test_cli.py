@@ -1,9 +1,15 @@
 """Command-line interface: documented commands, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apobern import IdentityId
 from apobern.cli import build_parser, main
 
 
@@ -315,6 +321,49 @@ def test_usage_errors_exit_2(capsys):
         assert (code, out) == (2, "") and err.startswith("error: "), argv
 
 
+def test_rationals_past_the_digit_limit_exit_2_before_any_work(capsys):
+    # the limit counts an exponent's digits too, read from the text, so a
+    # huge exponent is refused at once instead of building its integer
+    many = "7" * 4301
+    for argv in (
+        ("numbers", "--n", "2", "--lambda=1e5000"),
+        ("numbers", "--n", "2", "--lambda=1e16000000"),
+        ("numbers", "--n", "2", "--lambda=-2.5E+99999999999999999999"),
+        ("numbers", "--n", "2", f"--lambda={many}"),
+        ("poly", "--n", "2", f"--lambda=1/{many}"),
+        ("expand", "--coeffs=1e5000,1"),
+        ("expand", "--coeffs=1,1e-4300"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "more than 4300 digits" in err, argv[:2]
+    for argv in (("expand", "--coeffs=1e4299,1e-4299", "--lambda=2"),
+                 ("numbers", "--n", "1", f"--lambda={many[1:]}/{many[1:]}")):
+        assert run_cli(capsys, *argv)[0] == 0, argv[:2]
+
+
+def test_results_past_the_int_to_str_limit_print_and_parse_back(capsys):
+    # lambda = 10^1000 is a valid input whose table holds integers of
+    # more than 4300 digits: they print in full, and the interpreter's
+    # limit is back in force once main returns
+    from fractions import Fraction
+
+    from apobern import LambdaMode
+    from apobern.families import apostol_bernoulli_numbers
+
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "numbers", "--n", "10", "--k", "1", "--lambda=1e1000",
+                           "--format", "json")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    values = [entry["value"] for entry in json.loads(out)["values"]]
+    assert max(map(len, values)) > limit
+    try:
+        sys.set_int_max_str_digits(0)
+        parsed = [Fraction(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parsed == list(apostol_bernoulli_numbers(1, 10, LambdaMode.numeric(10 ** 1000)).values)
+
+
 def test_pole_diagnostic_is_one_line(capsys):
     code, _, err = run_cli(
         capsys, "numbers", "--family", "apostol-euler", "--n", "2", "--lambda", "-1"
@@ -475,3 +524,54 @@ def test_report_survives_stops_during_a_large_write():
     for _ in range(8):
         code, out = _run_under_stop_loop(argv, env, 0.0005)
         assert code == 0 and len(out) == len(expected) and out == expected
+
+
+# -- generated argv: well-formed requests exit 0, malformed ones exit 2 --------
+
+_SIGNS = st.sampled_from(("", "-", "+"))
+_DIGITS = st.text("0123456789", min_size=1, max_size=5)
+_EXPONENTS = st.one_of(st.integers(0, 6000), st.integers(0, 10 ** 30))
+_RATIONAL_TEXT = st.one_of(
+    st.fractions(max_denominator=40).map(str),
+    st.sampled_from(("symbolic", "1", "-1", "0", "1.0", "-1e0", "0.5", "3/2")),
+    st.builds("{}{}.{}e{}{}".format, _SIGNS, _DIGITS, _DIGITS, _SIGNS, _EXPONENTS),
+    st.builds("{}{}E{}{}".format, _SIGNS, _DIGITS, _SIGNS, _EXPONENTS),
+    st.text("0123456789/.eE+-_ ", max_size=10),
+    st.text(max_size=6),
+)
+_ID_NAMES = st.sampled_from([i.name for i in IdentityId] + ["ID_NOPE", "", " "])
+_SMALL = st.integers(-1, 3)
+
+
+@st.composite
+def _requests(draw):
+    command = draw(st.sampled_from(("numbers", "poly", "expand", "verify")))
+    fmt = ("--format", draw(st.sampled_from(("text", "json", "csv", "latex"))))
+    if command == "verify":
+        ids = draw(st.one_of(st.lists(_ID_NAMES, max_size=3).map(",".join), st.text(max_size=8)))
+        return ("verify", f"--ids={ids}", "--max-n", str(draw(_SMALL)),
+                "--max-k", str(draw(_SMALL))) + fmt
+    lam = f"--lambda={draw(_RATIONAL_TEXT)}"
+    k = ("--k", str(draw(_SMALL)))
+    if command == "expand":
+        coeffs = draw(st.one_of(st.lists(_RATIONAL_TEXT, min_size=1, max_size=3).map(",".join),
+                                st.text(max_size=8)))
+        return ("expand", f"--coeffs={coeffs}", lam) + k + fmt
+    families = ("apostol-bernoulli", "apostol-euler") + (
+        ("bernoulli", "euler") if command == "numbers" else ())
+    return (command, f"--family={draw(st.sampled_from(families))}", "--n", str(draw(_SMALL)),
+            lam) + k + fmt
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_requests())
+def test_generated_requests_exit_0_or_2_never_1(argv):
+    from apobern.families import clear_caches
+
+    clear_caches()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv

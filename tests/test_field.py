@@ -46,6 +46,13 @@ def test_rational_zero_denominator():
 def test_parse_and_render_rational():
     assert parse_rational("2/4") == Fraction(1, 2)
     assert parse_rational("-7") == Fraction(-7)
+    assert parse_rational(" -1.5e3 ") == Fraction(-1500)
+    assert parse_rational("2E-4_0") == Fraction(2, 10 ** 40)
+    assert parse_rational("1e4299") == 10 ** 4299
+    # the digit limit is read from the text, exponents counted
+    for text in ("1e4300", "12e-4299", "1e99999999999999999999", "9" * 4301, "1/" + "3" * 4301):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            parse_rational(text)
     assert render_rational(Fraction(1, 2)) == "1/2"
     assert render_rational(Fraction(-3)) == "-3"
     assert render_rational(Fraction(0)) == "0"

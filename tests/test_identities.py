@@ -424,23 +424,21 @@ def test_basis_coefficients_are_shared_by_every_mode():
         assert info.hits == (len(modes) - 1) * info.misses, ident
 
 
-# The identities whose residual at a rational L other than +-1 is the
-# value of their symbolic residual there.
-SPECIALIZED = (
-    IdentityId.ID_DERIV,
-    IdentityId.ID_DIFF,
-    IdentityId.ID_LOWER_ORDER,
-    IdentityId.ID_COR_XN,
-    IdentityId.ID_THM2,
-    IdentityId.ID_THM3,
-    IdentityId.ID_THM4,
-    IdentityId.ID_THM5,
-)
+def _catalog():
+    from apobern import identities
+
+    return identities._CATALOG
+
+
+# Every identity with a symbolic mode: each check is ring arithmetic in L,
+# so its residual at a rational L other than +-1 is the value of its
+# symbolic residual there, wherever that residual is not witness text.
+SPECIALIZED = tuple(i for i in IdentityId if SYM in (_catalog()[i].modes or ()))
 
 
 def test_checkers_run_where_no_symbolic_residual_is_specialized(monkeypatch):
-    # on the default grids the specialized checkers run at symbolic and
-    # L = +-1 points only; every other checker runs at every point
+    # on the default grids the checkers with a symbolic mode run at symbolic
+    # and L = +-1 points only; the lambda-free checkers run at every point
     from apobern import identities
 
     for ident in IdentityId:
@@ -458,6 +456,33 @@ def test_checkers_run_where_no_symbolic_residual_is_specialized(monkeypatch):
                   if pt.mode is None or pt.mode.is_symbolic or abs(pt.mode.value) == 1]
         assert len(calls) == len(set(calls)), ident
         assert set(calls) == set(native if ident in SPECIALIZED else grid), ident
+    thm1 = default_grid(IdentityId.ID_THM1)
+    assert {pt.mode for pt in thm1 if pt.mode.is_symbolic or abs(pt.mode.value) == 1} == {SYM}
+
+
+def test_text_residuals_send_their_numeric_twins_to_the_checker(monkeypatch):
+    # witness text has no value at L: where the symbolic outcome holds text,
+    # the numeric twins run the checker natively and report its verdicts
+    from apobern import identities
+
+    ident = IdentityId.ID_DERIV
+    spec = identities._CATALOG[ident]
+    calls = []
+
+    def checker(pt):
+        calls.append(pt)
+        if pt.mode is SYM and pt.k == 1:
+            return [(None, "symbolic witness")]
+        return spec.checker(pt)
+
+    monkeypatch.setitem(identities._CATALOG, ident, spec._replace(checker=checker))
+    grid = default_grid(ident, max_n=3)
+    report = verify_identity(ident, grid)
+    native = [pt for pt in grid if pt.mode is SYM or abs(pt.mode.value) == 1 or pt.k == 1]
+    assert len(calls) == len(set(calls)) and set(calls) == set(native)
+    texts = [e for e in report.results if e.witness == "symbolic witness"]
+    assert {e.point for e in texts} == {pt for pt in grid if pt.mode is SYM and pt.k == 1}
+    assert all(e.passed for e in report.results if e not in texts)
 
 
 @pytest.fixture(scope="module")
@@ -486,13 +511,16 @@ def test_single_mode_suites_match_the_default_suite(q, default_results):
 
 @pytest.fixture(scope="module")
 def symbolic_outcomes():
-    from apobern import identities
-
-    return {
-        (ident, pt): identities._CATALOG[ident].checker(pt)
+    # the outcomes the suite specializes: those without witness text
+    outcomes = {
+        (ident, pt): _catalog()[ident].checker(pt)
         for ident in SPECIALIZED
         for pt in default_grid(ident, max_n=4, max_k=2, modes=(SYM,))
     }
+    specialized = {key: outcome for key, outcome in outcomes.items()
+                   if not any(isinstance(r, str) for _, r in outcome)}
+    assert {IdentityId.ID_THM1, IdentityId.ID_ZERO_ORDER} <= {i for i, _ in specialized}
+    return specialized
 
 
 @settings(max_examples=12, deadline=None)
@@ -502,13 +530,12 @@ def symbolic_outcomes():
 @example(q=Fraction(-1, 2))
 def test_native_residuals_are_the_specialized_symbolic_ones(symbolic_outcomes, q):
     # the checker run at L = q gives, variant for variant, the symbolic
-    # residual evaluated at q
-    from apobern import identities
-
+    # residual evaluated at q; a None residual (a pass) stays None
     mode = LambdaMode.numeric(q)
     for (ident, pt), outcome in symbolic_outcomes.items():
-        native = identities._CATALOG[ident].checker(pt._replace(mode=mode))
-        assert native == [(v, specialize_poly(r, mode)) for v, r in outcome], (ident, pt)
+        native = _catalog()[ident].checker(pt._replace(mode=mode))
+        specialized = [(v, None if r is None else specialize_poly(r, mode)) for v, r in outcome]
+        assert native == specialized, (ident, pt)
 
 
 def test_mode_consistency_symbolic_pass_implies_numeric_pass():
