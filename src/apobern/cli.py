@@ -26,7 +26,6 @@ from .expansion import (
     closed_form_coefficients,
     corrected_coefficients,
     expand_oracle,
-    reconstruct,
 )
 from .families import (
     Family,
@@ -267,7 +266,7 @@ def _expansion_row(expansion: Optional[BasisExpansion], sym: str):
             render_field_element(expansion.coefficient(j), sym)
             for j in expansion.indices()
         ],
-        "reconstruction": render_x_poly(reconstruct(expansion), sym),
+        "reconstruction": render_x_poly(expansion.reconstruction, sym),
     }
 
 
@@ -328,7 +327,7 @@ def _cmd_expand(args) -> int:
             piece = [f"{name}: exact={'yes' if exp.exact else 'no'}  {window}"]
             for j in exp.indices():
                 piece.append(f"b[{j}]={render_field_element(exp.coefficient(j), sym)}")
-            piece.append(f"reconstruction={render_x_poly(reconstruct(exp), sym)}")
+            piece.append(f"reconstruction={render_x_poly(exp.reconstruction, sym)}")
             lines.append("  ".join(piece))
         document = "\n".join(lines) + "\n"
     _emit(document, args.output)

@@ -52,8 +52,8 @@ class ExpansionMethod(enum.Enum):
 class BasisExpansion(NamedTuple):
     """Coefficients b_j over basis indices j_lo..j_hi (empty if j_lo > j_hi).
 
-    ``exact`` records whether sum b_j * basis_j reproduces the expanded
-    polynomial identically.
+    ``reconstruction`` is sum b_j * basis_j, and ``exact`` records whether
+    it reproduces the expanded polynomial identically.
     """
 
     method: ExpansionMethod
@@ -63,6 +63,7 @@ class BasisExpansion(NamedTuple):
     j_hi: int
     coefficients: Tuple[FieldElement, ...]
     exact: bool
+    reconstruction: XPolynomial
 
     def coefficient(self, j: int) -> FieldElement:
         if not self.j_lo <= j <= self.j_hi:
@@ -117,6 +118,7 @@ def expand_oracle(q: XPolynomial, k: int) -> BasisExpansion:
         j_hi=j_hi,
         coefficients=tuple(coeffs[j] for j in range(j_lo, j_hi + 1)),
         exact=True,
+        reconstruction=q,  # the zero residual above
     )
 
 
@@ -131,8 +133,8 @@ def _windowed(
     for j in range(k, j_hi + 1):
         coeffs.append(lambda_power_at_zero(derivative, k, power) / factorial(j))
         derivative = derivative.derivative()
-    expansion = BasisExpansion(method, k, q.mode, k, j_hi, tuple(coeffs), exact=False)
-    return expansion._replace(exact=reconstruct(expansion) == q)
+    recon = basis_sum(coeffs, k, k, q.mode)
+    return BasisExpansion(method, k, q.mode, k, j_hi, tuple(coeffs), recon == q, recon)
 
 
 def closed_form_coefficients(q: XPolynomial, k: int) -> BasisExpansion:

@@ -138,6 +138,7 @@ def _recurrence_values(values: tuple, k: int, n_max: int, s: int) -> tuple:
 
 
 # The longest table built per (family, k, mode); shorter ones are prefixes.
+# The classical Bernoulli recurrence keeps its own under Family.BERNOULLI.
 _LONGEST: dict = {}
 
 
@@ -174,19 +175,20 @@ def bernoulli_numbers_by_recurrence(n_max: int) -> NumberTable:
 
     Expanding (B+1)^n - B_n = [n == 1] with B^j read as B_j gives, for
     n >= 2, sum_{j=0}^{n-1} C(n, j) B_j = 0, which determines each B_{n-1}
-    from its predecessors once B_0 = 1 is fixed (the n = 1 instance).
+    from its predecessors once B_0 = 1 is fixed (the n = 1 instance).  Like
+    the family tables, it extends the longest table built so far.
     """
     if n_max < 0:
         raise ValueError("index bound must be nonnegative")
-    values = [Fraction(1)]
-    for n in range(2, n_max + 2):
-        acc = Fraction(0)
-        for j in range(n - 1):
-            acc += comb(n, j) * values[j]
-        values.append(-acc / comb(n, n - 1))
-    return NumberTable(
-        family=Family.BERNOULLI, k=1, mode=_ONE, values=tuple(values[: n_max + 1])
-    )
+    key = (Family.BERNOULLI, 1, _ONE)
+    table = _LONGEST.get(key)
+    if table is None or len(table) <= n_max:
+        values = list(table.values) if table else [Fraction(1)]
+        for n in range(len(values) + 1, n_max + 2):
+            acc = sum((comb(n, j) * values[j] for j in range(n - 1)), Fraction(0))
+            values.append(-acc / comb(n, n - 1))
+        table = _LONGEST[key] = NumberTable(*key, tuple(values))
+    return table._replace(values=table.values[: n_max + 1])
 
 
 @lru_cache(maxsize=None)

@@ -10,13 +10,15 @@ variant label.  Each classical formula is written once: the brackets of
 the two convolution expansions (Theorems 4 and 5) are n!/m! times the
 right sides of Hansen's and of Dilcher's identity, with m = n - j + k.
 
-Each residual is computed once.  Every check with a deformation parameter
-is ring arithmetic in Z[L] localized at L-1 and L+1, where evaluation at
-a rational L other than +-1 is a ring map, so a numeric point whose
+Each residual is computed once, and it is all that a point takes from
+another mode.  Every check with a deformation parameter is ring
+arithmetic in Z[L] localized at L-1 and L+1, where evaluation at a
+rational L other than +-1 is a ring map, so a numeric point whose
 symbolic twin (same n, k and y) is in the grid takes the twin's residual
 evaluated there, unless the twin returned witness text, which has no
-value at L.  L = +-1, and grids without a symbolic twin, run the checker
-natively.
+value at L.  Every other point runs its checker, which computes in the
+point's own mode: L = +-1, and grids without a symbolic twin (a mode
+selection of :func:`default_grid`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .expansion import (
     closed_form_coefficients,
     corrected_coefficients,
     expand_oracle,
-    reconstruct,
 )
 from .families import (
     NumberTable,
@@ -46,7 +47,7 @@ from .families import (
     bernoulli_poly,
     euler_poly,
 )
-from .field import FieldElement, LambdaMode, LambdaRatFunc
+from .field import FieldElement, LambdaMode
 from .operators import (
     DifferencePowerMethod,
     alternating_lambda_sum,
@@ -245,8 +246,7 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
     # the cataloged window k..n and for the repaired window k..k+n.
     q = XPolynomial.monomial(pt.mode, pt.n)
     oracle = expand_oracle(q, pt.k)
-    # literal.exact holds exactly when its reconstruction residual is zero
-    out: CheckOutcome = [("closed-form", reconstruct(closed_form_coefficients(q, pt.k)) - q)]
+    out: CheckOutcome = [("closed-form", closed_form_coefficients(q, pt.k).reconstruction - q)]
 
     if pt.mode.is_one:
         # The repaired window presumes basis degrees j-k, which only holds
@@ -262,22 +262,9 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
     )
     residual = None
     if not agrees:
-        residual = reconstruct(corrected) - q or "coefficients differ from oracle"
+        residual = corrected.reconstruction - q or "coefficients differ from oracle"
     out.append(("corrected", residual))
     return out
-
-
-# Memos of the mode-independent parts of the checks, keyed on everything
-# their values depend on; each verify_identity call starts them empty.
-
-
-@lru_cache(maxsize=None)
-def _basis_coefficient(weight, n: int, j: int, k: int, y: Optional[Fraction]) -> LambdaRatFunc:
-    # c_j = (1/j!) sum_a (-1)^a C(k,a) L^a w(a) with w(a) = weight(n, m, k, y, a)
-    # and m = n - j + k, as one symbolic value that every mode specializes
-    m = n - j + k
-    scale = factorial(j)
-    return alternating_lambda_sum(_SYM, k, lambda a: weight(n, m, k, y, a) / scale)
 
 
 def _basis_checker(lhs: Callable[[GridPoint], XPolynomial], weight):
@@ -285,8 +272,15 @@ def _basis_checker(lhs: Callable[[GridPoint], XPolynomial], weight):
     lhs(pt) against sum_j c_j * basis_j, with c_j from ``weight``."""
 
     def check(pt: GridPoint) -> CheckOutcome:
-        n, k, mode = pt.n, pt.k, pt.mode
-        coeffs = [mode.specialize(_basis_coefficient(weight, n, j, k, pt.y)) for j in range(k, n + 1)]
+        n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
+
+        def coefficient(j: int) -> FieldElement:
+            # c_j = (1/j!) sum_a (-1)^a C(k,a) L^a w(a) with
+            # w(a) = weight(n, m, k, y, a) and m = n - j + k
+            m, scale = n - j + k, factorial(j)
+            return alternating_lambda_sum(mode, k, lambda a: weight(n, m, k, y, a) / scale)
+
+        coeffs = [coefficient(j) for j in range(k, n + 1)]
         return [(None, lhs(pt) - basis_sum(coeffs, k, k, mode))]
 
     return check
@@ -299,6 +293,13 @@ def _umbral_weight(numbers: Callable[[int, int, LambdaMode], NumberTable]):
         return _ff(n, m) * sum(comb(m, l) * a ** l * table[m - l] for l in range(m + 1))
 
     return weight
+
+
+# Memos of the lambda-free classical parts that many points of one
+# identity read, keyed on everything their values depend on; each
+# verify_identity call starts them empty.  Nothing in L is memoized: a
+# numeric point takes its symbolic twin's residual or computes in its
+# own mode, so a value in L would have no second reader.
 
 
 @lru_cache(maxsize=None)
@@ -330,18 +331,7 @@ def _dilcher_rhs(m: int, y: Fraction) -> XPolynomial:
     return XPolynomial([1 - y, -1], _ONE) * _shifted(euler_poly, m, y) + top
 
 
-@lru_cache(maxsize=None)
-def _scaled_thm5_bracket(n: int, j: int, k: int, y: Fraction) -> XPolynomial:
-    # the bracket of basis member j over j!, shared by the modes: with
-    # m = n - j + k its E_(m+1) terms n!/(m+1)! (-(n-m) + (n+1)) add up to
-    # n!/m!, so the bracket is n!/m! times half of Dilcher's right side
-    m = n - j + k
-    return _dilcher_rhs(m, y).scalar_mul(_ff(n, m) / factorial(j))
-
-
-_MEMOS = (
-    _basis_coefficient, _convolution, _shifted, _hansen_rhs, _dilcher_rhs, _scaled_thm5_bracket,
-)
+_MEMOS = (_convolution, _shifted, _hansen_rhs, _dilcher_rhs)
 
 
 def _check_hansen(pt: GridPoint) -> CheckOutcome:
@@ -377,9 +367,15 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
     factor = alternating_lambda_sum(mode, k, lambda a: 2)
     rhs = XPolynomial.zero(mode)
     if factor:
-        # each table at its longest first: the bracket of j = k reads
-        # E_(n+1), the basis member j = n the order-k table through n
-        brackets = [embed_poly(_scaled_thm5_bracket(n, j, k, y), mode) for j in range(k, n + 1)]
+        # The bracket of member j = n - m + k over j!: its E_(m+1) terms
+        # n!/(m+1)! (-(n-m) + (n+1)) add up to n!/m!, so the bracket is n!/m!
+        # times half of Dilcher's right side.  Each table at its longest
+        # first: the bracket of j = k reads E_(n+1), the member j = n the
+        # order-k table through n.
+        brackets = [
+            embed_poly(_dilcher_rhs(m, y).scalar_mul(_ff(n, m) / factorial(n - m + k)), mode)
+            for m in range(n, k - 1, -1)
+        ]
         members = [apostol_bernoulli_poly(j, k, mode) for j in range(n, k - 1, -1)][::-1]
         rhs = dot(mode, brackets, members).scalar_mul(factor)
     lhs = embed_poly(_convolution(euler_poly, n, y), mode)
@@ -583,7 +579,6 @@ class _SuiteFields(NamedTuple):
     ids: Tuple[IdentityId, ...] = tuple(IdentityId)
     max_n: Optional[int] = None
     max_k: Optional[int] = None
-    modes: Optional[Tuple[LambdaMode, ...]] = None
 
 
 class SuiteConfig(_SuiteFields):
@@ -607,8 +602,7 @@ def default_suite_config() -> SuiteConfig:
 
 def run_suite(config: SuiteConfig) -> List[IdentityReport]:
     """One report per selected identity, ordered by the catalog order."""
-    reports = []
-    for identity in sorted(set(config.ids), key=_ID_ORDER.get):
-        grid = default_grid(identity, config.max_n, config.max_k, config.modes)
-        reports.append(verify_identity(identity, grid))
-    return reports
+    return [
+        verify_identity(identity, default_grid(identity, config.max_n, config.max_k))
+        for identity in sorted(set(config.ids), key=_ID_ORDER.get)
+    ]

@@ -17,7 +17,6 @@ from apobern import (
     Family,
     IdentityId,
     LambdaMode,
-    SuiteConfig,
     XPolynomial,
     apostol_bernoulli_numbers,
     apostol_bernoulli_poly,
@@ -229,7 +228,8 @@ def test_criterion_08_formula_audit(default_reports):
 def test_criterion_09_performance_envelope():
     clear_caches()
     start = time.time()
-    run_suite(SuiteConfig(ids=tuple(IdentityId), modes=(SYM,)))
+    for identity in IdentityId:
+        verify_identity(identity, default_grid(identity, modes=(SYM,)))
     symbolic_elapsed = time.time() - start
     assert symbolic_elapsed < 300.0, f"symbolic suite took {symbolic_elapsed:.1f}s"
 

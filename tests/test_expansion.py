@@ -65,7 +65,8 @@ def test_oracle_roundtrip_monomials_all_modes():
         for k in range(4):
             for n in range(7):
                 q = XPolynomial.monomial(mode, n)
-                assert reconstruct(expand_oracle(q, k)) == q
+                oracle = expand_oracle(q, k)
+                assert reconstruct(oracle) == q and oracle.reconstruction is q
 
 
 def test_oracle_roundtrip_random_and_uniqueness():
@@ -164,7 +165,13 @@ def test_corrected_matches_oracle_on_grid():
 
 
 def _ref_empty(method, k, mode, exact):
-    return BasisExpansion(method, k, mode, k, k - 1, (), exact)
+    return BasisExpansion(method, k, mode, k, k - 1, (), exact, XPolynomial.zero(mode))
+
+
+def _ref_reconstructed(method, q, k, j_hi, coeffs):
+    expansion = BasisExpansion(method, k, q.mode, k, j_hi, tuple(coeffs), False, None)
+    reconstruction = reconstruct(expansion)
+    return expansion._replace(exact=reconstruction == q, reconstruction=reconstruction)
 
 
 def _ref_closed_form(q, k):
@@ -176,8 +183,7 @@ def _ref_closed_form(q, k):
         alternating_lambda_sum(mode, k, d_op(q, j - k).evaluate) / factorial(j)
         for j in range(k, n + 1)
     ]
-    expansion = BasisExpansion(ExpansionMethod.CLOSED_FORM, k, mode, k, n, tuple(coeffs), False)
-    return expansion._replace(exact=reconstruct(expansion) == q)
+    return _ref_reconstructed(ExpansionMethod.CLOSED_FORM, q, k, n, coeffs)
 
 
 def _ref_corrected(q, k):
@@ -189,8 +195,7 @@ def _ref_corrected(q, k):
         lambda_power_at_zero(d_op(q, j - k), k, DifferencePowerMethod.ITERATED) / factorial(j)
         for j in range(k, k + n + 1)
     ]
-    expansion = BasisExpansion(ExpansionMethod.CORRECTED, k, mode, k, k + n, tuple(coeffs), False)
-    return expansion._replace(exact=reconstruct(expansion) == q)
+    return _ref_reconstructed(ExpansionMethod.CORRECTED, q, k, k + n, coeffs)
 
 
 _small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -217,6 +222,7 @@ def _assert_same_route(q, k):
         assert (got.j_lo, got.j_hi) == (want.j_lo, want.j_hi)
         assert got.coefficients == want.coefficients
         assert got.exact == want.exact
+        assert got.reconstruction == want.reconstruction
 
 
 @settings(max_examples=60, deadline=None)

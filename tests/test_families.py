@@ -66,6 +66,20 @@ def test_bernoulli_recurrence_defining_relation():
         assert lhs == (1 if n == 1 else 0)
 
 
+def test_bernoulli_recurrence_reads_prefixes_of_one_table():
+    # like the family tables, the recurrence extends its longest table
+    families.clear_caches()
+    fresh = [bernoulli_numbers_by_recurrence(n) for n in (0, 5, 12)]
+    families.clear_caches()
+    longest = bernoulli_numbers_by_recurrence(20)
+    assert [bernoulli_numbers_by_recurrence(n) for n in (0, 5, 12)] == fresh
+    assert bernoulli_numbers_by_recurrence(24).values[:21] == longest.values
+    # the Euler-Ramanujan check walks down from m = 20: one table through 20
+    families.clear_caches()
+    verify_identity(IdentityId.ID_EULER_RAMANUJAN, default_grid(IdentityId.ID_EULER_RAMANUJAN))
+    assert len(families._LONGEST[Family.BERNOULLI, 1, ONE]) == 21
+
+
 def test_euler_recurrence_matches_classic_table():
     table = euler_numbers_by_recurrence(12)
     assert list(table.values) == EULER

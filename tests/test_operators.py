@@ -257,6 +257,14 @@ def test_alternating_lambda_sum_with_unit_weight():
             assert alternating_lambda_sum(mode, k, lambda a: mode.one) == expected
 
 
+def test_alternating_lambda_sum_with_a_weight_from_another_mode():
+    # a numeric mode reads a lambda-free symbolic weight as its rational
+    # value and refuses one that depends on L
+    assert alternating_lambda_sum(TWO, 2, lambda a: SYM.scalar(a + 1)) == 5
+    with pytest.raises(MixedModeError):
+        alternating_lambda_sum(TWO, 2, lambda a: SYM.lam + a)
+
+
 def _horner_lambda_sum(mode, k, weight):
     # one field operation per term, Horner's rule in -L
     acc = mode.zero
