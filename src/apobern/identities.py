@@ -9,6 +9,11 @@ variant exists it is reported alongside the cataloged form under its own
 variant label.  Each classical formula is written once: the brackets of
 the two convolution expansions (Theorems 4 and 5) are n!/m! times the
 right sides of Hansen's and of Dilcher's identity, with m = n - j + k.
+A basis coefficient is n!/(m! j!) times an alternating lambda-sum that
+depends on m, k, y and the mode only, so each such sum is built once per
+call and mode.  Theorem 5 sums through the order-k number table: the
+members' numbers multiply lambda-free integer x-polynomials, and the
+factor 2 (1-L)^k is applied once.
 
 Each residual is computed once, and it is all that a point takes from
 another mode.  Every check with a deformation parameter is ring
@@ -27,8 +32,8 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import comb, factorial
-from operator import attrgetter
+from math import comb, factorial, lcm
+from operator import add, attrgetter, mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expansion import (
@@ -56,7 +61,16 @@ from .operators import (
     lambda_power_at_zero,
     shift_poly,
 )
-from .polynomials import XPolynomial, dot, embed_poly, specialize_poly
+from .polynomials import (
+    XPolynomial,
+    _lift,
+    _new,
+    _scalar_key,
+    _sum,
+    dot,
+    embed_poly,
+    specialize_poly,
+)
 from .render import render_field_element, render_x_poly
 
 __all__ = [
@@ -269,16 +283,15 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
 
 def _basis_checker(lhs: Callable[[GridPoint], XPolynomial], weight):
     """Checker of an expansion in the order-k basis over the window j = k..n:
-    lhs(pt) against sum_j c_j * basis_j, with c_j from ``weight``."""
+    lhs(pt) against sum_j c_j * basis_j, c_j = n!/(m! j!) times the
+    lambda-sum of ``weight`` at m = n - j + k (:func:`_lambda_sum`)."""
 
     def check(pt: GridPoint) -> CheckOutcome:
         n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
 
         def coefficient(j: int) -> FieldElement:
-            # c_j = (1/j!) sum_a (-1)^a C(k,a) L^a w(a) with
-            # w(a) = weight(n, m, k, y, a) and m = n - j + k
-            m, scale = n - j + k, factorial(j)
-            return alternating_lambda_sum(mode, k, lambda a: weight(n, m, k, y, a) / scale)
+            m = n - j + k
+            return _lambda_sum(weight, m, k, y, mode) * mode.scalar(_ff(n, m) / factorial(j))
 
         coeffs = [coefficient(j) for j in range(k, n + 1)]
         return [(None, lhs(pt) - basis_sum(coeffs, k, k, mode))]
@@ -287,19 +300,26 @@ def _basis_checker(lhs: Callable[[GridPoint], XPolynomial], weight):
 
 
 def _umbral_weight(numbers: Callable[[int, int, LambdaMode], NumberTable]):
-    # n!/m! sum_l C(m,l) a^l N_(m-l), with N the family's order-k numbers at L = 1
-    def weight(n: int, m: int, k: int, y: None, a: int) -> Fraction:
-        table = numbers(k, n, _ONE)
-        return _ff(n, m) * sum(comb(m, l) * a ** l * table[m - l] for l in range(m + 1))
+    # sum_l C(m,l) a^l N_(m-l), with N the family's order-k numbers at L = 1
+    def weight(m: int, k: int, y: None, a: int) -> Fraction:
+        table = numbers(k, m, _ONE)
+        return sum(comb(m, l) * a ** l * table[m - l] for l in range(m + 1))
 
     return weight
 
 
-# Memos of the lambda-free classical parts that many points of one
-# identity read, keyed on everything their values depend on; each
-# verify_identity call starts them empty.  Nothing in L is memoized: a
-# numeric point takes its symbolic twin's residual or computes in its
-# own mode, so a value in L would have no second reader.
+# Memos of the parts that many points of one identity read, keyed on
+# everything their values depend on; each verify_identity call starts them
+# empty.  The classical parts are free of L.  The basis lambda-sums are
+# kept per mode: a numeric point takes its symbolic twin's residual or
+# computes in its own mode, so no value crosses modes.
+
+
+@lru_cache(maxsize=None)
+def _lambda_sum(weight, m: int, k: int, y: Optional[Fraction], mode: LambdaMode) -> FieldElement:
+    """sum_a (-1)^a C(k,a) L^a weight(m, k, y, a), the part of a basis
+    coefficient that every n with the same m = n - j + k shares."""
+    return alternating_lambda_sum(mode, k, lambda a: weight(m, k, y, a))
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +351,7 @@ def _dilcher_rhs(m: int, y: Fraction) -> XPolynomial:
     return XPolynomial([1 - y, -1], _ONE) * _shifted(euler_poly, m, y) + top
 
 
-_MEMOS = (_convolution, _shifted, _hansen_rhs, _dilcher_rhs)
+_MEMOS = (_lambda_sum, _convolution, _shifted, _hansen_rhs, _dilcher_rhs)
 
 
 def _check_hansen(pt: GridPoint) -> CheckOutcome:
@@ -358,28 +378,54 @@ def _check_dilcher(pt: GridPoint) -> CheckOutcome:
 
 
 def _check_thm5(pt: GridPoint) -> CheckOutcome:
-    # Euler convolution expanded in the order-k basis; the bracket keeps
-    # the variable x exactly as the cataloged display does.
+    # Euler convolution expanded in the order-k basis.  The bracket of
+    # member j keeps the variable x as the cataloged display does: its
+    # E_(m+1) terms n!/(m+1)! (-(n-m) + (n+1)) add up to n!/m!, so with
+    # m = n - j + k it is n!/m! times D_m, half of Dilcher's right side.
+    # The lambda-sum has weight 1, so every member carries 2 (1-L)^k.
+    # With B_j^(k)(x|L) = sum_i C(j,i) beta_i x^(j-i) the sum over members
+    # regroups as sum_i beta_i T_i(x), where s_j = n!/(m! j!) and
+    # T_i = sum_(j>=i) C(j,i) s_j x^(j-i) D_m is free of L.
     n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
-    # The bracket carries the x-dependence, so the lambda-sum has weight 1
-    # and equals (1 - L)^k for every j: the common factor 2 (1 - L)^k is
-    # applied once, after the sum over j.
-    factor = alternating_lambda_sum(mode, k, lambda a: 2)
-    rhs = XPolynomial.zero(mode)
-    if factor:
-        # The bracket of member j = n - m + k over j!: its E_(m+1) terms
-        # n!/(m+1)! (-(n-m) + (n+1)) add up to n!/m!, so the bracket is n!/m!
-        # times half of Dilcher's right side.  Each table at its longest
-        # first: the bracket of j = k reads E_(n+1), the member j = n the
-        # order-k table through n.
-        brackets = [
-            embed_poly(_dilcher_rhs(m, y).scalar_mul(_ff(n, m) / factorial(n - m + k)), mode)
-            for m in range(n, k - 1, -1)
-        ]
-        members = [apostol_bernoulli_poly(j, k, mode) for j in range(n, k - 1, -1)][::-1]
-        rhs = dot(mode, brackets, members).scalar_mul(factor)
-    lhs = embed_poly(_convolution(euler_poly, n, y), mode)
-    return [(None, lhs - rhs)]
+    # the bracket of j = k first: it reads E_(n+1), the longest Euler table
+    brackets = [(j, _dilcher_rhs(n - j + k, y)._key) for j in range(k, n + 1)]
+    scales = [factorial(n - j + k) * factorial(j) * d for j, (_, d) in brackets]
+    q = lcm(*scales)
+    # T_i as integer rows over q; D_m has degree at most m + 1
+    t = [[0] * (n + k + 2) for _ in range(n + 1)]
+    for (j, (dilcher, _)), scale in zip(brackets, scales):
+        s = factorial(n) * (q // scale)
+        for i in range(j + 1):
+            c, row, lo = comb(j, i) * s, t[i], j - i
+            hi = lo + len(dilcher)
+            row[lo:hi] = map(add, row[lo:hi], [c * x for x in dilcher])
+    # each nonzero beta_i lifted once to one denominator d (L-1)^a (L+1)^b;
+    # a numeric beta is a constant, so one accumulation serves every mode:
+    # the coefficient of x^e L^p is column e of T dotted with column p of
+    # the lifted betas
+    keys = [_scalar_key(beta) for beta in apostol_bernoulli_numbers(k, n, mode).values]
+    d = lcm(*[key[1] for key in keys])
+    a = max(key[2] for key in keys)
+    b = max(key[3] for key in keys)
+    nonzero = [i for i, key in enumerate(keys) if key[0]]
+    lifted = [_lift(num, d // e, a - ai, b - bi)
+              for num, e, ai, bi in [keys[i] for i in nonzero]]
+    width = max(map(len, lifted), default=0)
+    beta_columns = list(zip(*[r + [0] * (width - len(r)) for r in lifted]))
+    rows = [[sum(map(mul, column, p)) for p in beta_columns]
+            for column in zip(*[t[i] for i in nonzero])]
+    # minus the factor 2 (1-L)^k: -2 (-1)^k with k poles at L = 1 fewer,
+    # or at L = u/v the rational -2 (v-u)^k / v^k
+    if mode.is_symbolic:
+        c, v, a = -2 * (-1) ** k, 1, a - k
+    else:
+        u, v = mode.value.numerator, mode.value.denominator
+        c, v = -2 * (v - u) ** k, v ** k
+    residual = _sum(True, [
+        embed_poly(_convolution(euler_poly, n, y), _SYM)._key,
+        ([[c * r for r in row] for row in rows], q * d * v, a, b),
+    ])
+    return [(None, embed_poly(_new(_SYM, residual), mode))]
 
 
 # --------------------------------------------------------------------------
@@ -414,7 +460,7 @@ _CATALOG: Dict[IdentityId, _Spec] = {
     # basis expansions: (left-hand side, weight w(a) of the coefficient formula)
     IdentityId.ID_COR_XN: _Spec(
         _basis_checker(lambda pt: XPolynomial.monomial(pt.mode, pt.n),
-                       lambda n, m, k, y, a: _ff(n, m) * a ** m),
+                       lambda m, k, y, a: a ** m),
         "k", (0, 8), (0, 3), _FULL_MODES),
     IdentityId.ID_THM2: _Spec(
         _basis_checker(lambda pt: embed_poly(apostol_euler_poly(pt.n, pt.k, _ONE), pt.mode),
@@ -427,10 +473,10 @@ _CATALOG: Dict[IdentityId, _Spec] = {
     IdentityId.ID_HANSEN: _Spec(_check_hansen, "m", (0, 10), y_extra=2),
     IdentityId.ID_EULER_RAMANUJAN: _Spec(_check_euler_ramanujan, "m", (2, 20)),
     # the bracket, evaluated at a per the cataloged display, is n!/m! times
-    # Hansen's right side
+    # Hansen's right side; the basis checker applies n!/m!
     IdentityId.ID_THM4: _Spec(
         _basis_checker(lambda pt: embed_poly(_convolution(bernoulli_poly, pt.n, pt.y), pt.mode),
-                       lambda n, m, k, y, a: _ff(n, m) * _hansen_rhs(m, y).evaluate(a)),
+                       lambda m, k, y, a: _hansen_rhs(m, y).evaluate(a)),
         "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2),
     IdentityId.ID_DILCHER: _Spec(_check_dilcher, "n", (0, 10), y_extra=2),
     IdentityId.ID_THM5: _Spec(_check_thm5, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),

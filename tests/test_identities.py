@@ -412,6 +412,72 @@ def test_hansen_right_side_is_built_once_per_index_and_sample():
     assert info.hits > 0
 
 
+def _member_product_thm5_residual(pt):
+    # Theorem 5 summed member by member: 2 (1-L)^k times the sum over j of
+    # n!/(m! j!) D_m(x) B_j^(k)(x|L), one x-product per member through dot
+    from math import factorial
+
+    from apobern import identities
+    from apobern.families import apostol_bernoulli_poly, euler_poly
+    from apobern.operators import alternating_lambda_sum
+    from apobern.polynomials import dot, embed_poly
+
+    n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
+    brackets = [
+        embed_poly(identities._dilcher_rhs(n - j + k, y).scalar_mul(
+            identities._ff(n, n - j + k) / factorial(j)), mode)
+        for j in range(k, n + 1)
+    ]
+    members = [apostol_bernoulli_poly(j, k, mode) for j in range(k, n + 1)]
+    rhs = dot(mode, brackets, members).scalar_mul(alternating_lambda_sum(mode, k, lambda a: 2))
+    return embed_poly(identities._convolution(euler_poly, n, y), mode) - rhs
+
+
+@pytest.mark.parametrize("q", [None, 2, -2, Fraction(1, 3), 0, Fraction(3, 2)])
+def test_thm5_number_table_sum_matches_the_member_products(q):
+    # the checker regroups the sum over members by the order-k numbers;
+    # its residual must be the member-product residual, key for key, at
+    # every symbolic point and natively at each L = q
+    from apobern import identities
+
+    mode = SYM if q is None else LambdaMode.numeric(q)
+    grid = default_grid(IdentityId.ID_THM5, max_n=6, modes=(SYM,))
+    assert {pt.k for pt in grid} == set(range(4))
+    for pt in grid:
+        pt = pt._replace(mode=mode)
+        [(variant, residual)] = identities._check_thm5(pt)
+        assert variant is None and residual.mode is mode
+        assert residual._key == _member_product_thm5_residual(pt)._key, pt
+
+
+@pytest.mark.parametrize("ident, calls", [
+    (IdentityId.ID_COR_XN, 60),
+    (IdentityId.ID_THM2, 30),
+    (IdentityId.ID_THM3, 30),
+    (IdentityId.ID_THM4, 300),
+])
+def test_each_basis_lambda_sum_is_built_once_per_index_order_sample_and_mode(
+        monkeypatch, ident, calls):
+    # c_j is n!/(m! j!) times a lambda-sum that depends on m = n - j + k,
+    # k, y and the mode only, so a grid builds each such sum once
+    from apobern import identities
+
+    count = []
+
+    def counting(mode, k, weight):
+        count.append(mode)
+        return original(mode, k, weight)
+
+    original = identities.alternating_lambda_sum
+    monkeypatch.setattr(identities, "alternating_lambda_sum", counting)
+    grid = default_grid(ident)
+    verify_identity(ident, grid)
+    native = [pt for pt in grid if pt.mode.is_symbolic or abs(pt.mode.value) == 1]
+    distinct = {(pt.n - j + pt.k, pt.k, pt.y, pt.mode)
+                for pt in native for j in range(pt.k, pt.n + 1)}
+    assert len(count) == len(distinct) == calls
+
+
 def _catalog():
     from apobern import identities
 
