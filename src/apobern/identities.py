@@ -9,9 +9,10 @@ variant exists it is reported alongside the cataloged form under its own
 variant label.  Each classical formula is written once: the brackets of
 the two convolution expansions (Theorems 4 and 5) are n!/m! times the
 right sides of Hansen's and of Dilcher's identity, with m = n - j + k.
-A basis coefficient is n!/(m! j!) times an alternating lambda-sum that
-depends on m, k, y and the mode only, so each such sum is built once per
-call and mode.  Theorem 5 sums through the order-k number table: the
+A basis expansion is declared by the family q it expands: Theorem 1
+reads D^(j-k) q_n = n!/m! q_m at a = 0..k, so a coefficient is n!/(m! j!)
+times the alternating lambda-sum of q_m read at a, built once per (m, k,
+y) and mode.  Theorem 5 sums through the order-k number table: the
 members' numbers multiply lambda-free integer x-polynomials, and the
 factor 2 (1-L)^k is applied once.
 
@@ -43,10 +44,8 @@ from .expansion import (
     expand_oracle,
 )
 from .families import (
-    NumberTable,
     apostol_bernoulli_numbers,
     apostol_bernoulli_poly,
-    apostol_euler_numbers,
     apostol_euler_poly,
     bernoulli_numbers_by_recurrence,
     bernoulli_poly,
@@ -281,10 +280,13 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
     return out
 
 
-def _basis_checker(lhs: Callable[[GridPoint], XPolynomial], weight):
-    """Checker of an expansion in the order-k basis over the window j = k..n:
-    lhs(pt) against sum_j c_j * basis_j, c_j = n!/(m! j!) times the
-    lambda-sum of ``weight`` at m = n - j + k (:func:`_lambda_sum`)."""
+def _basis_checker(lhs: Callable[..., XPolynomial], weight: Optional[Callable] = None):
+    """Checker of q_n = lhs(n, k, y), a family at L = 1, expanded in the
+    order-k basis over j = k..n by Theorem 1's c_j = (1/j!) sum_a (-1)^a
+    C(k,a) L^a (D^(j-k) q_n)(a).  For an Appell family D^(j-k) q_n = n!/m! q_m,
+    m = n - j + k, so ``weight`` defaults to ``lhs``, and c_j is n!/(m! j!)
+    times the lambda-sum of weight(m, k, y) (:func:`_lambda_sum`)."""
+    weight = weight or lhs
 
     def check(pt: GridPoint) -> CheckOutcome:
         n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
@@ -294,32 +296,23 @@ def _basis_checker(lhs: Callable[[GridPoint], XPolynomial], weight):
             return _lambda_sum(weight, m, k, y, mode) * mode.scalar(_ff(n, m) / factorial(j))
 
         coeffs = [coefficient(j) for j in range(k, n + 1)]
-        return [(None, lhs(pt) - basis_sum(coeffs, k, k, mode))]
+        return [(None, embed_poly(lhs(n, k, y), mode) - basis_sum(coeffs, k, k, mode))]
 
     return check
-
-
-def _umbral_weight(numbers: Callable[[int, int, LambdaMode], NumberTable]):
-    # sum_l C(m,l) a^l N_(m-l), with N the family's order-k numbers at L = 1
-    def weight(m: int, k: int, y: None, a: int) -> Fraction:
-        table = numbers(k, m, _ONE)
-        return sum(comb(m, l) * a ** l * table[m - l] for l in range(m + 1))
-
-    return weight
 
 
 # Memos of the parts that many points of one identity read, keyed on
 # everything their values depend on; each verify_identity call starts them
 # empty.  The classical parts are free of L.  The basis lambda-sums are
-# kept per mode: a numeric point takes its symbolic twin's residual or
-# computes in its own mode, so no value crosses modes.
+# kept per weight family and mode: a numeric point takes its symbolic
+# twin's residual or computes in its own mode, so no value crosses modes.
 
 
 @lru_cache(maxsize=None)
 def _lambda_sum(weight, m: int, k: int, y: Optional[Fraction], mode: LambdaMode) -> FieldElement:
-    """sum_a (-1)^a C(k,a) L^a weight(m, k, y, a), the part of a basis
-    coefficient that every n with the same m = n - j + k shares."""
-    return alternating_lambda_sum(mode, k, lambda a: weight(m, k, y, a))
+    """sum_a (-1)^a C(k,a) L^a q_m(a), q_m = weight(m, k, y), the part of a
+    basis coefficient that every n with the same m = n - j + k shares."""
+    return alternating_lambda_sum(mode, k, weight(m, k, y).evaluate)
 
 
 @lru_cache(maxsize=None)
@@ -457,26 +450,23 @@ _CATALOG: Dict[IdentityId, _Spec] = {
     IdentityId.ID_ZERO_ORDER: _Spec(_check_zero_order, "n", (0, 10), 0, _FULL_MODES),
     IdentityId.ID_LEMMA_CLOSED_FORM: _Spec(_check_lemma, "k", (0, 5), (0, 5), (_SYM,)),
     IdentityId.ID_THM1: _Spec(_check_thm1, "k", (0, 6), (0, 3), _NOT_ONE_MODES),
-    # basis expansions: (left-hand side, weight w(a) of the coefficient formula)
+    # basis expansions of q_n, an Appell family at L = 1 (Corollary, Theorems 2 and 3)
     IdentityId.ID_COR_XN: _Spec(
-        _basis_checker(lambda pt: XPolynomial.monomial(pt.mode, pt.n),
-                       lambda m, k, y, a: a ** m),
+        _basis_checker(lambda n, k, y: XPolynomial.monomial(_ONE, n)),
         "k", (0, 8), (0, 3), _FULL_MODES),
     IdentityId.ID_THM2: _Spec(
-        _basis_checker(lambda pt: embed_poly(apostol_euler_poly(pt.n, pt.k, _ONE), pt.mode),
-                       _umbral_weight(apostol_euler_numbers)),
+        _basis_checker(lambda n, k, y: apostol_euler_poly(n, k, _ONE)),
         "k", (0, 8), (0, 3), _AUDIT_MODES),
     IdentityId.ID_THM3: _Spec(
-        _basis_checker(lambda pt: embed_poly(apostol_bernoulli_poly(pt.n, pt.k, _ONE), pt.mode),
-                       _umbral_weight(apostol_bernoulli_numbers)),
+        _basis_checker(lambda n, k, y: apostol_bernoulli_poly(n, k, _ONE)),
         "k", (0, 8), (0, 3), _AUDIT_MODES),
     IdentityId.ID_HANSEN: _Spec(_check_hansen, "m", (0, 10), y_extra=2),
     IdentityId.ID_EULER_RAMANUJAN: _Spec(_check_euler_ramanujan, "m", (2, 20)),
-    # the bracket, evaluated at a per the cataloged display, is n!/m! times
+    # the bracket, read at a per the cataloged display, is n!/m! times
     # Hansen's right side; the basis checker applies n!/m!
     IdentityId.ID_THM4: _Spec(
-        _basis_checker(lambda pt: embed_poly(_convolution(bernoulli_poly, pt.n, pt.y), pt.mode),
-                       lambda m, k, y, a: _hansen_rhs(m, y).evaluate(a)),
+        _basis_checker(lambda n, k, y: _convolution(bernoulli_poly, n, y),
+                       lambda m, k, y: _hansen_rhs(m, y)),
         "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2),
     IdentityId.ID_DILCHER: _Spec(_check_dilcher, "n", (0, 10), y_extra=2),
     IdentityId.ID_THM5: _Spec(_check_thm5, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),
@@ -519,6 +509,8 @@ def default_grid(
 
 
 def _check_bounds(identity: IdentityId, grid: Sequence[GridPoint]):
+    if not grid:
+        raise GridBoundsError(f"empty grid for {identity.value}")
     k_limit = 5 if identity is IdentityId.ID_LEMMA_CLOSED_FORM else 4
     for pt in grid:
         if pt.n < 0:
@@ -583,8 +575,6 @@ def verify_identity(identity: IdentityId, grid: Sequence[GridPoint]) -> Identity
     """Check one identity over a grid and assemble the ordered report."""
     if not isinstance(identity, IdentityId):
         raise ValueError(f"unknown identity: {identity!r}")
-    if not grid:
-        raise GridBoundsError("empty grid")
     _check_bounds(identity, grid)
     for memo in _MEMOS:
         memo.cache_clear()
@@ -647,8 +637,10 @@ def default_suite_config() -> SuiteConfig:
 
 
 def run_suite(config: SuiteConfig) -> List[IdentityReport]:
-    """One report per selected identity, ordered by the catalog order."""
-    return [
-        verify_identity(identity, default_grid(identity, config.max_n, config.max_k))
-        for identity in sorted(set(config.ids), key=_ID_ORDER.get)
-    ]
+    """One report per selected identity, ordered by the catalog order;
+    every grid is checked before any identity runs."""
+    ids = sorted(set(config.ids), key=_ID_ORDER.get)
+    grids = [default_grid(identity, config.max_n, config.max_k) for identity in ids]
+    for identity, grid in zip(ids, grids):
+        _check_bounds(identity, grid)
+    return [verify_identity(identity, grid) for identity, grid in zip(ids, grids)]

@@ -321,6 +321,22 @@ def test_usage_errors_exit_2(capsys):
         assert (code, out) == (2, "") and err.startswith("error: "), argv
 
 
+def test_an_empty_grid_is_refused_before_any_identity_runs(capsys, monkeypatch):
+    # ID_EULER_RAMANUJAN's m starts at 2 and ID_DIFF's k at 1: the grids
+    # before theirs are not empty, yet no checker may run
+    from apobern import identities
+
+    calls = []
+    spec = identities._CATALOG[identities.IdentityId.ID_DERIV]
+    monkeypatch.setitem(identities._CATALOG, identities.IdentityId.ID_DERIV,
+                        spec._replace(checker=lambda pt: calls.append(pt) or spec.checker(pt)))
+    for argv, empty in ((("verify", "--max-n", "1"), "ID_EULER_RAMANUJAN"),
+                        (("verify", "--max-k", "0"), "ID_DIFF")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, calls) == (2, "", []), argv
+        assert err == f"error: empty grid for {empty}\n"
+
+
 def test_rationals_past_the_digit_limit_exit_2_before_any_work(capsys):
     # the limit counts an exponent's digits too, read from the text, so a
     # huge exponent is refused at once instead of building its integer
