@@ -11,10 +11,13 @@ the two convolution expansions (Theorems 4 and 5) are n!/m! times the
 right sides of Hansen's and of Dilcher's identity, with m = n - j + k.
 A basis expansion is declared by the family q it expands: Theorem 1
 reads D^(j-k) q_n = n!/m! q_m at a = 0..k, so a coefficient is n!/(m! j!)
-times the alternating lambda-sum of q_m read at a, built once per (m, k,
-y) and mode.  Theorem 5 sums through the order-k number table: the
-members' numbers multiply lambda-free integer x-polynomials, and the
-factor 2 (1-L)^k is applied once.
+times sum_a L^a w_(m,a), and the lambda-free terms w_(m,a) = (-1)^a
+C(k,a) q_m(a) are built once per (m, k, y).  All five basis expansions
+(the Corollary, Theorems 2 to 5) sum through the order-k number table:
+by B_j^(k)(x|L) = sum_i C(j,i) beta_i x^(j-i) the right side is
+sum_a L^a sum_i beta_i T_(a,i)(x) with lambda-free integer rows T, and
+the numbers of each (k, n, mode) are lifted once.  Theorem 5 has one
+power of L, and its factor 2 (1-L)^k is applied once.
 
 Each residual is computed once, and it is all that a point takes from
 another mode.  Every check with a deformation parameter is ring
@@ -38,7 +41,6 @@ from operator import add, attrgetter, mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expansion import (
-    basis_sum,
     closed_form_coefficients,
     corrected_coefficients,
     expand_oracle,
@@ -54,7 +56,7 @@ from .families import (
 from .field import FieldElement, LambdaMode
 from .operators import (
     DifferencePowerMethod,
-    alternating_lambda_sum,
+    alternating_row,
     corrected_power_at_zero,
     lambda_op,
     lambda_power_at_zero,
@@ -163,24 +165,23 @@ class IdentityReport(NamedTuple):
 
 def _mode_sort_key(mode: Optional[LambdaMode]):
     if mode is None:
-        return (0, Fraction(0))
+        return (0, 0)
     if mode.is_symbolic:
-        return (1, Fraction(0))
+        return (1, 0)
     return (2, mode.value)
 
 
-def _point_sort_key(point: GridPoint):
-    return (
-        point.n,
-        -1 if point.k is None else point.k,
-        _mode_sort_key(point.mode),
-        (0, Fraction(0)) if point.y is None else (1, point.y),
-    )
-
-
-def _ff(n: int, m: int) -> Fraction:
-    """Falling-factorial quotient n!/m!."""
-    return Fraction(factorial(n), factorial(m))
+def _sorted_points(grid: Sequence[GridPoint]) -> List[GridPoint]:
+    """The distinct points of a grid by n, k (None first), mode (None, the
+    symbolic mode, then by value) and y (None first), compared as ints:
+    each mode and sample is ranked once per grid."""
+    points = set(grid)
+    modes = sorted({pt.mode for pt in points}, key=_mode_sort_key)
+    mode_rank = {mode: rank for rank, mode in enumerate(modes)}
+    samples = sorted({pt.y for pt in points if pt.y is not None})
+    y_rank = {y: rank for rank, y in enumerate([None] + samples)}
+    return sorted(points, key=lambda pt: (
+        pt.n, -1 if pt.k is None else pt.k, mode_rank[pt.mode], y_rank[pt.y]))
 
 
 def _y_samples(count: int) -> List[Fraction]:
@@ -285,34 +286,52 @@ def _basis_checker(lhs: Callable[..., XPolynomial], weight: Optional[Callable] =
     order-k basis over j = k..n by Theorem 1's c_j = (1/j!) sum_a (-1)^a
     C(k,a) L^a (D^(j-k) q_n)(a).  For an Appell family D^(j-k) q_n = n!/m! q_m,
     m = n - j + k, so ``weight`` defaults to ``lhs``, and c_j is n!/(m! j!)
-    times the lambda-sum of weight(m, k, y) (:func:`_lambda_sum`)."""
+    times sum_a L^a w_(m,a), where w_(m,a) = (-1)^a C(k,a) q_m(a) with
+    q_m = weight(m, k, y) is free of L (:func:`_omega`): the bracket of
+    member j is constant in x."""
     weight = weight or lhs
 
     def check(pt: GridPoint) -> CheckOutcome:
-        n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
-
-        def coefficient(j: int) -> FieldElement:
-            m = n - j + k
-            return _lambda_sum(weight, m, k, y, mode) * mode.scalar(_ff(n, m) / factorial(j))
-
-        coeffs = [coefficient(j) for j in range(k, n + 1)]
-        return [(None, embed_poly(lhs(n, k, y), mode) - basis_sum(coeffs, k, k, mode))]
+        n, k, y = pt.n, pt.k, pt.y
+        brackets = [_omega(weight, n - j + k, k, y) for j in range(k, n + 1)]
+        return [(None, _expansion_residual(pt, lhs(n, k, y), brackets, powers=k + 1))]
 
     return check
 
 
-# Memos of the parts that many points of one identity read, keyed on
-# everything their values depend on; each verify_identity call starts them
-# empty.  The classical parts are free of L.  The basis lambda-sums are
-# kept per weight family and mode: a numeric point takes its symbolic
-# twin's residual or computes in its own mode, so no value crosses modes.
+# Memos of the parts that many points read, keyed on everything their
+# values depend on; each verify_identity call and each run_suite starts
+# them empty, and run_suite empties them again when it returns, so the
+# identities of one suite share them (ID_THM4 and ID_THM5 read the right
+# sides and convolutions of ID_HANSEN and ID_DILCHER).  Every memo but the
+# lifted number table is free of L; that one is kept per mode.
 
 
 @lru_cache(maxsize=None)
-def _lambda_sum(weight, m: int, k: int, y: Optional[Fraction], mode: LambdaMode) -> FieldElement:
-    """sum_a (-1)^a C(k,a) L^a q_m(a), q_m = weight(m, k, y), the part of a
-    basis coefficient that every n with the same m = n - j + k shares."""
-    return alternating_lambda_sum(mode, k, weight(m, k, y).evaluate)
+def _omega(weight, m: int, k: int, y: Optional[Fraction]) -> Tuple[tuple, int]:
+    """The terms (-1)^a C(k,a) q_m(a), a = 0..k, of the lambda-sum of
+    q_m = weight(m, k, y), as one integer row over one denominator: the
+    part of a basis coefficient that every n with the same m shares."""
+    q = weight(m, k, y)
+    row, d = alternating_row([q.evaluate(a) for a in range(k + 1)])
+    return tuple(row), d
+
+
+@lru_cache(maxsize=None)
+def _beta_columns(k: int, n: int, mode: LambdaMode) -> tuple:
+    """The nonzero order-k numbers among beta_0..beta_n of ``mode``, lifted
+    to one denominator d (L-1)^a (L+1)^b: their indices, the columns of
+    their Z[L] rows (column p holds the coefficients of L^p; a numeric
+    number is one constant column), and d, a, b."""
+    keys = [_scalar_key(beta) for beta in apostol_bernoulli_numbers(k, n, mode).values]
+    d = lcm(*[key[1] for key in keys])
+    a = max(key[2] for key in keys)
+    b = max(key[3] for key in keys)
+    nonzero = [i for i, key in enumerate(keys) if key[0]]
+    lifted = [_lift(num, d // e, a - ai, b - bi)
+              for num, e, ai, bi in [keys[i] for i in nonzero]]
+    width = max(map(len, lifted))
+    return nonzero, list(zip(*[r + [0] * (width - len(r)) for r in lifted])), d, a, b
 
 
 @lru_cache(maxsize=None)
@@ -344,7 +363,59 @@ def _dilcher_rhs(m: int, y: Fraction) -> XPolynomial:
     return XPolynomial([1 - y, -1], _ONE) * _shifted(euler_poly, m, y) + top
 
 
-_MEMOS = (_lambda_sum, _convolution, _shifted, _hansen_rhs, _dilcher_rhs)
+def _expansion_residual(pt: GridPoint, lhs: XPolynomial, brackets: Sequence[tuple],
+                        powers: int = 1, scale: int = 1, power: int = 0) -> XPolynomial:
+    """lhs - scale (1-L)^power sum_j s_j S_j(x, L) B_j^(k)(x|L) over
+    j = k..n in the point's mode, s_j = n!/(m! j!), m = n - j + k, where
+    brackets[j - k] = (S, e) holds the rational bracket S_j as an integer
+    row over e: S[f * powers + a] / e is the coefficient of x^f L^a.
+
+    T_i = sum_(j>=i) C(j,i) s_j x^(j-i) S_j is one integer row in that
+    layout over one denominator q, built for the nonzero beta_i only, and
+    column (e, a) of the T_i dotted with column p of the lifted betas is
+    the coefficient of x^e L^(p+a).  At L = u/v, L^a is u^a v^(K-a) / v^K
+    with K = powers - 1, and (1-L)^power is (v-u)^power / v^power; in
+    symbolic mode it is (-1)^power with that many poles at L = 1 fewer."""
+    n, k, mode = pt.n, pt.k, pt.mode
+    if n < k:
+        return embed_poly(lhs, mode)  # no member: the right side is zero
+    nonzero, columns, d, a, b = _beta_columns(k, n, mode)
+    members = list(zip(range(k, n + 1), brackets))
+    scales = [factorial(n - j + k) * factorial(j) * e for j, (_, e) in members]
+    q = lcm(*scales)
+    # T_i spans x^0 .. x^(width-1): j - i + deg S_j with i >= nonzero[0]
+    width = max(j + len(row) // powers for j, (row, _) in members) - nonzero[0]
+    t = [[0] * (width * powers) for _ in nonzero]
+    for (j, (row, _)), s in zip(members, scales):
+        s = factorial(n) * (q // s)
+        for ti, i in zip(t, nonzero):
+            if i > j:
+                break
+            c, lo = comb(j, i) * s, (j - i) * powers
+            hi = lo + len(row)
+            ti[lo:hi] = map(add, ti[lo:hi], [c * x for x in row])
+    top = powers - 1
+    # per power a, the factor of L^a (the sign and the scale folded in) and
+    # the shift of the L-row
+    if mode.is_symbolic:
+        c, v, a = -scale * (-1) ** power, 1, a - power
+        fold = [(c, p) for p in range(powers)]
+    else:
+        u, v = mode.value.numerator, mode.value.denominator
+        c = -scale * (v - u) ** power
+        fold = [(c * u ** p * v ** (top - p), 0) for p in range(powers)]
+        v = v ** (top + power)
+    out = [[0] * (len(columns) + top) for _ in range(width)]
+    for index, column in enumerate(zip(*t)):
+        f, shift = fold[index % powers]
+        row = out[index // powers]
+        for p, beta in enumerate(columns, shift):
+            row[p] += f * sum(map(mul, column, beta))
+    residual = _sum(True, [embed_poly(lhs, _SYM)._key, (out, q * d * v, a, b)])
+    return embed_poly(_new(_SYM, residual), mode)
+
+
+_MEMOS = (_omega, _beta_columns, _convolution, _shifted, _hansen_rhs, _dilcher_rhs)
 
 
 def _check_hansen(pt: GridPoint) -> CheckOutcome:
@@ -375,50 +446,13 @@ def _check_thm5(pt: GridPoint) -> CheckOutcome:
     # member j keeps the variable x as the cataloged display does: its
     # E_(m+1) terms n!/(m+1)! (-(n-m) + (n+1)) add up to n!/m!, so with
     # m = n - j + k it is n!/m! times D_m, half of Dilcher's right side.
-    # The lambda-sum has weight 1, so every member carries 2 (1-L)^k.
-    # With B_j^(k)(x|L) = sum_i C(j,i) beta_i x^(j-i) the sum over members
-    # regroups as sum_i beta_i T_i(x), where s_j = n!/(m! j!) and
-    # T_i = sum_(j>=i) C(j,i) s_j x^(j-i) D_m is free of L.
-    n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
+    # The lambda-sum has weight 1, so every member carries 2 (1-L)^k, and
+    # D_m is the member's one bracket, free of L.
+    n, k, y = pt.n, pt.k, pt.y
     # the bracket of j = k first: it reads E_(n+1), the longest Euler table
-    brackets = [(j, _dilcher_rhs(n - j + k, y)._key) for j in range(k, n + 1)]
-    scales = [factorial(n - j + k) * factorial(j) * d for j, (_, d) in brackets]
-    q = lcm(*scales)
-    # T_i as integer rows over q; D_m has degree at most m + 1
-    t = [[0] * (n + k + 2) for _ in range(n + 1)]
-    for (j, (dilcher, _)), scale in zip(brackets, scales):
-        s = factorial(n) * (q // scale)
-        for i in range(j + 1):
-            c, row, lo = comb(j, i) * s, t[i], j - i
-            hi = lo + len(dilcher)
-            row[lo:hi] = map(add, row[lo:hi], [c * x for x in dilcher])
-    # each nonzero beta_i lifted once to one denominator d (L-1)^a (L+1)^b;
-    # a numeric beta is a constant, so one accumulation serves every mode:
-    # the coefficient of x^e L^p is column e of T dotted with column p of
-    # the lifted betas
-    keys = [_scalar_key(beta) for beta in apostol_bernoulli_numbers(k, n, mode).values]
-    d = lcm(*[key[1] for key in keys])
-    a = max(key[2] for key in keys)
-    b = max(key[3] for key in keys)
-    nonzero = [i for i, key in enumerate(keys) if key[0]]
-    lifted = [_lift(num, d // e, a - ai, b - bi)
-              for num, e, ai, bi in [keys[i] for i in nonzero]]
-    width = max(map(len, lifted), default=0)
-    beta_columns = list(zip(*[r + [0] * (width - len(r)) for r in lifted]))
-    rows = [[sum(map(mul, column, p)) for p in beta_columns]
-            for column in zip(*[t[i] for i in nonzero])]
-    # minus the factor 2 (1-L)^k: -2 (-1)^k with k poles at L = 1 fewer,
-    # or at L = u/v the rational -2 (v-u)^k / v^k
-    if mode.is_symbolic:
-        c, v, a = -2 * (-1) ** k, 1, a - k
-    else:
-        u, v = mode.value.numerator, mode.value.denominator
-        c, v = -2 * (v - u) ** k, v ** k
-    residual = _sum(True, [
-        embed_poly(_convolution(euler_poly, n, y), _SYM)._key,
-        ([[c * r for r in row] for row in rows], q * d * v, a, b),
-    ])
-    return [(None, embed_poly(_new(_SYM, residual), mode))]
+    brackets = [_dilcher_rhs(n - j + k, y)._key for j in range(k, n + 1)]
+    lhs = _convolution(euler_poly, n, y)
+    return [(None, _expansion_residual(pt, lhs, brackets, scale=2, power=k))]
 
 
 # --------------------------------------------------------------------------
@@ -571,18 +605,27 @@ def _validity_domain(identity: IdentityId, results: Sequence[ResultEntry]) -> st
     return "; ".join(domains)
 
 
+def _clear_memos():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
 def verify_identity(identity: IdentityId, grid: Sequence[GridPoint]) -> IdentityReport:
     """Check one identity over a grid and assemble the ordered report."""
     if not isinstance(identity, IdentityId):
         raise ValueError(f"unknown identity: {identity!r}")
     _check_bounds(identity, grid)
-    for memo in _MEMOS:
-        memo.cache_clear()
+    _clear_memos()
+    return _verify(identity, grid)
+
+
+def _verify(identity: IdentityId, grid: Sequence[GridPoint]) -> IdentityReport:
+    # the body of verify_identity over a grid already bounds-checked
     spec = _CATALOG[identity]
     # The n-groups run from the largest n down, so the first point of each
     # number table builds it at its longest and later points read prefixes;
     # the entries come out in ascending order all the same.
-    groups = groupby(sorted(set(grid), key=_point_sort_key), key=attrgetter("n"))
+    groups = groupby(_sorted_points(grid), key=attrgetter("n"))
     blocks: List[List[ResultEntry]] = []
     for group in reversed([list(points) for _, points in groups]):
         # symbolic outcomes of this n by (k, y); the sort puts each before its numeric twins
@@ -638,9 +681,14 @@ def default_suite_config() -> SuiteConfig:
 
 def run_suite(config: SuiteConfig) -> List[IdentityReport]:
     """One report per selected identity, ordered by the catalog order;
-    every grid is checked before any identity runs."""
+    every grid is checked before any identity runs.  The identities share
+    the memos, which are empty when the suite starts and when it returns."""
     ids = sorted(set(config.ids), key=_ID_ORDER.get)
     grids = [default_grid(identity, config.max_n, config.max_k) for identity in ids]
     for identity, grid in zip(ids, grids):
         _check_bounds(identity, grid)
-    return [verify_identity(identity, grid) for identity, grid in zip(ids, grids)]
+    _clear_memos()
+    try:
+        return [_verify(identity, grid) for identity, grid in zip(ids, grids)]
+    finally:
+        _clear_memos()

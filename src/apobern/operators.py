@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 from .field import FieldElement, LambdaMode, LambdaRatFunc, RationalLike, _canonical, _new
 from .polynomials import XPolynomial, shift_poly
@@ -25,6 +25,7 @@ __all__ = [
     "lambda_power_at_zero",
     "corrected_power_at_zero",
     "alternating_lambda_sum",
+    "alternating_row",
 ]
 
 
@@ -86,17 +87,24 @@ def alternating_lambda_sum(
     weights = [w.as_rational() if isinstance(w, LambdaRatFunc) and w.is_rational else w
                for w in weights]
     if all(isinstance(w, (int, Fraction)) for w in weights):
-        d = lcm(*[w.denominator for w in weights])
-        n = [
-            (-1) ** a * comb(k, a) * w.numerator * (d // w.denominator)
-            for a, w in enumerate(weights)
-        ]
+        n, d = alternating_row(weights)
         return mode.specialize(_new(_canonical(n, d, 0, 0)))
     neg_lam = -mode.lam
     acc = mode.zero
     for a in range(k, -1, -1):
         acc = acc * neg_lam + mode.scalar(comb(k, a) * weights[a])
     return acc
+
+
+def alternating_row(weights: Sequence[RationalLike]) -> Tuple[List[int], int]:
+    """The terms of the alternating lambda-sum of rational weights, free of
+    L: integers n[a] over one denominator d, the lcm of the weights'
+    denominators, with n[a] / d = (-1)^a C(k, a) weights[a] and
+    k = len(weights) - 1, so the sum is sum_a n[a] L^a / d."""
+    k = len(weights) - 1
+    d = lcm(*[w.denominator for w in weights])
+    return [(-1) ** a * comb(k, a) * w.numerator * (d // w.denominator)
+            for a, w in enumerate(weights)], d
 
 
 def corrected_power_at_zero(p: XPolynomial, k: int) -> FieldElement:

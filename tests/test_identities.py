@@ -223,6 +223,35 @@ def test_report_ordering_is_deterministic():
     assert a.results == b.results
 
 
+def _reference_point_key(point):
+    # the report order: n, k (None first), mode (None, symbolic, then by
+    # value) and y (None first), compared as Fractions
+    mode = point.mode
+    return (
+        point.n,
+        -1 if point.k is None else point.k,
+        (0, Fraction(0)) if mode is None else (1, Fraction(0)) if mode.is_symbolic
+        else (2, mode.value),
+        (0, Fraction(0)) if point.y is None else (1, point.y),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.builds(
+    GridPoint,
+    n=st.integers(0, 3),
+    k=st.none() | st.integers(0, 2),
+    mode=st.sampled_from([None, SYM, ONE, LambdaMode.numeric(-2),
+                          LambdaMode.numeric(Fraction(1, 3))]),
+    y=st.none() | st.fractions(min_value=-2, max_value=2, max_denominator=3),
+), max_size=40))
+def test_grid_points_sort_in_report_order(points):
+    # the ranks per grid give the order of the Fraction-valued reference key
+    from apobern import identities
+
+    assert identities._sorted_points(points) == sorted(set(points), key=_reference_point_key)
+
+
 def test_subset_suite_order_and_size():
     config = SuiteConfig(
         ids=(IdentityId.ID_EULER_RAMANUJAN, IdentityId.ID_DERIV), max_n=4, max_k=2
@@ -351,9 +380,15 @@ def test_every_memo_is_hit_over_the_default_suite():
 # and the middle term of Theorem 5 written out.
 
 
+def _ff(n, m):
+    """Falling-factorial quotient n!/m!."""
+    from math import factorial
+
+    return Fraction(factorial(n), factorial(m))
+
+
 def _displayed_thm4_bracket(n, m, y, a):
     from apobern.families import bernoulli_poly
-    from apobern.identities import _ff
 
     arg = a + y
     value = (1 - m) * _ff(n, m) * bernoulli_poly(m).evaluate(arg)
@@ -365,7 +400,6 @@ def _displayed_thm4_bracket(n, m, y, a):
 def _displayed_thm5_bracket(n, m, y):
     from apobern import XPolynomial, shift_poly
     from apobern.families import euler_poly
-    from apobern.identities import _ff
 
     def shifted_euler(i):
         return shift_poly(euler_poly(i), y)
@@ -388,7 +422,7 @@ def test_brackets_are_n_over_m_factorial_times_the_classical_right_sides():
         for n, k, y in sorted(points):
             for j in range(k, n + 1):
                 m = n - j + k
-                scale = identities._ff(n, m)
+                scale = _ff(n, m)
                 if ident is IdentityId.ID_THM4:
                     hansen = identities._hansen_rhs(m, y)
                     for a in range(k + 1):
@@ -425,7 +459,7 @@ def _member_product_thm5_residual(pt):
     n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
     brackets = [
         embed_poly(identities._dilcher_rhs(n - j + k, y).scalar_mul(
-            identities._ff(n, n - j + k) / factorial(j)), mode)
+            _ff(n, n - j + k) / factorial(j)), mode)
         for j in range(k, n + 1)
     ]
     members = [apostol_bernoulli_poly(j, k, mode) for j in range(k, n + 1)]
@@ -433,49 +467,118 @@ def _member_product_thm5_residual(pt):
     return embed_poly(identities._convolution(euler_poly, n, y), mode) - rhs
 
 
-@pytest.mark.parametrize("q", [None, 2, -2, Fraction(1, 3), 0, Fraction(3, 2)])
-def test_thm5_number_table_sum_matches_the_member_products(q):
-    # the checker regroups the sum over members by the order-k numbers;
-    # its residual must be the member-product residual, key for key, at
-    # every symbolic point and natively at each L = q
+def _member_product_basis_residual(ident, pt):
+    # Theorem 1's coefficients c_j = n!/(m! j!) sum_a (-1)^a C(k,a) L^a
+    # q_m(a), m = n - j + k, one scalar per member, times the members
+    # B_j^(k)(x|L) summed by basis_sum; q is the family each basis
+    # identity expands and w the family its lambda-sum reads
+    from math import factorial
+
+    from apobern import identities
+    from apobern.expansion import basis_sum
+    from apobern.families import apostol_bernoulli_poly, apostol_euler_poly, bernoulli_poly
+    from apobern.operators import alternating_lambda_sum
+    from apobern.polynomials import XPolynomial, embed_poly
+
+    q, w = {
+        IdentityId.ID_COR_XN: (lambda n, y: XPolynomial.monomial(ONE, n), None),
+        IdentityId.ID_THM2: (lambda n, y: apostol_euler_poly(n, pt.k, ONE), None),
+        IdentityId.ID_THM3: (lambda n, y: apostol_bernoulli_poly(n, pt.k, ONE), None),
+        IdentityId.ID_THM4: (lambda n, y: identities._convolution(bernoulli_poly, n, y),
+                             lambda m, y: identities._hansen_rhs(m, y)),
+    }[ident]
+    w = w or q
+    n, k, mode, y = pt.n, pt.k, pt.mode, pt.y
+
+    def coefficient(j):
+        m = n - j + k
+        omega = alternating_lambda_sum(mode, k, w(m, y).evaluate)
+        return omega * mode.scalar(Fraction(factorial(n), factorial(m) * factorial(j)))
+
+    coeffs = [coefficient(j) for j in range(k, n + 1)]
+    return embed_poly(q(n, y), mode) - basis_sum(coeffs, k, k, mode)
+
+
+BASIS = (IdentityId.ID_COR_XN, IdentityId.ID_THM2, IdentityId.ID_THM3, IdentityId.ID_THM4,
+         IdentityId.ID_THM5)
+
+
+@pytest.mark.parametrize("q", [None, 1, 2, -2, Fraction(1, 3), 0, Fraction(3, 2)])
+@pytest.mark.parametrize("ident", BASIS)
+def test_basis_number_table_sums_match_the_member_products(ident, q):
+    # the checkers regroup the sum over members by the order-k numbers and
+    # the powers of L; each residual must be the member-product residual,
+    # key for key, at every symbolic point and natively at each L = q
     from apobern import identities
 
+    def reference(pt):
+        if ident is IdentityId.ID_THM5:
+            return _member_product_thm5_residual(pt)
+        return _member_product_basis_residual(ident, pt)
+
     mode = SYM if q is None else LambdaMode.numeric(q)
-    grid = default_grid(IdentityId.ID_THM5, max_n=6, modes=(SYM,))
-    assert {pt.k for pt in grid} == set(range(4))
+    grid = default_grid(ident, max_n=6, modes=(SYM,))
+    assert {pt.k for pt in grid} == set(range(4)) and {pt.mode for pt in grid} == {SYM}
     for pt in grid:
         pt = pt._replace(mode=mode)
-        [(variant, residual)] = identities._check_thm5(pt)
+        [(variant, residual)] = identities._CATALOG[ident].checker(pt)
         assert variant is None and residual.mode is mode
-        assert residual._key == _member_product_thm5_residual(pt)._key, pt
+        assert residual._key == reference(pt)._key, pt
 
 
 @pytest.mark.parametrize("ident, calls", [
-    (IdentityId.ID_COR_XN, 60),
+    (IdentityId.ID_COR_XN, 30),
     (IdentityId.ID_THM2, 30),
     (IdentityId.ID_THM3, 30),
     (IdentityId.ID_THM4, 300),
 ])
 def test_each_basis_lambda_sum_is_built_once_per_index_order_sample_and_mode(
         monkeypatch, ident, calls):
-    # c_j is n!/(m! j!) times a lambda-sum that depends on m = n - j + k,
-    # k, y and the mode only, so a grid builds each such sum once
+    # c_j is n!/(m! j!) times sum_a L^a w_(m,a), and the lambda-free terms
+    # w_(m,a) depend on m = n - j + k, k and y only, so a grid builds each
+    # row once, whatever modes its checker runs in
     from apobern import identities
 
     count = []
 
-    def counting(mode, k, weight):
-        count.append(mode)
-        return original(mode, k, weight)
+    def counting(weights):
+        count.append(weights)
+        return original(weights)
 
-    original = identities.alternating_lambda_sum
-    monkeypatch.setattr(identities, "alternating_lambda_sum", counting)
+    original = identities.alternating_row
+    monkeypatch.setattr(identities, "alternating_row", counting)
     grid = default_grid(ident)
     verify_identity(ident, grid)
     native = [pt for pt in grid if pt.mode.is_symbolic or abs(pt.mode.value) == 1]
-    distinct = {(pt.n - j + pt.k, pt.k, pt.y, pt.mode)
-                for pt in native for j in range(pt.k, pt.n + 1)}
+    distinct = {(pt.n - j + pt.k, pt.k, pt.y) for pt in native for j in range(pt.k, pt.n + 1)}
     assert len(count) == len(distinct) == calls
+
+
+def test_suite_identities_share_the_memos_until_the_suite_returns(monkeypatch):
+    # inside one run_suite ID_THM4 reads Hansen right sides that ID_HANSEN
+    # built, so it builds fewer of them than it does alone; run_suite
+    # leaves every memo empty
+    from apobern import identities
+
+    verify_identity(IdentityId.ID_THM4, default_grid(IdentityId.ID_THM4))
+    alone = identities._hansen_rhs.cache_info()
+    spec = identities._CATALOG[IdentityId.ID_THM4]
+    infos = []
+
+    def recording(pt):
+        infos.append(identities._hansen_rhs.cache_info())
+        outcome = spec.checker(pt)
+        infos.append(identities._hansen_rhs.cache_info())
+        return outcome
+
+    monkeypatch.setitem(identities._CATALOG, IdentityId.ID_THM4, spec._replace(checker=recording))
+    run_suite(SuiteConfig(ids=(IdentityId.ID_HANSEN, IdentityId.ID_THM4)))
+    before, after = infos[0], infos[-1]
+    assert before.currsize == before.misses > 0  # what ID_HANSEN built
+    assert after.misses - before.misses < alone.misses
+    assert after.hits - before.hits > alone.hits
+    for memo in identities._MEMOS:
+        assert memo.cache_info().currsize == 0, memo.__name__
 
 
 def _catalog():
