@@ -13,10 +13,10 @@ The families come from the kernels t^k/(L e^t - 1)^k and
 d (L-1)^a (L+1)^b.  :class:`LambdaRatFunc` is therefore the ring Z[L]
 localized at the integers and at L-1 and L+1: it stores an integer
 numerator list next to d, a and b, and normalizes by synthetic division
-at L = +-1 and by integer content, with no polynomial gcd.  One routine,
-``_sym_reduced``, does this for the rows of an x-polynomial; a scalar is
-its one-row case.  Inverting an element whose numerator has any other
-non-constant factor raises :class:`NonLocalDenominatorError`.
+at L = +-1 and by integer content, with no polynomial gcd: ``_canonical``
+for one row (a scalar, or an x-polynomial coefficient), ``_sym_reduced``
+for all rows of an x-polynomial.  Inverting an element whose numerator
+has any other non-constant factor raises :class:`NonLocalDenominatorError`.
 
 Both domains are immutable, exact, and have a unique canonical form, so
 equality is a plain field-by-field comparison.
@@ -185,21 +185,14 @@ def _horner(n, u: int, v: int) -> tuple:
     return acc, v_power
 
 
-def _lowest_terms(c: int, d: int) -> tuple:
-    """c / d in lowest terms as a pair, for d > 0."""
-    g = gcd(c, d)
-    return c // g, d // g
-
-
 _ZERO_KEY = ((), 1, 0, 0)
 
 
 def _sym_reduced(rows: list, d: int, a: int, b: int) -> tuple:
-    """Canonical key of sum rows[i] x^i / (d (L-1)^a (L+1)^b), the one
-    reduction of the symbolic ring; ``rows`` is a fresh list of fresh int
-    lists (trailing zeros allowed) and ``d > 0``.  Divides L-1 and L+1 out
-    of all rows at once while every row vanishes there, then the content
-    out against ``d``."""
+    """Canonical key of sum rows[i] x^i / (d (L-1)^a (L+1)^b); ``rows`` is
+    a fresh list of fresh int lists (trailing zeros allowed) and ``d > 0``.
+    Divides L-1 and L+1 out of all rows at once while every row vanishes
+    there, then the content out against ``d``."""
     for r in rows:
         while r and not r[-1]:
             r.pop()
@@ -224,10 +217,31 @@ def _sym_reduced(rows: list, d: int, a: int, b: int) -> tuple:
 
 
 def _canonical(n: list, d: int, a: int, b: int) -> tuple:
-    """Canonical key of the element n / (d (L-1)^a (L+1)^b): the one-row
-    case of :func:`_sym_reduced`."""
-    rows, d, a, b = _sym_reduced([n], d, a, b)
-    return (rows[0] if rows else (), d, a, b)
+    """Canonical key of the element n / (d (L-1)^a (L+1)^b); ``n`` is a
+    fresh int list (trailing zeros allowed) and ``d > 0``.  Divides L-1,
+    then L+1, out of the descending row by its prefix sums (see
+    :func:`_divided`) until a remainder is nonzero, then one gcd."""
+    while n and not n[-1]:
+        n.pop()
+    if not n:
+        return _ZERO_KEY
+    n.reverse()
+    while a:
+        sums = list(accumulate(n))
+        if sums.pop():
+            break
+        n, a = sums, a - 1
+    while b:
+        sums = list(accumulate(n, lambda acc, c: c - acc))
+        if sums.pop():
+            break
+        n, b = sums, b - 1
+    n.reverse()
+    g = gcd(d, *n)
+    if g != 1:
+        n = [c // g for c in n]
+        d //= g
+    return tuple(n), d, a, b
 
 
 def _lift(n: tuple, scale: int, a: int, b: int) -> list:
@@ -382,7 +396,7 @@ class LambdaRatFunc:
             raise ZeroDivisionError("inverse of the zero rational function")
         # with poles of order len(n) to spend, the reduction divides out
         # every factor L-1 and L+1 of n: p and q count them
-        (rest,), _, a_left, b_left = _sym_reduced([list(n)], 1, len(n), len(n))
+        rest, _, a_left, b_left = _canonical(list(n), 1, len(n), len(n))
         p, q = len(n) - a_left, len(n) - b_left
         if len(rest) > 1:
             raise NonLocalDenominatorError(

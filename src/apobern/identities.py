@@ -27,7 +27,7 @@ symbolic twin (same n, k and y) is in the grid takes the twin's residual
 evaluated there, unless the twin returned witness text, which has no
 value at L.  Every other point runs its checker, which computes in the
 point's own mode: L = +-1, and grids without a symbolic twin (a mode
-selection of :func:`default_grid`).
+selection of :func:`default_grid`).  Each y sample keeps its hash.
 """
 
 from __future__ import annotations
@@ -184,8 +184,19 @@ def _sorted_points(grid: Sequence[GridPoint]) -> List[GridPoint]:
         pt.n, -1 if pt.k is None else pt.k, mode_rank[pt.mode], y_rank[pt.y]))
 
 
-def _y_samples(count: int) -> List[Fraction]:
-    return [Fraction(2 * i - 1, 2) for i in range(count)]
+class _Sample(Fraction):
+    """A y sample: a Fraction that keeps its hash, which Fraction does not,
+    for the thousands of lookups of each sample per suite."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, *args):
+        self = super().__new__(cls, *args)
+        self._hash = Fraction.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
 
 
 # A residual is LHS - RHS (an x-polynomial or a scalar), or, where no
@@ -507,6 +518,11 @@ _CATALOG: Dict[IdentityId, _Spec] = {
 }
 
 
+# The y samples (2i - 1)/2 of every bivariate grid, one object per index.
+_SAMPLES = tuple(_Sample(2 * i - 1, 2) for i in range(
+    max(spec.n[1] + (spec.y_extra or 0) for spec in _CATALOG.values())))
+
+
 def _clamped(span: Tuple[int, int], bound: Optional[int]) -> range:
     first, last = span
     return range(first, (last if bound is None else min(last, bound)) + 1)
@@ -535,7 +551,7 @@ def default_grid(
             raise ValueError(f"mode selection leaves no grid for {identity.value}")
     points = []
     for n in _clamped(spec.n, max_n):
-        ys = [None] if spec.y_extra is None else _y_samples(n + spec.y_extra)
+        ys = [None] if spec.y_extra is None else _SAMPLES[:n + spec.y_extra]
         for k in k_values:
             for mode in chosen:
                 points.extend(GridPoint(n=n, k=k, mode=mode, y=y) for y in ys)

@@ -19,7 +19,8 @@ once per result, not once per coefficient.
 
 Coefficients ascend by power.  ``coeffs`` and ``coefficient`` build the
 mode's scalars on each read, uncached, from each coefficient's canonical
-scalar key ``(N, d, a, b)``, which the renderer reads directly.
+scalar key ``(N, d, a, b)``, in symbolic mode one row reduced by
+``field._canonical``; the renderer reads it, or a numeric key ``(N, d)``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .field import (
     _fast_fraction,
     _horner,
     _lift,
-    _lowest_terms,
     _new as _ratfunc,
     _sym_reduced,
 )
@@ -202,8 +202,9 @@ class XPolynomial:
         if self.mode.is_symbolic:
             rows, d, a, b = self._key
             return _canonical(list(rows[exponent]), d, a, b)
-        c, d = _lowest_terms(self._key[0][exponent], self._key[1])
-        return ((c,), d, 0, 0) if c else _SYM_ZERO_KEY
+        n, d = self._key
+        g = gcd(n[exponent], d)
+        return ((n[exponent] // g,), d // g, 0, 0) if n[exponent] else _SYM_ZERO_KEY
 
     @property
     def degree(self) -> int:

@@ -2,14 +2,18 @@
 
 Machine formats (json, csv) spell the deformation parameter "L"; the
 human text format uses the Greek letter and latex uses a macro.  All
-rendering is pure string work over canonical keys (N, d, a, b): a
-rational function and each x-polynomial coefficient go through one
-key-to-text path, so equal values always produce identical bytes.
+rendering is pure string work over canonical keys: a rational function
+and each symbolic x-polynomial coefficient go through one key-to-text
+path over (N, d, a, b), and a numeric x-polynomial is written from its
+key (N, d) by the same term loop, so equal values always produce
+identical bytes.
 """
 
 from __future__ import annotations
 
-from .field import LambdaRatFunc, _lowest_terms, render_rational
+from math import gcd
+
+from .field import LambdaRatFunc, render_rational
 
 MACHINE_SYMBOL = "L"
 TEXT_SYMBOL = "λ"
@@ -23,26 +27,30 @@ def _power(sym: str, exponent: int) -> str:
 
 
 def _monomial(p: int, q: int, sym: str, exponent: int) -> str:
-    """Signed term p/q sym^exponent like "-2L^3", "L/2", "2L^2/3" or a
-    bare rational, for p/q in lowest terms with q > 0."""
+    """Term p/q sym^exponent like "2L^3", "L/2", "2L^2/3" or a bare
+    rational, for p/q > 0 in lowest terms."""
     if exponent == 0:
         return str(p) if q == 1 else f"{p}/{q}"
-    sign = "-" if p < 0 else ""
-    p = abs(p)
     head = _power(sym, exponent) if p == 1 else f"{p}{_power(sym, exponent)}"
     tail = "" if q == 1 else f"/{q}"
-    return f"{sign}{head}{tail}"
+    return f"{head}{tail}"
 
 
-def _terms_text(pairs, sym: str) -> str:
-    """Descending rendering of a nonzero polynomial given by ascending
-    coefficient pairs (p, q); zero pairs are skipped."""
+def _terms_text(n, d: int, sym: str, space: str = "") -> str:
+    """Descending rendering of sum n[i] sym^i / d, each term brought to
+    lowest terms by one gcd and zero entries skipped, "" for zero: a
+    leading "-" for a negative first term, and between terms the sign
+    with ``space`` on both sides, e.g. "L^2-2L+1" or "x - 1/2"."""
     parts = []
-    for exponent in range(len(pairs) - 1, -1, -1):
-        p, q = pairs[exponent]
+    for exponent in range(len(n) - 1, -1, -1):
+        p = n[exponent]
         if p:
-            term = _monomial(p, q, sym, exponent)
-            parts.append(term if not parts or term.startswith("-") else "+" + term)
+            if parts:
+                parts.append(f"{space}-{space}" if p < 0 else f"{space}+{space}")
+            elif p < 0:
+                parts.append("-")
+            g = gcd(p, d)
+            parts.append(_monomial(abs(p) // g, d // g, sym, exponent))
     return "".join(parts)
 
 
@@ -54,9 +62,7 @@ def _key_text(n, d: int, a: int, b: int, sym: str) -> str:
     """Canonical "(num)/(den)" text of the nonzero scalar key (N, d, a, b),
     num being N/d and den the factored "(L-1)^a*(L+1)^b", e.g. "L^2-2L+1"
     or "-2L/(L-1)^2"."""
-    # a single entry is in lowest terms already: a key's content is coprime to d
-    pairs = [(n[0], d)] if len(n) == 1 else [_lowest_terms(c, d) for c in n]
-    num = _terms_text(pairs, sym)
+    num = _terms_text(n, d, sym)
     factors = []
     for sign, count in (("-", a), ("+", b)):
         if count:
@@ -96,8 +102,10 @@ def _term_text(n, d: int, a: int, b: int, sym: str, exponent: int) -> str:
 
 
 def render_x_poly(poly, sym: str = MACHINE_SYMBOL) -> str:
-    """Descending rendering of a polynomial in x, e.g. "x - 1/2", read from
-    the coefficient keys; a term's sign is that of its last N entry."""
+    """Descending rendering of a polynomial in x, e.g. "x - 1/2": numeric
+    from its key (N, d), symbolic from coefficient keys signed by N[-1]."""
+    if not poly.mode.is_symbolic:
+        return _terms_text(*poly._key, "x", " ") or "0"
     parts = []
     for exponent in range(poly.degree, -1, -1):
         n, d, a, b = poly._coeff_key(exponent)

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -22,7 +23,7 @@ from apobern import (
     render_rational,
 )
 from apobern._kernels import conv_int
-from apobern.field import LambdaPoly, _divided, poly_gcd
+from apobern.field import LambdaPoly, _canonical, _divided, poly_gcd
 from apobern.render import render_ratfunc
 
 from _util import SYM, random_ratfunc
@@ -276,6 +277,42 @@ def test_divided_is_synthetic_division_by_l_minus_root(quotients, root):
     # a row that no longer vanishes at root stops the division
     rows[0][0] += 1
     assert _divided(rows, root) is None
+
+
+def _raw_value(row, d, a, b, point):
+    # row / (d (L-1)^a (L+1)^b) at L = point, in plain Fraction arithmetic
+    num = sum((Fraction(c) * point ** i for i, c in enumerate(row)), Fraction(0))
+    return num / (d * (point - 1) ** a * (point + 1) ** b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-40, 40),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+    st.integers(0, 8), st.integers(0, 8), st.integers(0, 8), st.integers(0, 8),
+    st.integers(1, 5040),
+    st.integers(0, 2),
+)
+def test_canonical_reduces_a_row_to_its_unique_form(c, r, i, j, a, b, d, zeros):
+    # c (L-1)^i (L+1)^j r over d (L-1)^a (L+1)^b, with trailing zeros: the
+    # key satisfies every invariant of the canonical form and keeps the value
+    row = [c * x for x in r]
+    for _ in range(i):
+        row = conv_int(row, [-1, 1])
+    for _ in range(j):
+        row = conv_int(row, [1, 1])
+    n, e, a2, b2 = _canonical(row + [0] * zeros, d, a, b)
+    assert isinstance(n, tuple) and (not n or n[-1])
+    assert e > 0 and gcd(e, *n) == 1
+    assert 0 <= a2 <= a and 0 <= b2 <= b
+    if a2:
+        assert sum(n)
+    if b2:
+        assert sum(n[0::2]) - sum(n[1::2])
+    if not n:
+        assert (e, a2, b2) == (1, 0, 0)
+    for point in (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)):
+        assert _raw_value(n, e, a2, b2, point) == _raw_value(row, d, a, b, point)
 
 
 # -- modes -------------------------------------------------------------------

@@ -526,6 +526,25 @@ def test_basis_number_table_sums_match_the_member_products(ident, q):
         assert residual._key == reference(pt)._key, pt
 
 
+def test_thm1_closed_form_residual_is_minus_the_corollary_residual():
+    # Theorem 1's closed form at q = x^n (closed_form_coefficients through
+    # lambda_power_at_zero) and the Corollary (the order-k number table of
+    # _expansion_residual) check one statement by separate routes: at every
+    # point of Theorem 1's grid, each checker run in the point's own mode,
+    # the one residual is exactly minus the other
+    catalog = _catalog()
+    grid = default_grid(IdentityId.ID_THM1)
+    assert len(grid) == 112
+    failing = 0
+    for pt in grid:
+        closed = dict(catalog[IdentityId.ID_THM1].checker(pt))["closed-form"]
+        [(_, corollary)] = catalog[IdentityId.ID_COR_XN].checker(pt)
+        assert closed.mode is corollary.mode is pt.mode
+        assert closed == -corollary, pt
+        failing += bool(corollary)
+    assert 0 < failing < len(grid)
+
+
 @pytest.mark.parametrize("ident, calls", [
     (IdentityId.ID_COR_XN, 30),
     (IdentityId.ID_THM2, 30),
@@ -579,6 +598,26 @@ def test_suite_identities_share_the_memos_until_the_suite_returns(monkeypatch):
     assert after.hits - before.hits > alone.hits
     for memo in identities._MEMOS:
         assert memo.cache_info().currsize == 0, memo.__name__
+
+
+def test_a_suite_hashes_each_y_sample_a_bounded_number_of_times(monkeypatch):
+    # Fraction does not cache its hash, and a suite looks each y sample up
+    # thousands of times (grid sorting, symbolic twins, memo keys); each
+    # sample keeps its hash, so over a suite Fraction.__hash__ runs at most
+    # twice per distinct sample
+    config = SuiteConfig(max_n=4)
+    samples = {pt.y for i in config.ids for pt in default_grid(i, max_n=4) if pt.y is not None}
+    assert len(samples) == 7
+    calls = []
+    real = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    run_suite(config)
+    assert len(calls) <= 2 * len(samples)
 
 
 def _catalog():
