@@ -49,10 +49,10 @@ from .render import (
 )
 from .reporting import (
     FORMATS,
-    expectation_from_reports,
     expectation_mismatches,
     parse_expectation,
     render_report,
+    render_with_expectation,
 )
 
 DEFAULT_EXPECTATION = "expected_verdicts.json"
@@ -364,7 +364,7 @@ def _load_default_expectation() -> Optional[str]:
 
 def _cmd_verify(args) -> int:
     ids = _parse_ids(args.ids)
-    expected_text = None
+    expected_text = expected = None
     if args.expect:
         try:
             with open(args.expect, "r", encoding="utf-8") as handle:
@@ -372,7 +372,7 @@ def _cmd_verify(args) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read expectation file: {exc}") from exc
         try:
-            parse_expectation(expected_text)
+            expected = parse_expectation(expected_text)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     elif args.max_n is None and args.max_k is None:
@@ -381,12 +381,15 @@ def _cmd_verify(args) -> int:
         reports = run_suite(SuiteConfig(ids=ids, max_n=args.max_n, max_k=args.max_k))
     except GridBoundsError as exc:
         raise UsageError(str(exc)) from exc
-    document = render_report(reports, args.format)
+    if expected_text is None and not args.write_expect:
+        document, observed = render_report(reports, args.format), None
+    else:
+        document, observed = render_with_expectation(reports, args.format)
     _emit(document, args.output)
     if args.write_expect:
-        _write_file(args.write_expect, expectation_from_reports(reports))
+        _write_file(args.write_expect, observed)
     if expected_text is not None:
-        mismatches = expectation_mismatches(reports, expected_text)
+        mismatches = expectation_mismatches(reports, expected_text, observed, expected)
         if mismatches:
             for line in mismatches:
                 print(f"expectation mismatch: {line}", file=sys.stderr)

@@ -9,22 +9,21 @@ degree equal to their index and the natural window is 0..n.
 Three routes are provided: an exact triangular solve (the oracle), the
 closed-form coefficient formula with index window k..n as cataloged, and
 a repaired variant that extends the window to k..k+n and evaluates the
-operator power by literal iteration.  The last two are one windowed
-route, b_j = (1/j!) (Lambda^k D^(j-k) q)(0), that differs only in the
-window and in how the operator power at zero is evaluated.  Only the
-oracle is guaranteed exact; the other two carry an exactness flag
-computed by reconstruction.
+operator power by literal iteration.  The last two share the formula
+b_j = (1/j!) (Lambda^k D^(j-k) q)(0): the closed form sums the power at
+zero per coefficient, the repaired route reads every b_j off Lambda^k q.
+Only the oracle is guaranteed exact; the others flag exactness by reconstruction.
 """
 
 from __future__ import annotations
 
 import enum
-from math import factorial
+from math import factorial, perm
 from typing import NamedTuple, Sequence, Tuple
 
 from .families import apostol_bernoulli_poly
 from .field import FieldElement, LambdaMode
-from .operators import DifferencePowerMethod, lambda_power_at_zero
+from .operators import DifferencePowerMethod, lambda_op, lambda_power_at_zero
 from .polynomials import XPolynomial, dot
 
 __all__ = [
@@ -122,18 +121,11 @@ def expand_oracle(q: XPolynomial, k: int) -> BasisExpansion:
     )
 
 
-def _windowed(
-    method: ExpansionMethod, q: XPolynomial, k: int, j_hi: int, power: DifferencePowerMethod
-) -> BasisExpansion:
-    """b_j = (1/j!) (Lambda^k D^(j-k) q)(0) over the window j = k..j_hi,
-    with the operator power at zero evaluated by ``power``; the exactness
-    flag comes from reconstructing and comparing against q."""
-    coeffs = []
-    derivative = q
-    for j in range(k, j_hi + 1):
-        coeffs.append(lambda_power_at_zero(derivative, k, power) / factorial(j))
-        derivative = derivative.derivative()
+def _windowed(method: ExpansionMethod, q: XPolynomial, k: int, coeffs: list) -> BasisExpansion:
+    """The expansion with b_j = coeffs[j - k] over the window j = k..k+len-1;
+    the exactness flag comes from reconstructing and comparing against q."""
     recon = basis_sum(coeffs, k, k, q.mode)
+    j_hi = k + len(coeffs) - 1
     return BasisExpansion(method, k, q.mode, k, j_hi, tuple(coeffs), recon == q, recon)
 
 
@@ -148,16 +140,20 @@ def closed_form_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
     """
     if k < 0:
         raise ValueError("basis order must be nonnegative")
-    return _windowed(
-        ExpansionMethod.CLOSED_FORM, q, k, max(q.degree, k - 1), DifferencePowerMethod.CLOSED_FORM
-    )
+    coeffs, derivative = [], q
+    for j in range(k, q.degree + 1):
+        coeffs.append(lambda_power_at_zero(derivative, k, DifferencePowerMethod.CLOSED_FORM)
+                      / factorial(j))
+        derivative = derivative.derivative()
+    return _windowed(ExpansionMethod.CLOSED_FORM, q, k, coeffs)
 
 
 def corrected_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
     """Repaired route: window j = k..k+deg q and literal operator powers,
 
-        b_j = (1/j!) * (Lambda^k D^{j-k} q)(0),
+        b_j = (1/j!) * (Lambda^k D^{j-k} q)(0) = ((j-k)!/j!) [x^{j-k}] Lambda^k q,
 
+    as D and Lambda commute, so Lambda^k q is built once per expansion;
     validated against the oracle rather than assumed."""
     if k < 0:
         raise ValueError("basis order must be nonnegative")
@@ -165,4 +161,8 @@ def corrected_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
         raise UnsupportedModeError(
             "the k..k+n window presumes basis degrees j-k, which fails at lambda = 1"
         )
-    return _windowed(ExpansionMethod.CORRECTED, q, k, k + q.degree, DifferencePowerMethod.ITERATED)
+    power = q
+    for _ in range(k):
+        power = lambda_op(power)
+    coeffs = [power.coefficient(i) / perm(k + i, k) for i in range(q.degree + 1)]
+    return _windowed(ExpansionMethod.CORRECTED, q, k, coeffs)

@@ -15,7 +15,7 @@ from math import comb, lcm
 from typing import Callable, List, Sequence, Tuple, Union
 
 from .field import FieldElement, LambdaMode, LambdaRatFunc, RationalLike, _canonical, _new
-from .polynomials import XPolynomial, shift_poly
+from .polynomials import XPolynomial, dot, shift_poly
 
 __all__ = [
     "DifferencePowerMethod",
@@ -37,8 +37,8 @@ class DifferencePowerMethod(enum.Enum):
 
 
 def lambda_op(p: XPolynomial) -> XPolynomial:
-    """The twisted difference L*p(x+1) - p(x) in p's coefficient domain."""
-    return shift_poly(p, 1).scalar_mul(p.mode.lam) - p
+    """The twisted difference L*p(x+1) - p(x) as one sum, reduced once."""
+    return dot(p.mode, (p.mode.lam, -1), (shift_poly(p, 1), p))
 
 
 def d_op(p: XPolynomial, s: int = 1) -> XPolynomial:

@@ -11,14 +11,15 @@ The JSON layout is the stable machine interface:
 
 Expectation files reuse the layout minus the witness fields, so known
 formula defects stay pinned without freezing their (larger) witness
-strings.  All output is byte-deterministic for a fixed input.
+strings, and a run renders both texts in one pass.  All output is
+byte-deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .field import render_rational
 from .identities import GridPoint, IdentityReport
@@ -31,6 +32,7 @@ __all__ = [
     "expectation_mismatches",
     "parse_expectation",
     "render_report",
+    "render_with_expectation",
 ]
 
 FORMATS = ("json", "text", "latex", "csv")
@@ -90,11 +92,12 @@ def _json_list(items: List[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
-def _json_report(report: IdentityReport, include_witness: bool) -> str:
+def _json_chunks(report: IdentityReport, witnesses: Sequence[bool]) -> List[str]:
+    """The report's chunk per entry of ``witnesses``, from shared heads."""
     # Each point's fields are rendered once, into its grid entry and into
     # the head of every result at it.
     rendered = {}
-    results = []
+    heads = []
     for entry in report.results:
         point = entry.point
         if point not in rendered:
@@ -106,31 +109,50 @@ def _json_report(report: IdentityReport, include_witness: bool) -> str:
             )
             rendered[point] = _GRID_ENTRY.format(*fields), _RESULT_POINT.format(*fields)
         verdict = '"pass"' if entry.passed else '"fail"'
-        tail = f',\n        "witness": {_json(entry.witness)}' if include_witness else ""
-        results.append(
-            f'{rendered[point][1]}{_json(entry.variant)}\n        }},\n'
-            f'        "verdict": {verdict}{tail}\n      }}'
-        )
-    grid = [entry for entry, _ in rendered.values()]
+        heads.append(f'{rendered[point][1]}{_json(entry.variant)}\n        }},\n'
+                     f'        "verdict": {verdict}')
+    grid = _json_list([entry for entry, _ in rendered.values()], "    ")
     summary = report.summary
-    return (
-        f'  {{\n    "identity": {_quote(report.identity.value)},\n'
-        f'    "grid": {_json_list(grid, "    ")},\n    "results": {_json_list(results, "    ")},\n'
-        f'    "summary": {{\n      "pass": {summary.passed},\n      "fail": {summary.failed},\n'
-        f'      "validity_domain": {_quote(summary.validity_domain)}\n    }}\n  }}'
-    )
+    chunks = []
+    for include_witness in witnesses:
+        results = [f'{head},\n        "witness": {_json(e.witness)}\n      }}' if include_witness
+                   else f"{head}\n      }}" for head, e in zip(heads, report.results)]
+        chunks.append(
+            f'  {{\n    "identity": {_quote(report.identity.value)},\n'
+            f'    "grid": {grid},\n    "results": {_json_list(results, "    ")},\n'
+            f'    "summary": {{\n      "pass": {summary.passed},\n      "fail": {summary.failed},\n'
+            f'      "validity_domain": {_quote(summary.validity_domain)}\n    }}\n  }}'
+        )
+    return chunks
+
+
+def _json_documents(reports: Sequence[IdentityReport], witnesses: Sequence[bool]) -> List[str]:
+    """One JSON document of reports per entry of ``witnesses``, each joined
+    from all its parts at once (bracketing a joined list copies it again)."""
+    documents = [[] for _ in witnesses]
+    for report in reports:
+        for parts, chunk in zip(documents, _json_chunks(report, witnesses)):
+            parts += (",\n", chunk)
+    return ["".join(["[\n", *parts[1:], "\n]\n"]) if parts else "[]\n" for parts in documents]
 
 
 def reports_to_json(reports: Sequence[IdentityReport], include_witness: bool = True) -> str:
     """The bytes of json.dumps([report_to_dict(r, include_witness) ...],
     indent=2, ensure_ascii=True) + "\\n", written without building the
     payload."""
-    return _json_list([_json_report(r, include_witness) for r in reports], "") + "\n"
+    return _json_documents(reports, (include_witness,))[0]
 
 
 def expectation_from_reports(reports: Sequence[IdentityReport]) -> str:
     """Expectation-file content: the full report minus witnesses."""
     return reports_to_json(reports, include_witness=False)
+
+
+def render_with_expectation(reports: Sequence[IdentityReport], fmt: str) -> Tuple[str, str]:
+    """The report in ``fmt`` and its expectation text, json's in one pass."""
+    if fmt == "json":
+        return tuple(_json_documents(reports, (True, False)))
+    return render_report(reports, fmt), expectation_from_reports(reports)
 
 
 def parse_expectation(expected_text: str) -> dict:
@@ -149,14 +171,19 @@ def parse_expectation(expected_text: str) -> dict:
 
 
 def expectation_mismatches(
-    reports: Sequence[IdentityReport], expected_text: str
+    reports: Sequence[IdentityReport], expected_text: str,
+    observed_text: Optional[str] = None, expected: Optional[dict] = None,
 ) -> List[str]:
     """Compare a run against an expectation file; [] means a clean match.
 
-    Matching is per identity so a subset run can be checked against the
-    full default expectation file.
+    A file equal to ``observed_text``, the run's own expectation text,
+    matches unparsed; any other (``expected`` if already parsed) matches
+    per identity, so a subset run can be checked against the full file.
     """
-    expected = parse_expectation(expected_text)
+    if expected_text == observed_text:
+        return []
+    if expected is None:
+        expected = parse_expectation(expected_text)
     mismatches = []
     for report in reports:
         name = report.identity.value

@@ -15,6 +15,8 @@ THIRD = LambdaMode.numeric(Fraction(1, 3))
 
 ALL_MODES = (SYM, ONE, TWO, MINUS_TWO, THIRD)
 NOT_ONE_MODES = (SYM, TWO, MINUS_TWO, THIRD)
+# The numeric modes of the property tests.
+PROPERTY_MODES = (ONE, TWO, LambdaMode.numeric(Fraction(-1, 2)), LambdaMode.numeric(Fraction(7, 3)))
 
 
 def random_fraction(rng: Random, num_bound: int = 9, den_bound: int = 4) -> Fraction:

@@ -4,12 +4,15 @@ import contextlib
 import io
 import json
 import sys
+from functools import lru_cache
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apobern import IdentityId
+from apobern import IdentityId, report_to_dict, run_suite
+from apobern import cli, reporting
 from apobern.cli import build_parser, main
 
 
@@ -207,6 +210,74 @@ def test_failed_write_expect_keeps_the_old_file(capsys, tmp_path, monkeypatch):
     assert code == 1 and "disk full" in err
     assert target.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["observed.json"]
+
+
+# One suite run per configuration serves every expectation case below.
+_cached_suite = lru_cache(maxsize=None)(run_suite)
+
+
+def _expectation_variant(edit: str) -> str:
+    """The packaged expectation file, as shipped or edited."""
+    text = resources.files("apobern").joinpath("data", "expected_verdicts.json").read_text(
+        encoding="utf-8")
+    items = json.loads(text)
+    if edit == "packaged":
+        return text
+    if edit == "compact":
+        return json.dumps(items, separators=(",", ":"))
+    derivative = next(item for item in items if item["identity"] == "ID_DERIV")
+    if edit == "flipped":
+        result = derivative["results"][0]
+        result["verdict"] = "fail" if result["verdict"] == "pass" else "pass"
+    elif edit == "removed":
+        items = [item for item in items if item["identity"] != "ID_EULER_RAMANUJAN"]
+    elif edit == "duplicated":
+        items.append(derivative)
+    return json.dumps(items, indent=2) + "\n"
+
+
+def _parse_only_mismatches(reports, expected_text):
+    # The reference: every identity compared against the parsed file.
+    expected = {item["identity"]: item for item in json.loads(expected_text)}
+    out = []
+    for report in reports:
+        name = report.identity.value
+        if name not in expected:
+            out.append(f"{name}: no expectation recorded")
+        elif report_to_dict(report, include_witness=False) != expected[name]:
+            out.append(f"{name}: verdict pattern differs from expectation")
+    return out
+
+
+@pytest.mark.parametrize("edit", ["packaged", "compact", "flipped", "removed", "duplicated"])
+@pytest.mark.parametrize("ids", [None, "ID_DERIV,ID_EULER_RAMANUJAN"])
+def test_expectation_text_match_agrees_with_the_parse(capsys, tmp_path, monkeypatch, edit, ids):
+    runs = []
+
+    def suite(config):
+        runs.append(_cached_suite(config))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_suite", suite)
+    expected_text = _expectation_variant(edit)
+    path = tmp_path / "expect.json"
+    path.write_text(expected_text, encoding="utf-8")
+    argv = ["verify", "--format", "json", "--expect", str(path), "--output", str(tmp_path / "r")]
+    code, _, err = run_cli(capsys, *argv, *(["--ids", ids] if ids else []))
+    reference = _parse_only_mismatches(runs[0], expected_text)
+    assert bool(reference) == (edit in ("flipped", "removed"))
+    assert err.splitlines() == [f"expectation mismatch: {line}" for line in reference]
+    assert code == (1 if reference else 0)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_default_verify_settles_the_expectation_without_parsing(capsys, tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "run_suite", _cached_suite)
+    loads = []
+    parse = reporting.json.loads
+    monkeypatch.setattr(reporting.json, "loads", lambda *a, **k: loads.append(a) or parse(*a, **k))
+    code, _, err = run_cli(capsys, "verify", "--format", fmt, "--output", str(tmp_path / "r"))
+    assert (code, err, loads) == (0, "", [])
 
 
 def test_output_file(capsys, tmp_path):

@@ -21,7 +21,7 @@ from apobern import (
 )
 from apobern.operators import alternating_lambda_sum, d_op, lambda_power_at_zero
 
-from _util import ALL_MODES, NOT_ONE_MODES, ONE, SYM, random_xpoly, symbolic_scalars
+from _util import ALL_MODES, NOT_ONE_MODES, ONE, PROPERTY_MODES, SYM, random_xpoly, symbolic_scalars
 
 
 def test_oracle_monomial_order_zero():
@@ -203,12 +203,12 @@ _small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 @st.composite
 def _window_cases(draw):
-    """(q, k) in every mode, q of degree at most 4 (zero included), with
+    """(q, k) in every mode, q of degree at most 6 (zero included), with
     symbolic coefficients that carry poles in symbolic mode."""
-    mode = draw(st.sampled_from(ALL_MODES))
+    mode = draw(st.sampled_from(ALL_MODES + PROPERTY_MODES[2:]))
     k = draw(st.integers(0, 4))
     scalars = symbolic_scalars() if mode.is_symbolic else _small_fractions
-    coeffs = draw(st.lists(st.one_of(st.just(0), scalars), max_size=5))
+    coeffs = draw(st.lists(st.one_of(st.just(0), scalars), max_size=7))
     return XPolynomial(coeffs, mode), k
 
 

@@ -23,7 +23,16 @@ from apobern import (
     shift_poly,
 )
 
-from _util import ALL_MODES, ONE, SYM, TWO, random_fraction, random_xpoly, symbolic_scalars
+from _util import (
+    ALL_MODES,
+    ONE,
+    PROPERTY_MODES,
+    SYM,
+    TWO,
+    random_fraction,
+    random_xpoly,
+    symbolic_scalars,
+)
 
 ITERATED = DifferencePowerMethod.ITERATED
 CLOSED = DifferencePowerMethod.CLOSED_FORM
@@ -229,6 +238,19 @@ def test_lambda_op_linearity(seed, alpha, beta):
     lhs = lambda_op(p.scalar_mul(alpha) + q.scalar_mul(beta))
     rhs = lambda_op(p).scalar_mul(alpha) + lambda_op(q).scalar_mul(beta)
     assert lhs == rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lambda_op_matches_shift_scale_subtract(data):
+    # the operator as one sum against its three-step reference, zero
+    # polynomials and L = 0 (where L*p(x+1) vanishes) included
+    mode = data.draw(st.sampled_from((SYM, LambdaMode.numeric(0)) + PROPERTY_MODES))
+    scalars = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    if mode.is_symbolic:
+        scalars = scalars | symbolic_scalars()
+    p = XPolynomial(data.draw(st.lists(st.just(0) | scalars, max_size=7)), mode)
+    assert lambda_op(p)._key == (shift_poly(p, 1).scalar_mul(mode.lam) - p)._key
 
 
 def test_iterated_power_brute_force_vs_corrected_formula():

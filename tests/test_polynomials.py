@@ -20,10 +20,7 @@ from apobern import (
 from apobern.polynomials import dot, specialize_poly
 from apobern.render import LATEX_SYMBOL, TEXT_SYMBOL, render_field_element, render_x_poly
 
-from _util import ONE, SYM, TWO, random_xpoly, symbolic_scalars
-
-# The numeric modes of the property tests.
-PROPERTY_MODES = (ONE, TWO, LambdaMode.numeric(Fraction(-1, 2)), LambdaMode.numeric(Fraction(7, 3)))
+from _util import ONE, PROPERTY_MODES, SYM, TWO, random_xpoly, symbolic_scalars
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 coeff_lists = st.lists(
