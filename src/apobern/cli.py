@@ -356,7 +356,7 @@ def _parse_ids(text: Optional[str]):
 
 
 def _load_default_expectation() -> Optional[str]:
-    ref = resources.files("apobern").joinpath("data").joinpath(DEFAULT_EXPECTATION)
+    ref = resources.files(__package__).joinpath("data").joinpath(DEFAULT_EXPECTATION)
     if not ref.is_file():
         return None
     return ref.read_text(encoding="utf-8")

@@ -53,7 +53,7 @@ from .families import (
     bernoulli_poly,
     euler_poly,
 )
-from .field import FieldElement, LambdaMode
+from .field import FieldElement, LambdaMode, _horner, _sym_reduced
 from .operators import (
     DifferencePowerMethod,
     alternating_row,
@@ -64,11 +64,11 @@ from .operators import (
 )
 from .polynomials import (
     XPolynomial,
+    _add_into,
     _lift,
     _new,
     _scalar_key,
     _sum,
-    dot,
     embed_poly,
     specialize_poly,
 )
@@ -322,9 +322,12 @@ def _basis_checker(lhs: Callable[..., XPolynomial], weight: Optional[Callable] =
 def _omega(weight, m: int, k: int, y: Optional[Fraction]) -> Tuple[tuple, int]:
     """The terms (-1)^a C(k,a) q_m(a), a = 0..k, of the lambda-sum of
     q_m = weight(m, k, y), as one integer row over one denominator: the
-    part of a basis coefficient that every n with the same m shares."""
-    q = weight(m, k, y)
-    row, d = alternating_row([q.evaluate(a) for a in range(k + 1)])
+    part of a basis coefficient that every n with the same m shares.
+    On the key (N, d) of the nonzero q_m, q_m(a) = H_a / d with H_a the
+    integer Horner value of N at a, so the row of the H_a is over q_m's d,
+    not in lowest terms (the residual's one reduction settles that)."""
+    n, d = weight(m, k, y)._key
+    row, _ = alternating_row([_horner(n, a, 1)[0] for a in range(k + 1)])
     return tuple(row), d
 
 
@@ -347,9 +350,19 @@ def _beta_columns(k: int, n: int, mode: LambdaMode) -> tuple:
 
 @lru_cache(maxsize=None)
 def _convolution(poly: Callable[[int], XPolynomial], m: int, y: Fraction) -> XPolynomial:
-    """sum_i C(m, i) p_i(x) p_(m-i)(y) for the classical family p."""
-    scalars = [comb(m, i) * poly(m - i).evaluate(y) for i in range(m + 1)]
-    return dot(_ONE, scalars, [poly(i) for i in range(m + 1)])
+    """sum_i C(m, i) p_i(x) p_(m-i)(y) for the classical family p, on the
+    integer keys: at y = u/v Horner on the key (N, d) of p_(m-i) gives
+    p_(m-i)(y) = H / (d v^t), t = len(N) - 1, so term i is the row
+    C(m, i) H N_i over d v^t d_i, (N_i, d_i) the key of p_i, and one sum
+    reduces all the terms."""
+    u, v = y.numerator, y.denominator
+    terms = []
+    for i in range(m + 1):
+        (n, d), (row, e) = poly(m - i)._key, poly(i)._key
+        h, v_power = _horner(n, u, v)
+        c = comb(m, i) * h
+        terms.append(([c * x for x in row], d * v_power * e))
+    return _new(_ONE, _sum(False, terms))
 
 
 @lru_cache(maxsize=None)
@@ -386,7 +399,12 @@ def _expansion_residual(pt: GridPoint, lhs: XPolynomial, brackets: Sequence[tupl
     column (e, a) of the T_i dotted with column p of the lifted betas is
     the coefficient of x^e L^(p+a).  At L = u/v, L^a is u^a v^(K-a) / v^K
     with K = powers - 1, and (1-L)^power is (v-u)^power / v^power; in
-    symbolic mode it is (-1)^power with that many poles at L = 1 fewer."""
+    symbolic mode it is (-1)^power with that many poles at L = 1 fewer,
+    which presumes a >= power for the lifted betas (their pole order at
+    L = 1 is at least k >= power, as beta_k^(k) = k!/(L-1)^k), so the
+    right side is never lifted.  lhs is a polynomial of the mode at L = 1,
+    free of L: its rows take the right side's denominator, and one
+    reduction makes the residual canonical."""
     n, k, mode = pt.n, pt.k, pt.mode
     if n < k:
         return embed_poly(lhs, mode)  # no member: the right side is zero
@@ -422,8 +440,18 @@ def _expansion_residual(pt: GridPoint, lhs: XPolynomial, brackets: Sequence[tupl
         row = out[index // powers]
         for p, beta in enumerate(columns, shift):
             row[p] += f * sum(map(mul, column, beta))
-    residual = _sum(True, [embed_poly(lhs, _SYM)._key, (out, q * d * v, a, b)])
-    return embed_poly(_new(_SYM, residual), mode)
+    # out is minus the right side over q d v (L-1)^a (L+1)^b; the left side
+    # (N, e) is free of L, so it alone takes the poles, in one lift
+    n_lhs, e = lhs._key
+    den = lcm(e, q * d * v)
+    if (f := den // (q * d * v)) != 1:
+        out = [[f * c for c in row] for row in out]
+    pole = _lift((den // e,), 1, a, b)
+    out.extend([] for _ in range(len(n_lhs) - len(out)))
+    for i, c in enumerate(n_lhs):
+        if c:
+            out[i] = _add_into(out[i], [c * x for x in pole])
+    return embed_poly(_new(_SYM, _sym_reduced(out, den, a, b)), mode)
 
 
 _MEMOS = (_omega, _beta_columns, _convolution, _shifted, _hansen_rhs, _dilcher_rhs)

@@ -37,20 +37,33 @@ def _monomial(p: int, q: int, sym: str, exponent: int) -> str:
 
 
 def _terms_text(n, d: int, sym: str, space: str = "") -> str:
-    """Descending rendering of sum n[i] sym^i / d, each term brought to
-    lowest terms by one gcd and zero entries skipped, "" for zero: a
-    leading "-" for a negative first term, and between terms the sign
-    with ``space`` on both sides, e.g. "L^2-2L+1" or "x - 1/2"."""
+    """Descending rendering of sum n[i] sym^i / d, zero entries skipped,
+    "" for zero: a leading "-" for a negative first term, and between
+    terms the sign with ``space`` on both sides, e.g. "L^2-2L+1" or
+    "x - 1/2".  Each term is written inline as :func:`_monomial` would
+    write it, brought to lowest terms by one gcd when d != 1."""
+    plus, minus = f"{space}+{space}", f"{space}-{space}"
     parts = []
     for exponent in range(len(n) - 1, -1, -1):
         p = n[exponent]
-        if p:
-            if parts:
-                parts.append(f"{space}-{space}" if p < 0 else f"{space}+{space}")
-            elif p < 0:
-                parts.append("-")
+        if not p:
+            continue
+        if p < 0:
+            parts.append(minus if parts else "-")
+            p = -p
+        elif parts:
+            parts.append(plus)
+        tail = ""
+        if d != 1:
             g = gcd(p, d)
-            parts.append(_monomial(abs(p) // g, d // g, sym, exponent))
+            if g != d:
+                tail = f"/{d // g}"
+            p //= g
+        if exponent == 0:
+            parts.append(f"{p}{tail}")
+        else:
+            head = sym if exponent == 1 else f"{sym}^{exponent}"
+            parts.append(f"{head}{tail}" if p == 1 else f"{p}{head}{tail}")
     return "".join(parts)
 
 

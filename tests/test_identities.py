@@ -446,6 +446,36 @@ def test_hansen_right_side_is_built_once_per_index_and_sample():
     assert info.hits > 0
 
 
+def _ref_convolution(poly, m, y):
+    # sum_i C(m,i) p_(m-i)(y) p_i(x) for the classical family p, each
+    # value p_(m-i)(y) a Fraction and the sum taken through dot
+    from math import comb
+
+    from apobern.polynomials import dot
+
+    scalars = [comb(m, i) * poly(m - i).evaluate(y) for i in range(m + 1)]
+    return dot(ONE, scalars, [poly(i) for i in range(m + 1)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("bernoulli", "euler")), st.integers(0, 12), st.integers(-9, 9),
+       st.integers(1, 9))
+@example("bernoulli", 3, -1, 2)
+@example("euler", 4, 2, 3)
+@example("euler", 5, -7, 9)
+def test_convolution_matches_the_fraction_formula(family, m, u, v):
+    # the checkers' convolution works on the integer keys of the classical
+    # polynomials; it must give the Fraction formula's key exactly
+    from apobern import identities
+    from apobern.families import bernoulli_poly, euler_poly
+
+    poly = {"bernoulli": bernoulli_poly, "euler": euler_poly}[family]
+    y = Fraction(u, v)
+    got = identities._convolution.__wrapped__(poly, m, y)
+    assert got.mode is ONE
+    assert got._key == _ref_convolution(poly, m, y)._key
+
+
 def _member_product_thm5_residual(pt):
     # Theorem 5 summed member by member: 2 (1-L)^k times the sum over j of
     # n!/(m! j!) D_m(x) B_j^(k)(x|L), one x-product per member through dot
@@ -464,7 +494,7 @@ def _member_product_thm5_residual(pt):
     ]
     members = [apostol_bernoulli_poly(j, k, mode) for j in range(k, n + 1)]
     rhs = dot(mode, brackets, members).scalar_mul(alternating_lambda_sum(mode, k, lambda a: 2))
-    return embed_poly(identities._convolution(euler_poly, n, y), mode) - rhs
+    return embed_poly(_ref_convolution(euler_poly, n, y), mode) - rhs
 
 
 def _member_product_basis_residual(ident, pt):
@@ -484,7 +514,7 @@ def _member_product_basis_residual(ident, pt):
         IdentityId.ID_COR_XN: (lambda n, y: XPolynomial.monomial(ONE, n), None),
         IdentityId.ID_THM2: (lambda n, y: apostol_euler_poly(n, pt.k, ONE), None),
         IdentityId.ID_THM3: (lambda n, y: apostol_bernoulli_poly(n, pt.k, ONE), None),
-        IdentityId.ID_THM4: (lambda n, y: identities._convolution(bernoulli_poly, n, y),
+        IdentityId.ID_THM4: (lambda n, y: _ref_convolution(bernoulli_poly, n, y),
                              lambda m, y: identities._hansen_rhs(m, y)),
     }[ident]
     w = w or q

@@ -5,7 +5,7 @@ from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apobern import (
@@ -18,7 +18,14 @@ from apobern import (
     shift_poly,
 )
 from apobern.polynomials import dot, specialize_poly
-from apobern.render import LATEX_SYMBOL, TEXT_SYMBOL, render_field_element, render_x_poly
+from apobern.render import (
+    LATEX_SYMBOL,
+    TEXT_SYMBOL,
+    _monomial,
+    _terms_text,
+    render_field_element,
+    render_x_poly,
+)
 
 from _util import ONE, PROPERTY_MODES, SYM, TWO, random_xpoly, symbolic_scalars
 
@@ -455,3 +462,30 @@ def test_render_x_poly_matches_the_per_coefficient_renderer(data):
     for poly, ref in ((p, scalars), (-p, [-c for c in scalars])):
         for sym in ("L", TEXT_SYMBOL, LATEX_SYMBOL):
             assert render_x_poly(poly, sym) == _ref_render_x_poly(ref, sym)
+
+
+# The term loop as it called _monomial once per term: the reference for
+# the inline term texts of _terms_text.
+
+
+def _ref_terms_text(n, d, sym, space):
+    parts = []
+    for exponent in range(len(n) - 1, -1, -1):
+        p = n[exponent]
+        if p:
+            if parts:
+                parts.append(f"{space}-{space}" if p < 0 else f"{space}+{space}")
+            elif p < 0:
+                parts.append("-")
+            g = gcd(p, d)
+            parts.append(_monomial(abs(p) // g, d // g, sym, exponent))
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-30, 30), max_size=7), st.integers(1, 36) | st.just(1),
+       st.sampled_from(("L", TEXT_SYMBOL, LATEX_SYMBOL, "x")), st.sampled_from(("", " ")))
+@example([0, -1, 0, 6, 1], 1, "x", " ")
+@example([-4, 2, 0, -6], 6, "L", "")
+def test_terms_text_matches_the_per_term_monomial_loop(n, d, sym, space):
+    assert _terms_text(n, d, sym, space) == _ref_terms_text(n, d, sym, space)
