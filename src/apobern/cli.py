@@ -13,6 +13,7 @@ expectation mismatches.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -521,7 +522,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main():
-    sys.exit(main())
+    code = main()
+    # What the run leaves is freed by reference counting at exit; frozen,
+    # it is spared the collector's full passes during teardown.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from math import factorial, perm
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .families import apostol_bernoulli_poly
 from .field import FieldElement, LambdaMode
@@ -148,21 +148,24 @@ def closed_form_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
     return _windowed(ExpansionMethod.CLOSED_FORM, q, k, coeffs)
 
 
-def corrected_coefficients(q: XPolynomial, k: int) -> BasisExpansion:
+def corrected_coefficients(q: XPolynomial, k: int,
+                           power: Optional[XPolynomial] = None) -> BasisExpansion:
     """Repaired route: window j = k..k+deg q and literal operator powers,
 
         b_j = (1/j!) * (Lambda^k D^{j-k} q)(0) = ((j-k)!/j!) [x^{j-k}] Lambda^k q,
 
-    as D and Lambda commute, so Lambda^k q is built once per expansion;
-    validated against the oracle rather than assumed."""
+    as D and Lambda commute, so Lambda^k q is built once per expansion,
+    or passed in as ``power`` by a caller that has it; validated against
+    the oracle rather than assumed."""
     if k < 0:
         raise ValueError("basis order must be nonnegative")
     if q.mode.is_one:
         raise UnsupportedModeError(
             "the k..k+n window presumes basis degrees j-k, which fails at lambda = 1"
         )
-    power = q
-    for _ in range(k):
-        power = lambda_op(power)
+    if power is None:
+        power = q
+        for _ in range(k):
+            power = lambda_op(power)
     coeffs = [power.coefficient(i) / perm(k + i, k) for i in range(q.degree + 1)]
     return _windowed(ExpansionMethod.CORRECTED, q, k, coeffs)

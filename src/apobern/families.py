@@ -10,7 +10,11 @@ The two kernels are
 
 Numbers are n! times the n-th ordinary series coefficient; polynomials
 come from the binomial sum over the numbers, with an independent
-series-product extraction kept alongside for cross-checking.
+series-product extraction kept alongside for cross-checking.  The sum
+sum_l C(n, l) beta_(n-l) x^l is written from the numbers' integer keys
+(:func:`_member`): one lift to one denominator d (L-1)^a (L+1)^b, each
+binomial in its number's scale, and one reduction, with no scalar built
+per coefficient.
 
 Each (family, k, mode) keeps the longest number table built since the
 last :func:`clear_caches`; a shorter request reads its prefix, and a
@@ -31,8 +35,8 @@ from math import comb, factorial
 from typing import NamedTuple, Tuple
 
 from ._kernels import conv_int
-from .field import FieldElement, LambdaMode, PoleError, _new
-from .polynomials import XPolynomial, _sum
+from .field import FieldElement, LambdaMode, PoleError, _new, _sym_reduced
+from .polynomials import XPolynomial, _lifted, _new as _new_poly, _reduced, _sum
 from .series import TruncatedSeries, exp_scaled_series
 
 __all__ = [
@@ -215,23 +219,30 @@ def euler_number_from_half_point(k: int) -> Fraction:
     return value * 2 ** k
 
 
+def _member(numbers: NumberTable, n: int) -> XPolynomial:
+    """The family member sum_l C(n, l) beta_(n-l) x^l of the table's
+    numbers beta, written from their keys: one lift to one denominator
+    with each binomial in its scale, reduced once."""
+    values = numbers.values[n::-1]
+    scales = [comb(n, l) for l in range(n + 1)]
+    if numbers.mode.is_symbolic:
+        key = _sym_reduced(*_lifted(True, [v._key for v in values], scales))
+    else:
+        key = _reduced(*_lifted(False, values, scales))
+    return _new_poly(numbers.mode, key)
+
+
 @lru_cache(maxsize=None)
 def apostol_bernoulli_poly(n: int, k: int, mode: LambdaMode) -> XPolynomial:
     """Degree-indexed Bernoulli-type polynomial via the binomial sum
     sum_l C(n, l) x^l * number_{n-l}."""
-    numbers = apostol_bernoulli_numbers(k, n, mode)
-    return XPolynomial(
-        [numbers[n - l] * comb(n, l) for l in range(n + 1)], mode
-    )
+    return _member(apostol_bernoulli_numbers(k, n, mode), n)
 
 
 @lru_cache(maxsize=None)
 def apostol_euler_poly(n: int, k: int, mode: LambdaMode) -> XPolynomial:
     """Degree-indexed Euler-type polynomial via the binomial sum."""
-    numbers = apostol_euler_numbers(k, n, mode)
-    return XPolynomial(
-        [numbers[n - l] * comb(n, l) for l in range(n + 1)], mode
-    )
+    return _member(apostol_euler_numbers(k, n, mode), n)
 
 
 def poly_by_series_extraction(

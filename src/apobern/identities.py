@@ -66,8 +66,8 @@ from .polynomials import (
     XPolynomial,
     _add_into,
     _lift,
+    _lifted,
     _new,
-    _scalar_key,
     _sum,
     embed_poly,
     specialize_poly,
@@ -230,14 +230,14 @@ def _check_deriv(pt: GridPoint) -> CheckOutcome:
 def _check_diff(pt: GridPoint) -> CheckOutcome:
     # (L*p_{n+1}(x+1) - p_{n+1}(x)) / (n+1) equals the order-(k-1) member n.
     p = apostol_bernoulli_poly(pt.n + 1, pt.k, pt.mode)
-    lhs = lambda_op(p).scalar_div(pt.n + 1)
+    lhs = _twisted(p, 1).scalar_div(pt.n + 1)
     rhs = apostol_bernoulli_poly(pt.n, pt.k - 1, pt.mode)
     return [(None, lhs - rhs)]
 
 
 def _check_lower_order(pt: GridPoint) -> CheckOutcome:
     # The twisted difference drops the order by one and the index by one.
-    lhs = lambda_op(apostol_bernoulli_poly(pt.n, pt.k, pt.mode))
+    lhs = _twisted(apostol_bernoulli_poly(pt.n, pt.k, pt.mode), 1)
     rhs = apostol_bernoulli_poly(pt.n - 1, pt.k - 1, pt.mode) * pt.n
     return [(None, lhs - rhs)]
 
@@ -256,7 +256,7 @@ def _check_lemma(pt: GridPoint) -> CheckOutcome:
     # Both closed forms for the k-th twisted-difference power at zero,
     # judged against literal iteration on the monomial x^n.
     p = XPolynomial.monomial(pt.mode, pt.n)
-    direct = lambda_power_at_zero(p, pt.k, DifferencePowerMethod.ITERATED)
+    direct = _twisted(p, pt.k).evaluate(0)
     closed = lambda_power_at_zero(p, pt.k, DifferencePowerMethod.CLOSED_FORM)
     corrected = corrected_power_at_zero(p, pt.k)
     return [
@@ -278,7 +278,7 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
         # away from 1; no corrected variant is defined there.
         return out
 
-    corrected = corrected_coefficients(q, pt.k)
+    corrected = corrected_coefficients(q, pt.k, _twisted(q, pt.k))
     agrees = (
         corrected.exact
         and corrected.j_lo == oracle.j_lo
@@ -314,8 +314,19 @@ def _basis_checker(lhs: Callable[..., XPolynomial], weight: Optional[Callable] =
 # values depend on; each verify_identity call and each run_suite starts
 # them empty, and run_suite empties them again when it returns, so the
 # identities of one suite share them (ID_THM4 and ID_THM5 read the right
-# sides and convolutions of ID_HANSEN and ID_DILCHER).  Every memo but the
-# lifted number table is free of L; that one is kept per mode.
+# sides and convolutions of ID_HANSEN and ID_DILCHER, and ID_THM1 the
+# twisted differences of ID_LEMMA_CLOSED_FORM).  Every memo but the lifted
+# number table and the twisted differences is free of L; those are kept
+# per mode.
+
+
+@lru_cache(maxsize=None)
+def _twisted(p: XPolynomial, power: int) -> XPolynomial:
+    """Lambda^power p by literal application, one lambda_op per step:
+    ID_DIFF at (n, k) and ID_LOWER_ORDER at (n + 1, k) share
+    Lambda B_(n+1)^(k), ID_LEMMA_CLOSED_FORM builds Lambda^k x^n on
+    Lambda^(k-1) x^n, and ID_THM1 reads the same powers of x^n."""
+    return lambda_op(_twisted(p, power - 1)) if power else p
 
 
 @lru_cache(maxsize=None)
@@ -337,15 +348,15 @@ def _beta_columns(k: int, n: int, mode: LambdaMode) -> tuple:
     to one denominator d (L-1)^a (L+1)^b: their indices, the columns of
     their Z[L] rows (column p holds the coefficients of L^p; a numeric
     number is one constant column), and d, a, b."""
-    keys = [_scalar_key(beta) for beta in apostol_bernoulli_numbers(k, n, mode).values]
-    d = lcm(*[key[1] for key in keys])
-    a = max(key[2] for key in keys)
-    b = max(key[3] for key in keys)
-    nonzero = [i for i, key in enumerate(keys) if key[0]]
-    lifted = [_lift(num, d // e, a - ai, b - bi)
-              for num, e, ai, bi in [keys[i] for i in nonzero]]
-    width = max(map(len, lifted))
-    return nonzero, list(zip(*[r + [0] * (width - len(r)) for r in lifted])), d, a, b
+    values = apostol_bernoulli_numbers(k, n, mode).values
+    if mode.is_symbolic:
+        rows, d, a, b = _lifted(True, [beta._key for beta in values])
+    else:
+        row, d = _lifted(False, values)
+        rows, a, b = [[c] if c else [] for c in row], 0, 0
+    nonzero = [i for i, r in enumerate(rows) if r]
+    width = max([len(rows[i]) for i in nonzero])
+    return nonzero, list(zip(*[rows[i] + [0] * (width - len(rows[i])) for i in nonzero])), d, a, b
 
 
 @lru_cache(maxsize=None)
@@ -454,7 +465,7 @@ def _expansion_residual(pt: GridPoint, lhs: XPolynomial, brackets: Sequence[tupl
     return embed_poly(_new(_SYM, _sym_reduced(out, den, a, b)), mode)
 
 
-_MEMOS = (_omega, _beta_columns, _convolution, _shifted, _hansen_rhs, _dilcher_rhs)
+_MEMOS = (_twisted, _omega, _beta_columns, _convolution, _shifted, _hansen_rhs, _dilcher_rhs)
 
 
 def _check_hansen(pt: GridPoint) -> CheckOutcome:

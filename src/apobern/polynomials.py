@@ -26,6 +26,7 @@ scalar key ``(N, d, a, b)``, in symbolic mode one row reduced by
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -134,6 +135,27 @@ def _sum(symbolic: bool, terms) -> tuple:
     return _reduced(acc, d)
 
 
+def _lifted(symbolic: bool, scalars: Sequence, scales: Optional[Sequence[int]] = None) -> tuple:
+    """The scalars of a mode times integer ``scales`` (1 when None) over one
+    denominator, unreduced, as fresh integer lists.  Symbolic ``scalars``
+    are keys (N, d, a, b) and give (rows, d, a, b), row i the Z[L]
+    numerator of scalar i over d (L-1)^a (L+1)^b, with d the lcm of their
+    d and a, b their largest pole orders; numeric ones are ints or
+    Fractions and give (row, d), one integer row over the lcm of their
+    denominators."""
+    if scales is None:
+        scales = repeat(1)
+    if symbolic:
+        d = lcm(*[s[1] for s in scalars])
+        a = max([s[2] for s in scalars], default=0)
+        b = max([s[3] for s in scalars], default=0)
+        rows = [_lift(n, c * (d // e), a - ai, b - bi)
+                for c, (n, e, ai, bi) in zip(scales, scalars)]
+        return rows, d, a, b
+    d = lcm(*[s.denominator for s in scalars])
+    return [c * s.numerator * (d // s.denominator) for c, s in zip(scales, scalars)], d
+
+
 def _scalar_key(value) -> tuple:
     """Key (N, d, a, b) of a scalar of symbolic mode: an int, a Fraction
     or a LambdaRatFunc, else MixedModeError."""
@@ -158,16 +180,9 @@ class XPolynomial:
 
     def __init__(self, coeffs: Iterable[Union[int, FieldElement]], mode: LambdaMode):
         if mode.is_symbolic:
-            keys = [_scalar_key(c) for c in coeffs]
-            a = max([k[2] for k in keys], default=0)
-            b = max([k[3] for k in keys], default=0)
-            d = lcm(*[k[1] for k in keys])
-            rows = [_lift(n, d // e, a - ai, b - bi) for n, e, ai, bi in keys]
-            key = _sym_reduced(rows, d, a, b)
+            key = _sym_reduced(*_lifted(True, [_scalar_key(c) for c in coeffs]))
         else:
-            cs = [_checked_rational(c) for c in coeffs]
-            d = lcm(*[c.denominator for c in cs])
-            key = _reduced([c.numerator * (d // c.denominator) for c in cs], d)
+            key = _reduced(*_lifted(False, [_checked_rational(c) for c in coeffs]))
         _set_mode(self, mode)
         _set_key(self, key)
 
@@ -186,7 +201,14 @@ class XPolynomial:
 
     @classmethod
     def monomial(cls, mode: LambdaMode, exponent: int, coeff=1) -> "XPolynomial":
-        return cls([0] * exponent + [coeff], mode)
+        # a canonical scalar key is the canonical key of its one row
+        if mode.is_symbolic:
+            n, d, a, b = _scalar_key(coeff)
+            key = (((),) * exponent + (n,), d, a, b) if n else _SYM_ZERO_KEY
+        else:
+            c = _checked_rational(coeff)
+            key = ((0,) * exponent + (c.numerator,), c.denominator) if c else _ZERO_KEY
+        return _new(mode, key)
 
     # -- structure ----------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 import collections
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,7 @@ from apobern import (
 )
 from apobern.identities import IdentityId, default_grid, default_suite_config, run_suite, verify_identity
 
-from _util import ALL_MODES, ONE, SYM, TWO
+from _util import ALL_MODES, ONE, PROPERTY_MODES, SYM, TWO
 
 LAM = SYM.lam
 
@@ -302,6 +302,19 @@ def test_symbolic_recurrence_equals_the_series(k, n, euler):
     series = kernel(k, n, SYM)
     assert numbers(k, n, SYM).values == tuple(
         series.coefficient(i) * factorial(i) for i in range(n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 4), n=st.integers(0, 12), euler=st.booleans(),
+       mode=st.sampled_from((SYM,) + PROPERTY_MODES))
+def test_member_equals_the_binomial_sum_of_scalars(k, n, euler, mode):
+    # the reference builds one scalar C(n, l) beta_(n-l) per coefficient and
+    # hands them to the public constructor
+    numbers = (apostol_euler_numbers if euler else apostol_bernoulli_numbers)(k, n, mode)
+    reference = XPolynomial([numbers[n - l] * comb(n, l) for l in range(n + 1)], mode)
+    member = families._member(numbers, n)
+    assert member.mode is mode
+    assert member._key == reference._key
 
 
 @pytest.mark.parametrize("mode", ALL_MODES, ids=str)

@@ -19,7 +19,7 @@ from apobern import (
 )
 from apobern.polynomials import specialize_poly
 
-from _util import ONE, SYM
+from _util import ONE, PROPERTY_MODES, SYM
 
 
 def entries(report, **filters):
@@ -353,15 +353,61 @@ def test_identity_memos_last_one_call():
         if hasattr(value, "cache_clear") and value.__module__ == identities.__name__
     }
     assert defined == {memo.__name__ for memo in identities._MEMOS}
-    # between them the two convolution expansions fill every memo
+    # between them the two convolution expansions fill every memo but the
+    # twisted differences, which the lemma fills
     filled = set()
-    for ident in (IdentityId.ID_THM4, IdentityId.ID_THM5):
+    for ident in (IdentityId.ID_THM4, IdentityId.ID_THM5, IdentityId.ID_LEMMA_CLOSED_FORM):
         verify_identity(ident, default_grid(ident, max_n=2))
         filled |= {memo.__name__ for memo in identities._MEMOS if memo.cache_info().currsize}
     assert filled == defined
     verify_identity(IdentityId.ID_DERIV, default_grid(IdentityId.ID_DERIV, max_n=2))
     for memo in identities._MEMOS:
         assert memo.cache_info().currsize == 0, memo.__name__
+
+
+def test_a_default_suite_applies_lambda_once_per_polynomial(monkeypatch):
+    # every twisted difference of the suite goes through the one memo
+    from apobern import expansion, identities, operators
+
+    applied = []
+
+    def counted(p, lambda_op=operators.lambda_op):
+        applied.append(p)
+        return lambda_op(p)
+
+    for module in (operators, expansion, identities):
+        monkeypatch.setattr(module, "lambda_op", counted)
+    run_suite(default_suite_config())
+    assert applied
+    assert len(applied) == len(set(applied))
+
+
+def _per_key_beta_columns(k, n, mode):
+    # each number's key lifted on its own, as _beta_columns was first written
+    from math import lcm
+
+    from apobern.families import apostol_bernoulli_numbers
+    from apobern.polynomials import _lift, _scalar_key
+
+    keys = [_scalar_key(beta) for beta in apostol_bernoulli_numbers(k, n, mode).values]
+    d = lcm(*[key[1] for key in keys])
+    a = max(key[2] for key in keys)
+    b = max(key[3] for key in keys)
+    nonzero = [i for i, key in enumerate(keys) if key[0]]
+    lifted = [_lift(num, d // e, a - ai, b - bi)
+              for num, e, ai, bi in [keys[i] for i in nonzero]]
+    width = max(map(len, lifted))
+    return nonzero, list(zip(*[r + [0] * (width - len(r)) for r in lifted])), d, a, b
+
+
+@pytest.mark.parametrize("mode", (SYM, ONE) + PROPERTY_MODES[1:], ids=str)
+def test_beta_columns_equal_the_per_key_lift(mode):
+    from apobern import identities
+
+    for k in range(5):
+        for n in range(k, 11):  # the residual reads the table from n = k on
+            assert identities._beta_columns.__wrapped__(k, n, mode) == \
+                _per_key_beta_columns(k, n, mode), (k, n)
 
 
 def test_every_memo_is_hit_over_the_default_suite():

@@ -489,3 +489,23 @@ def _ref_terms_text(n, d, sym, space):
 @example([-4, 2, 0, -6], 6, "L", "")
 def test_terms_text_matches_the_per_term_monomial_loop(n, d, sym, space):
     assert _terms_text(n, d, sym, space) == _ref_terms_text(n, d, sym, space)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mode=st.sampled_from((SYM,) + PROPERTY_MODES), exponent=st.integers(0, 6),
+       coeff=st.one_of(symbolic_scalars(), st.sampled_from((0, Fraction(0))),
+                       st.integers(-5, 5), small_fractions))
+@example(mode=SYM, exponent=2, coeff=3 / (SYM.lam - 1))
+@example(mode=SYM, exponent=3, coeff=Fraction(0))
+def test_monomial_equals_the_constructor(mode, exponent, coeff):
+    # the monomial writes its key directly; zero coefficients included
+    terms = [0] * exponent + [coeff]
+    if mode is not SYM and isinstance(coeff, LambdaRatFunc):
+        with pytest.raises(MixedModeError):
+            XPolynomial.monomial(mode, exponent, coeff)
+        with pytest.raises(MixedModeError):
+            XPolynomial(terms, mode)
+        return
+    monomial = XPolynomial.monomial(mode, exponent, coeff)
+    assert monomial.mode is mode
+    assert monomial._key == XPolynomial(terms, mode)._key

@@ -1,16 +1,22 @@
-"""Time a default verify of two git revisions alternately in one process.
+"""Time two git revisions alternately in one process.
 
     python3 tools/ab_inprocess.py [--pairs N] [--sha256 HEX] BASE NEW
+    python3 tools/ab_inprocess.py --workload verify-requests|calc-requests
+                                  [--seed N] [--pairs N] BASE NEW
 
 Run it from anywhere inside a git checkout; it needs only the standard
 library.  ``src/apobern`` of each revision is copied out of git into a
 temporary directory under the package names ``ab_base`` and ``ab_new``,
-and both are imported into this process.  Each pair then runs
-``cli.main(["verify", "--format", "json"])`` once per package, the order
-alternating from pair to pair, with the family caches cleared before each
-run and stdout captured.  Every report's sha256 must equal the first
-one's (and ``--sha256`` when it is given), or the script exits 1.  A
-revision whose ``cli`` still reads the packaged expectation as
+and both are imported into this process.  One run is a list of requests
+through ``cli.main``, with the family caches cleared before each request
+and stdout captured: by default the one request ``verify --format json``,
+and with a stream workload block 0 of that workload's stream for
+``--seed`` in ``perfbench/streams.py`` of this checkout (the only
+perfbench file read).  Each pair runs once per package, the order
+alternating from pair to pair.  Every request must exit 0, and its stdout
+must have the same sha256 in every run of both sides (a default verify's
+also ``--sha256`` when it is given), or the script exits 1.  A revision
+whose ``cli`` still reads the packaged expectation as
 ``resources.files("apobern")`` (before ``__package__``) needs ``apobern``
 importable as well, e.g. ``PYTHONPATH=src``.
 
@@ -28,6 +34,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import statistics
@@ -39,7 +46,8 @@ import time
 from pathlib import Path
 
 PREFIX = "src/apobern/"
-ARGV = ["verify", "--format", "json"]
+ARGV = ("verify", "--format", "json")
+STREAMS = Path(__file__).resolve().parent.parent / "perfbench" / "streams.py"
 
 
 def _export(rev: str, name: str, root: Path):
@@ -54,27 +62,46 @@ def _export(rev: str, name: str, root: Path):
                 target.write_bytes(tar.extractfile(member).read())
 
 
-def _timed(package) -> tuple:
-    """(seconds, sha256) of one verify run of ``package``."""
+def _requests(workload: str, seed: int) -> list:
+    """The argv of every request of one run."""
+    if workload == "verify":
+        return [ARGV]
+    spec = importlib.util.spec_from_file_location("ab_streams", STREAMS)
+    streams = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(streams)
+    return streams.block(workload, seed, 0)
+
+
+def _timed(package, requests) -> tuple:
+    """(seconds, stdout sha256 per request) of one run of ``package``."""
     cli, families = package
-    families.clear_caches()
-    out = io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(ARGV)
-    seconds = time.perf_counter() - start
-    if code != 0:
-        sys.exit(f"verify exited {code}")
-    return seconds, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    seconds, digests = 0.0, []
+    for argv in requests:
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        families.clear_caches()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        seconds += time.perf_counter() - start
+        if code != 0:
+            sys.exit(f"{' '.join(argv)} exited {code}: {err.getvalue().strip()}")
+        digests.append(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+    return seconds, digests
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base")
     parser.add_argument("new")
+    parser.add_argument("--workload", default="verify",
+                        choices=("verify", "verify-requests", "calc-requests"))
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=20)
-    parser.add_argument("--sha256", help="the digest every report must have")
+    parser.add_argument("--sha256", help="the digest every default verify report must have")
     args = parser.parse_args(argv)
+    if args.sha256 and args.workload != "verify":
+        parser.error("--sha256 pins the default verify report only")
+    requests = _requests(args.workload, args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         packages = {}
@@ -85,22 +112,27 @@ def main(argv=None) -> int:
             packages[side] = (importlib.import_module(f"{name}.cli"),
                               importlib.import_module(f"{name}.families"))
             sys.path.remove(tmp)
-        digest = args.sha256
+        digests = [args.sha256] if args.sha256 else None
         times = {"base": [], "new": []}
         for side in ("base", "new"):  # one warm-up run each
-            _timed(packages[side])
+            _timed(packages[side], requests)
         for pair in range(args.pairs):
             order = ("base", "new") if pair % 2 == 0 else ("new", "base")
             for side in order:
-                seconds, sha = _timed(packages[side])
-                digest = digest or sha
-                if sha != digest:
-                    print(f"{side} report sha256 {sha} != {digest}", file=sys.stderr)
-                    return 1
+                seconds, shas = _timed(packages[side], requests)
+                digests = digests or shas
+                for request, sha, expected in zip(requests, shas, digests):
+                    if sha != expected:
+                        print(f"{side}: {' '.join(request)}: stdout sha256 {sha} != {expected}",
+                              file=sys.stderr)
+                        return 1
                 times[side].append(seconds)
     ratios = [n / b for b, n in zip(times["base"], times["new"])]
     print(json.dumps({
-        "base": args.base, "new": args.new, "sha256": digest,
+        "base": args.base, "new": args.new, "workload": args.workload,
+        "requests": len(requests),
+        **({"sha256": digests[0]} if args.workload == "verify" else
+           {"seed": args.seed}),
         "base_s": [round(t, 4) for t in times["base"]],
         "new_s": [round(t, 4) for t in times["new"]],
     }))
