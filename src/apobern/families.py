@@ -17,13 +17,15 @@ binomial in its number's scale, and one reduction, with no scalar built
 per coefficient.
 
 Each (family, k, mode) keeps the longest number table built since the
-last :func:`clear_caches`; a shorter request reads its prefix, and a
-longer one extends it.  Symbolic tables grow by the Z[L] recurrence of
-:func:`_recurrence_values` (Luo and Srivastava, J. Math. Anal. Appl. 308
-(2005)) and never touch the series, so the extraction above is an
-independent check of them; numeric tables are rebuilt from the kernel
-series at the longer order.  ``identities.verify_identity`` walks its
-grid from the largest n down, so a grid builds each table once.
+last :func:`clear_caches`, and only :func:`_stored` extends it: symbolic
+tables by the Z[L] recurrence of :func:`_recurrence_values` (Luo and
+Srivastava, J. Math. Anal. Appl. 308 (2005)), which never touches the
+series, so the extraction above is an independent check of them; numeric
+ones from the kernel series at the longer order; the classical Bernoulli
+and Euler tables by their umbral recurrences.  The public table
+functions cut prefixes of it; members, ``identities``' basis columns and
+ID_EULER_RAMANUJAN index it in place.  ``identities.verify_identity``
+walks its grid from the largest n down, so a grid builds each table once.
 """
 
 from __future__ import annotations
@@ -141,76 +143,75 @@ def _recurrence_values(values: tuple, k: int, n_max: int, s: int) -> tuple:
     return tuple(values) + tuple(map(_new, keys[len(values):]))
 
 
-# The longest table built per (family, k, mode); shorter ones are prefixes.
-# The classical Bernoulli recurrence keeps its own under Family.BERNOULLI.
+def _umbral_values(family: Family, values: tuple, n_max: int) -> tuple:
+    """Classical Bernoulli (B) or Euler (E) numbers through n_max, extending
+    ``values``.  Reading B^j as B_j, (B+1)^(n+1) - B_(n+1) = [n == 0] gives
+    B_n = -sum_(j<n) C(n+1, j) B_j / (n+1) for n >= 1; in (E+1)^n + (E-1)^n
+    = 2 [n == 0] the terms with n - j odd cancel, so E_n = -sum of
+    C(n, j) E_j over j < n with n - j even."""
+    values = list(values) or [Fraction(1)]
+    for n in range(len(values), n_max + 1):
+        if family is Family.BERNOULLI:
+            acc = sum((comb(n + 1, j) * values[j] for j in range(n)), Fraction(0))
+            values.append(-acc / (n + 1))
+        else:
+            values.append(-sum((comb(n, j) * values[j] for j in range(n - 2, -1, -2)), Fraction(0)))
+    return tuple(values)
+
+
+# The longest table built per (family, k, mode), the classical ones under
+# (Family.BERNOULLI or Family.EULER, 1, L = 1); only _stored grows it.
 _LONGEST: dict = {}
 
 
-def _numbers(family: Family, k: int, n_max: int, mode: LambdaMode) -> NumberTable:
+def _stored(family: Family, k: int, n_max: int, mode: LambdaMode) -> NumberTable:
+    """The longest table of (family, k, mode) built so far, first extended
+    through n_max if it is shorter.  Internal readers index it in place;
+    only the public table functions cut a prefix from it."""
     if k < 0 or n_max < 0:
         raise ValueError("order and index bound must be nonnegative")
     table = _LONGEST.get((family, k, mode))
     if table is None or len(table) <= n_max:
+        values = table.values if table else ()
         s = -1 if family is Family.APOSTOL_BERNOULLI else 1
-        if mode.is_symbolic:
-            values = _recurrence_values(table.values if table else (), k, n_max, s)
+        if family in (Family.BERNOULLI, Family.EULER):
+            values = _umbral_values(family, values, n_max)
+        elif mode.is_symbolic:
+            values = _recurrence_values(values, k, n_max, s)
         else:
             kernel = (_bernoulli_kernel if s < 0 else _euler_kernel)(k, n_max, mode)
             values = tuple(kernel.coefficient(n) * factorial(n) for n in range(n_max + 1))
         table = _LONGEST[family, k, mode] = NumberTable(family, k, mode, values)
+    return table
+
+
+def _prefix(family: Family, k: int, n_max: int, mode: LambdaMode) -> NumberTable:
+    table = _stored(family, k, n_max, mode)
     return table._replace(values=table.values[: n_max + 1])
 
 
 @lru_cache(maxsize=None)
 def apostol_bernoulli_numbers(k: int, n_max: int, mode: LambdaMode) -> NumberTable:
     """Bernoulli-type numbers of order k through index n_max."""
-    return _numbers(Family.APOSTOL_BERNOULLI, k, n_max, mode)
+    return _prefix(Family.APOSTOL_BERNOULLI, k, n_max, mode)
 
 
 @lru_cache(maxsize=None)
 def apostol_euler_numbers(k: int, n_max: int, mode: LambdaMode) -> NumberTable:
     """Euler-type numbers of order k through index n_max."""
-    return _numbers(Family.APOSTOL_EULER, k, n_max, mode)
+    return _prefix(Family.APOSTOL_EULER, k, n_max, mode)
 
 
 @lru_cache(maxsize=None)
 def bernoulli_numbers_by_recurrence(n_max: int) -> NumberTable:
-    """Classical Bernoulli numbers from the umbral recurrence.
-
-    Expanding (B+1)^n - B_n = [n == 1] with B^j read as B_j gives, for
-    n >= 2, sum_{j=0}^{n-1} C(n, j) B_j = 0, which determines each B_{n-1}
-    from its predecessors once B_0 = 1 is fixed (the n = 1 instance).  Like
-    the family tables, it extends the longest table built so far.
-    """
-    if n_max < 0:
-        raise ValueError("index bound must be nonnegative")
-    key = (Family.BERNOULLI, 1, _ONE)
-    table = _LONGEST.get(key)
-    if table is None or len(table) <= n_max:
-        values = list(table.values) if table else [Fraction(1)]
-        for n in range(len(values) + 1, n_max + 2):
-            acc = sum((comb(n, j) * values[j] for j in range(n - 1)), Fraction(0))
-            values.append(-acc / comb(n, n - 1))
-        table = _LONGEST[key] = NumberTable(*key, tuple(values))
-    return table._replace(values=table.values[: n_max + 1])
+    """Classical Bernoulli numbers from (B+1)^n - B_n = [n == 1]."""
+    return _prefix(Family.BERNOULLI, 1, n_max, _ONE)
 
 
 @lru_cache(maxsize=None)
 def euler_numbers_by_recurrence(n_max: int) -> NumberTable:
-    """Integer Euler numbers from (E+1)^n + (E-1)^n = 2*[n == 0].
-
-    Terms with n - j odd cancel, so for n >= 1 the surviving even-offset
-    sum gives E_n = -sum of C(n, j) E_j over j < n with n - j even.
-    """
-    if n_max < 0:
-        raise ValueError("index bound must be nonnegative")
-    values = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(n - 2, -1, -2):
-            acc += comb(n, j) * values[j]
-        values.append(-acc)
-    return NumberTable(family=Family.EULER, k=1, mode=_ONE, values=tuple(values))
+    """Integer Euler numbers from (E+1)^n + (E-1)^n = 2*[n == 0]."""
+    return _prefix(Family.EULER, 1, n_max, _ONE)
 
 
 def euler_number_from_half_point(k: int) -> Fraction:
@@ -221,8 +222,9 @@ def euler_number_from_half_point(k: int) -> Fraction:
 
 def _member(numbers: NumberTable, n: int) -> XPolynomial:
     """The family member sum_l C(n, l) beta_(n-l) x^l of the table's
-    numbers beta, written from their keys: one lift to one denominator
-    with each binomial in its scale, reduced once."""
+    numbers beta_0..beta_n (the table may run further), written from their
+    keys: one lift to one denominator with each binomial in its scale,
+    reduced once."""
     values = numbers.values[n::-1]
     scales = [comb(n, l) for l in range(n + 1)]
     if numbers.mode.is_symbolic:
@@ -236,13 +238,13 @@ def _member(numbers: NumberTable, n: int) -> XPolynomial:
 def apostol_bernoulli_poly(n: int, k: int, mode: LambdaMode) -> XPolynomial:
     """Degree-indexed Bernoulli-type polynomial via the binomial sum
     sum_l C(n, l) x^l * number_{n-l}."""
-    return _member(apostol_bernoulli_numbers(k, n, mode), n)
+    return _member(_stored(Family.APOSTOL_BERNOULLI, k, n, mode), n)
 
 
 @lru_cache(maxsize=None)
 def apostol_euler_poly(n: int, k: int, mode: LambdaMode) -> XPolynomial:
     """Degree-indexed Euler-type polynomial via the binomial sum."""
-    return _member(apostol_euler_numbers(k, n, mode), n)
+    return _member(_stored(Family.APOSTOL_EULER, k, n, mode), n)
 
 
 def poly_by_series_extraction(

@@ -46,10 +46,10 @@ from .expansion import (
     expand_oracle,
 )
 from .families import (
-    apostol_bernoulli_numbers,
+    Family,
+    _stored,
     apostol_bernoulli_poly,
     apostol_euler_poly,
-    bernoulli_numbers_by_recurrence,
     bernoulli_poly,
     euler_poly,
 )
@@ -348,7 +348,7 @@ def _beta_columns(k: int, n: int, mode: LambdaMode) -> tuple:
     to one denominator d (L-1)^a (L+1)^b: their indices, the columns of
     their Z[L] rows (column p holds the coefficients of L^p; a numeric
     number is one constant column), and d, a, b."""
-    values = apostol_bernoulli_numbers(k, n, mode).values
+    values = _stored(Family.APOSTOL_BERNOULLI, k, n, mode).values[: n + 1]
     if mode.is_symbolic:
         rows, d, a, b = _lifted(True, [beta._key for beta in values])
     else:
@@ -476,7 +476,7 @@ def _check_hansen(pt: GridPoint) -> CheckOutcome:
 def _check_euler_ramanujan(pt: GridPoint) -> CheckOutcome:
     # B_m = -(sum_{i=2}^{m-2} C(m,i) B_i B_{m-i}) / (m+1).
     m = pt.n
-    numbers = bernoulli_numbers_by_recurrence(m)
+    numbers = _stored(Family.BERNOULLI, 1, m, _ONE)
     acc = Fraction(0)
     for i in range(2, m - 1):
         acc += comb(m, i) * numbers[i] * numbers[m - i]
@@ -639,22 +639,15 @@ def _domain_for(letter: str, outcomes: Dict[int, bool]) -> str:
 
 def _validity_domain(identity: IdentityId, results: Sequence[ResultEntry]) -> str:
     letter = _CATALOG[identity].letter
-
-    def value_of(point: GridPoint) -> int:
-        return point.k if letter == "k" else point.n
-
-    variants = []
+    # per variant, in order of first appearance: does every point of each
+    # value of the letter pass?
+    by_variant: Dict[Optional[str], Dict[int, bool]] = {}
     for entry in results:
-        if entry.variant not in variants:
-            variants.append(entry.variant)
+        outcomes = by_variant.setdefault(entry.variant, {})
+        v = entry.point.k if letter == "k" else entry.point.n
+        outcomes[v] = outcomes.get(v, True) and entry.passed
     domains = []
-    for variant in variants:
-        outcomes: Dict[int, bool] = {}
-        for entry in results:
-            if entry.variant != variant:
-                continue
-            v = value_of(entry.point)
-            outcomes[v] = outcomes.get(v, True) and entry.passed
+    for variant, outcomes in by_variant.items():
         domain = _domain_for(letter, outcomes)
         domains.append(domain if variant is None else f"{variant}: {domain}")
     return "; ".join(domains)

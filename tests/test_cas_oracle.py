@@ -13,10 +13,14 @@ all expanded by ``sympy.series``.  A basis coefficient is Theorem 1's
 taken by sympy, and the brackets of Theorems 4 and 5 are written as the
 paper displays them.  At n <= 3, k <= 2, the first two y samples,
 symbolic L, L = 2 and L = 1/3, each verdict of the default suite must be
-the CAS verdict, and each witness must be the CAS value of LHS - RHS.
+the CAS verdict, and so must the verdict that the packaged expectation
+file records at that point, and each witness must be the CAS value of
+LHS - RHS.
 """
 
+import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -36,6 +40,8 @@ L, x, t, z = sympy.symbols("L x t z")
 MAX_N, MAX_K = 3, 2
 Y_SAMPLES = (Fraction(-1, 2), Fraction(1, 2))
 LAMBDAS = {SYM: L, TWO: 2, THIRD: sympy.Rational(1, 3)}
+# how the expectation file writes each of them
+LAMBDA_TEXT = {SYM: "symbolic", TWO: "2", THIRD: "1/3"}
 TRANSFORMATIONS = standard_transformations + (implicit_multiplication_application,)
 
 
@@ -67,6 +73,21 @@ def cas():
         ],
     }
     return members, bernoulli, euler, families
+
+
+@pytest.fixture(scope="module")
+def expected():
+    """The packaged expectation's verdicts, passed or not, by identity name
+    and point (n, k, lambda, y, variant) as the file writes them."""
+    text = resources.files("apobern").joinpath("data", "expected_verdicts.json").read_text(
+        encoding="utf-8")
+    verdicts = {}
+    for item in json.loads(text):
+        for result in item["results"]:
+            p = result["point"]
+            key = (item["identity"], p["n"], p["k"], p["lambda"], p["y"], p["variant"])
+            verdicts[key] = result["verdict"] == "pass"
+    return verdicts
 
 
 def _ff(n, m):
@@ -136,7 +157,7 @@ def _thm5_sides(cas, n, k, y):
     (IdentityId.ID_THM4, _thm4_sides),
     (IdentityId.ID_THM5, _thm5_sides),
 ])
-def test_verdicts_and_witnesses_match_the_cas(cas, ident, sides):
+def test_verdicts_and_witnesses_match_the_cas(cas, expected, ident, sides):
     report = verify_identity(ident, default_grid(ident, max_n=MAX_N, max_k=MAX_K))
     ys = (None,) if report.results[0].point.y is None else Y_SAMPLES
     differences = {}
@@ -151,6 +172,9 @@ def test_verdicts_and_witnesses_match_the_cas(cas, ident, sides):
             differences[pt.n, pt.k, pt.y] = lhs - rhs
         difference = sympy.cancel(differences[pt.n, pt.k, pt.y].subs(L, LAMBDAS[pt.mode]))
         assert entry.passed == (difference == 0), pt
+        y_text = None if pt.y is None else str(pt.y)
+        key = (ident.value, pt.n, pt.k, LAMBDA_TEXT[pt.mode], y_text, entry.variant)
+        assert expected[key] == (difference == 0), key
         if not entry.passed:
             witness = parse_expr(entry.witness.replace("^", "**"), local_dict={"L": L, "x": x},
                                  transformations=TRANSFORMATIONS)

@@ -66,18 +66,22 @@ def test_bernoulli_recurrence_defining_relation():
         assert lhs == (1 if n == 1 else 0)
 
 
-def test_bernoulli_recurrence_reads_prefixes_of_one_table():
-    # like the family tables, the recurrence extends its longest table
+@pytest.mark.parametrize("numbers, family", [
+    (bernoulli_numbers_by_recurrence, Family.BERNOULLI),
+    (euler_numbers_by_recurrence, Family.EULER),
+], ids=["bernoulli", "euler"])
+def test_classical_recurrences_read_prefixes_of_one_table(numbers, family):
+    # like the family tables, each recurrence extends its longest table
     families.clear_caches()
-    fresh = [bernoulli_numbers_by_recurrence(n) for n in (0, 5, 12)]
+    fresh = [numbers(n) for n in (0, 5, 12)]
     families.clear_caches()
-    longest = bernoulli_numbers_by_recurrence(20)
-    assert [bernoulli_numbers_by_recurrence(n) for n in (0, 5, 12)] == fresh
-    assert bernoulli_numbers_by_recurrence(24).values[:21] == longest.values
-    # the Euler-Ramanujan check walks down from m = 20: one table through 20
-    families.clear_caches()
-    verify_identity(IdentityId.ID_EULER_RAMANUJAN, default_grid(IdentityId.ID_EULER_RAMANUJAN))
-    assert len(families._LONGEST[Family.BERNOULLI, 1, ONE]) == 21
+    longest = numbers(20)
+    assert [numbers(n) for n in (0, 5, 12)] == fresh
+    assert [key for key in families._LONGEST if key[0] is family] == [(family, 1, ONE)]
+    assert len(families._LONGEST[family, 1, ONE]) == 21
+    # and a table longer than any built so far extends the stored one
+    table = numbers(24)
+    assert len(table) == 25 and table.values[:21] == longest.values
 
 
 def test_euler_recurrence_matches_classic_table():
@@ -329,6 +333,18 @@ def test_short_tables_read_after_long_ones_equal_fresh_tables(mode, numbers):
         assert long.values[:6] == fresh[1].values
         # and a table longer than any built so far extends the stored one
         assert numbers(k, 11, mode).values[:10] == long.values
+
+
+def test_a_suite_reads_the_stored_tables_in_place():
+    # members, basis columns and ID_EULER_RAMANUJAN index the stored tables,
+    # so no public table function is called, and no prefix is cut
+    families.clear_caches()
+    run_suite(default_suite_config())
+    for numbers in (apostol_bernoulli_numbers, apostol_euler_numbers,
+                    bernoulli_numbers_by_recurrence, euler_numbers_by_recurrence):
+        assert numbers.cache_info().misses == 0, numbers.__name__
+    # the Euler-Ramanujan check walks down from m = 20: one table through 20
+    assert len(families._LONGEST[Family.BERNOULLI, 1, ONE]) == 21
 
 
 def _kernel_builds(monkeypatch) -> collections.Counter:
