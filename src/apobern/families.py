@@ -37,8 +37,9 @@ from math import comb, factorial
 from typing import NamedTuple, Tuple
 
 from ._kernels import conv_int
-from .field import FieldElement, LambdaMode, PoleError, _new, _sym_reduced
-from .polynomials import XPolynomial, _lifted, _new as _new_poly, _reduced, _sum
+from ._keys import _lifted, _sum
+from .field import FieldElement, LambdaMode, PoleError, _new
+from .polynomials import XPolynomial, _finish
 from .series import TruncatedSeries, exp_scaled_series
 
 __all__ = [
@@ -225,13 +226,9 @@ def _member(numbers: NumberTable, n: int) -> XPolynomial:
     numbers beta_0..beta_n (the table may run further), written from their
     keys: one lift to one denominator with each binomial in its scale,
     reduced once."""
-    values = numbers.values[n::-1]
+    mode = numbers.mode
     scales = [comb(n, l) for l in range(n + 1)]
-    if numbers.mode.is_symbolic:
-        key = _sym_reduced(*_lifted(True, [v._key for v in values], scales))
-    else:
-        key = _reduced(*_lifted(False, values, scales))
-    return _new_poly(numbers.mode, key)
+    return _finish(mode, _lifted(mode.is_symbolic, numbers.values[n::-1], scales))
 
 
 @lru_cache(maxsize=None)

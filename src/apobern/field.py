@@ -6,17 +6,9 @@ Two scalar domains are used throughout the package, selected by
 * plain arbitrary-precision rationals (``fractions.Fraction``), used when
   the deformation parameter is a fixed rational number;
 * :class:`LambdaRatFunc`, a function of the deformation parameter ``L``,
-  used in symbolic mode.
-
-The families come from the kernels t^k/(L e^t - 1)^k and
-2^k/(L e^t + 1)^k, so every symbolic value has a denominator of the form
-d (L-1)^a (L+1)^b.  :class:`LambdaRatFunc` is therefore the ring Z[L]
-localized at the integers and at L-1 and L+1: it stores an integer
-numerator list next to d, a and b, and normalizes by synthetic division
-at L = +-1 and by integer content, with no polynomial gcd: ``_canonical``
-for one row (a scalar, or an x-polynomial coefficient), ``_sym_reduced``
-for all rows of an x-polynomial.  Inverting an element whose numerator
-has any other non-constant factor raises :class:`NonLocalDenominatorError`.
+  used in symbolic mode: the ring Z[L] localized at the integers and at
+  L-1 and L+1, one canonical integer key per element (the scalar key of
+  ``_keys``, which states the invariant and keeps it).
 
 Both domains are immutable, exact, and have a unique canonical form, so
 equality is a plain field-by-field comparison.
@@ -25,12 +17,11 @@ equality is a plain field-by-field comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
 from ._kernels import conv_frac, conv_int, power, prim_gcd_int
+from ._keys import _ZERO_KEY, _add_into, _canonical, _horner, _lifted, _pole_poly, _scalar_key
 
 __all__ = [
     "Fraction",
@@ -149,122 +140,14 @@ def poly_gcd(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
     return LambdaPoly(prim_gcd_int(a.int_primitive(), b.int_primitive()))
 
 
-@lru_cache(maxsize=None)
-def _pole_poly(a: int, b: int) -> list:
-    """Integer coefficients of (L-1)^a (L+1)^b; callers must not mutate."""
-    if a:
-        return conv_int(_pole_poly(a - 1, b), [-1, 1])
-    if b:
-        return conv_int(_pole_poly(0, b - 1), [1, 1])
-    return [1]
-
-
-def _divided(rows: list, root: int) -> Optional[list]:
-    """The integer rows divided by (L - root), root = +-1, when every row
-    vanishes at root, else None.  Synthetic division in one pass per row:
-    the suffix sums of a row (alternating for root = -1) are its
-    quotient, and the last of them, the row's value at root, is the
-    remainder."""
-    step = None if root == 1 else (lambda acc, c: c - acc)
-    out = []
-    for r in rows:
-        sums = list(accumulate(reversed(r), step))
-        if sums and sums[-1]:
-            return None
-        out.append(sums[-2::-1])
-    return out
-
-
-def _horner(n, u: int, v: int) -> tuple:
-    """(S, v^t) with S = sum n_i u^i v^(t-i) and t = len(n) - 1, so the
-    integer polynomial n takes the value S / v^t at u/v; n is nonempty."""
-    acc, v_power = n[-1], 1
-    for c in n[-2::-1]:
-        v_power *= v
-        acc = acc * u + c * v_power
-    return acc, v_power
-
-
-_ZERO_KEY = ((), 1, 0, 0)
-
-
-def _sym_reduced(rows: list, d: int, a: int, b: int) -> tuple:
-    """Canonical key of sum rows[i] x^i / (d (L-1)^a (L+1)^b); ``rows`` is
-    a fresh list of fresh int lists (trailing zeros allowed) and ``d > 0``.
-    Divides L-1 and L+1 out of all rows at once while every row vanishes
-    there, then the content out against ``d``."""
-    for r in rows:
-        while r and not r[-1]:
-            r.pop()
-    while rows and not rows[-1]:
-        rows.pop()
-    if not rows:
-        return _ZERO_KEY
-    while a and (divided := _divided(rows, 1)) is not None:
-        rows, a = divided, a - 1
-    while b and (divided := _divided(rows, -1)) is not None:
-        rows, b = divided, b - 1
-    if d != 1:
-        g = d
-        for r in rows:
-            g = gcd(g, *r)
-            if g == 1:
-                break
-        if g != 1:
-            rows = [[c // g for c in r] for r in rows]
-            d //= g
-    return tuple(map(tuple, rows)), d, a, b
-
-
-def _canonical(n: list, d: int, a: int, b: int) -> tuple:
-    """Canonical key of the element n / (d (L-1)^a (L+1)^b); ``n`` is a
-    fresh int list (trailing zeros allowed) and ``d > 0``.  Divides L-1,
-    then L+1, out of the descending row by its prefix sums (see
-    :func:`_divided`) until a remainder is nonzero, then one gcd."""
-    while n and not n[-1]:
-        n.pop()
-    if not n:
-        return _ZERO_KEY
-    n.reverse()
-    while a:
-        sums = list(accumulate(n))
-        if sums.pop():
-            break
-        n, a = sums, a - 1
-    while b:
-        sums = list(accumulate(n, lambda acc, c: c - acc))
-        if sums.pop():
-            break
-        n, b = sums, b - 1
-    n.reverse()
-    g = gcd(d, *n)
-    if g != 1:
-        n = [c // g for c in n]
-        d //= g
-    return tuple(n), d, a, b
-
-
-def _lift(n: tuple, scale: int, a: int, b: int) -> list:
-    """n * scale * (L-1)^a (L+1)^b as a fresh integer list."""
-    out = list(n) if scale == 1 else [c * scale for c in n]
-    if a or b:
-        out = conv_int(out, _pole_poly(a, b))
-    return out
-
-
 class NonLocalDenominatorError(ArithmeticError):
     """A symbolic value would need a denominator factor other than L-1
     and L+1, which the scalar ring cannot represent."""
 
 
 class LambdaRatFunc:
-    """Element of Z[L] localized at d (L-1)^a (L+1)^b.
-
-    Stored as the tuple ``(N, d, a, b)`` for the value
-    N / (d (L-1)^a (L+1)^b): ``N`` is a tuple of ints (ascending powers,
-    no trailing zeros), ``d > 0``, the content of ``N`` is coprime to
-    ``d``, N(1) != 0 when a > 0 and N(-1) != 0 when b > 0.  Zero is
-    ``((), 1, 0, 0)``.  This form is unique, so equality compares keys.
+    """Element of Z[L] localized at d (L-1)^a (L+1)^b, stored as its
+    canonical scalar key ``(N, d, a, b)`` (see ``_keys``).
 
     There is no public constructor: values come from
     ``LambdaMode.symbolic().lam``, :meth:`from_rational` and ring
@@ -279,10 +162,7 @@ class LambdaRatFunc:
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "LambdaRatFunc":
-        value = Fraction(value)
-        if not value:
-            return _RATFUNC_ZERO
-        return _new(((value.numerator,), value.denominator, 0, 0))
+        return _new(_scalar_key(Fraction(value)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LambdaRatFunc is immutable")
@@ -320,6 +200,9 @@ class LambdaRatFunc:
         return NotImplemented
 
     def __hash__(self):
+        # equal to a rational, so hashed like it
+        if self.is_rational:
+            return hash(self.as_rational())
         return hash(("LambdaRatFunc", self._key))
 
     def __repr__(self):
@@ -342,22 +225,8 @@ class LambdaRatFunc:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        n1, d1, a1, b1 = self._key
-        n2, d2, a2, b2 = rhs._key
-        if not n1:
-            return rhs
-        if not n2:
-            return self
-        a = a1 if a1 > a2 else a2
-        b = b1 if b1 > b2 else b2
-        d = d1 if d1 == d2 else lcm(d1, d2)
-        p = _lift(n1, d // d1, a - a1, b - b1)
-        q = _lift(n2, d // d2, a - a2, b - b2)
-        if len(p) < len(q):
-            p, q = q, p
-        for i, c in enumerate(q):
-            p[i] += c
-        return _new(_canonical(p, d, a, b))
+        (p, q), d, a, b = _lifted(True, (self, rhs))
+        return _new(_canonical(_add_into(p, q), d, a, b))
 
     __radd__ = __add__
 

@@ -40,6 +40,7 @@ from math import comb, factorial, lcm
 from operator import add, attrgetter, mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ._keys import _add_into, _horner, _lift, _lifted, _sum, _sym_reduced
 from .expansion import (
     closed_form_coefficients,
     corrected_coefficients,
@@ -53,7 +54,7 @@ from .families import (
     bernoulli_poly,
     euler_poly,
 )
-from .field import FieldElement, LambdaMode, _horner, _sym_reduced
+from .field import FieldElement, LambdaMode
 from .operators import (
     DifferencePowerMethod,
     alternating_row,
@@ -62,16 +63,7 @@ from .operators import (
     lambda_power_at_zero,
     shift_poly,
 )
-from .polynomials import (
-    XPolynomial,
-    _add_into,
-    _lift,
-    _lifted,
-    _new,
-    _sum,
-    embed_poly,
-    specialize_poly,
-)
+from .polynomials import XPolynomial, _new, embed_poly, specialize_poly
 from .render import render_field_element, render_x_poly
 
 __all__ = [
@@ -350,7 +342,7 @@ def _beta_columns(k: int, n: int, mode: LambdaMode) -> tuple:
     number is one constant column), and d, a, b."""
     values = _stored(Family.APOSTOL_BERNOULLI, k, n, mode).values[: n + 1]
     if mode.is_symbolic:
-        rows, d, a, b = _lifted(True, [beta._key for beta in values])
+        rows, d, a, b = _lifted(True, values)
     else:
         row, d = _lifted(False, values)
         rows, a, b = [[c] if c else [] for c in row], 0, 0

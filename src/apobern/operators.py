@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, List, Sequence, Tuple, Union
 
-from .field import FieldElement, LambdaMode, LambdaRatFunc, RationalLike, _canonical, _new
+from ._keys import _canonical
+from .field import FieldElement, LambdaMode, LambdaRatFunc, RationalLike, _new
 from .polynomials import XPolynomial, dot, shift_poly
 
 __all__ = [

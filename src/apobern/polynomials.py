@@ -2,175 +2,35 @@
 
 An :class:`XPolynomial` carries the :class:`~apobern.field.LambdaMode`
 that fixes its coefficient domain and one canonical integer key, so
-equality compares keys.  Arithmetic works on the integers and reduces
-once per result, not once per coefficient.
-
-* numeric mode: ``(N, d)`` for the value sum N[i] x^i / d, where ``N`` is
-  a tuple of ints with no trailing zeros, ``d > 0`` and the content of
-  ``N`` is coprime to ``d``; zero is ``((), 1)``.
-* symbolic mode: ``(R, d, a, b)`` for the value
-  sum R[i](L) x^i / (d (L-1)^a (L+1)^b), one denominator of the
-  :class:`~apobern.field.LambdaRatFunc` shape for all coefficients.
-  Each row ``R[i]`` is a tuple of ints, the Z[L] numerator of x^i with
-  no trailing zeros (``()`` is a zero coefficient).  There is no
-  trailing zero row, not every row vanishes at L = 1 when a > 0 (nor at
-  L = -1 when b > 0), d > 0 and the content of all rows is coprime to
-  ``d``; zero is ``((), 1, 0, 0)``.  ``field._sym_reduced`` reduces it.
-
-Coefficients ascend by power.  ``coeffs`` and ``coefficient`` build the
-mode's scalars on each read, uncached, from each coefficient's canonical
-scalar key ``(N, d, a, b)``, in symbolic mode one row reduced by
-``field._canonical``; the renderer reads it, or a numeric key ``(N, d)``.
+equality compares keys: the numeric key ``(N, d)`` or the symbolic key
+``(R, d, a, b)`` of ``_keys``, which states the invariant and keeps it.
+Arithmetic works on the integers and reduces once per result, not once
+per coefficient.  Coefficients ascend by power.  ``coeffs`` and
+``coefficient`` build the mode's scalars on each read, uncached, from
+each coefficient's canonical scalar key ``(N, d, a, b)``, which the
+renderer also reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from math import gcd
+from typing import Iterable, Sequence, Union
 
 from ._kernels import conv_int, power
+from ._keys import (_NUM_ZERO_KEY, _ZERO_KEY, _add_into, _canonical, _checked_rational, _horner,
+                    _lift, _lifted, _reduced, _scalar_key, _scaled, _sum, _sym_reduced, _times)
 from .field import (
-    _ZERO_KEY as _SYM_ZERO_KEY,
     FieldElement,
     LambdaMode,
     LambdaRatFunc,
     MixedModeError,
     PoleError,
-    _canonical,
     _fast_fraction,
-    _horner,
-    _lift,
     _new as _ratfunc,
-    _sym_reduced,
 )
 
 __all__ = ["XPolynomial", "dot", "embed_poly", "shift_poly", "specialize_poly"]
-
-_ZERO_KEY = ((), 1)
-
-
-def _reduced(n: list, d: int) -> tuple:
-    """Canonical numeric key of sum n[i] x^i / d; ``n`` is a fresh int
-    list (trailing zeros allowed) and ``d > 0``."""
-    while n and not n[-1]:
-        n.pop()
-    if not n:
-        return _ZERO_KEY
-    g = gcd(d, *n)
-    if g != 1:
-        n = [c // g for c in n]
-        d //= g
-    return tuple(n), d
-
-
-def _add_into(p: list, q) -> list:
-    """p + q for integer lists; ``p`` is fresh and may come back changed."""
-    if len(p) < len(q):
-        p, q = list(q), p
-    for i, c in enumerate(q):
-        p[i] += c
-    return p
-
-
-def _scaled(symbolic: bool, key: tuple, factor) -> Optional[tuple]:
-    """Unreduced key of a scalar of the mode times a key, None when zero."""
-    if symbolic:
-        n, e, a2, b2 = _scalar_key(factor)
-        if not n or not key[0]:
-            return None
-        rows, d, a, b = key
-        if len(n) == 1:
-            out = [[x * n[0] for x in r] for r in rows]
-        else:
-            out = [conv_int(r, n) for r in rows]
-        return out, d * e, a + a2, b + b2
-    factor = _checked_rational(factor)
-    if not factor or not key[0]:
-        return None
-    p = factor.numerator
-    return [c * p for c in key[0]], key[1] * factor.denominator
-
-
-def _times(symbolic: bool, k1: tuple, k2: tuple) -> Optional[tuple]:
-    """Unreduced key of the product of two keys, None when zero."""
-    if not k1[0] or not k2[0]:
-        return None
-    if not symbolic:
-        return conv_int(k1[0], k2[0]), k1[1] * k2[1]
-    r1, d1, a1, b1 = k1
-    r2, d2, a2, b2 = k2
-    out = [[] for _ in range(len(r1) + len(r2) - 1)]
-    for i, r in enumerate(r1):
-        if r:
-            for j, s in enumerate(r2):
-                if s:
-                    out[i + j] = _add_into(conv_int(r, s), out[i + j])
-    return out, d1 * d2, a1 + a2, b1 + b2
-
-
-def _sum(symbolic: bool, terms) -> tuple:
-    """Canonical key of the sum of (unreduced) keys: each is lifted to the
-    lcm of the denominators and, in symbolic mode, the largest pole
-    orders, added in one integer accumulator and reduced once."""
-    d = lcm(*[t[1] for t in terms])
-    if symbolic:
-        a = max([t[2] for t in terms], default=0)
-        b = max([t[3] for t in terms], default=0)
-        acc = []
-        for rows, e, ta, tb in terms:
-            for i, r in enumerate(rows):
-                r = _lift(r, d // e, a - ta, b - tb)
-                if i < len(acc):
-                    acc[i] = _add_into(r, acc[i])
-                else:
-                    acc.append(r)
-        return _sym_reduced(acc, d, a, b)
-    acc = [0] * max([len(t[0]) for t in terms], default=0)
-    for n, e in terms:
-        scale = d // e
-        for i, c in enumerate(n):
-            acc[i] += c * scale
-    return _reduced(acc, d)
-
-
-def _lifted(symbolic: bool, scalars: Sequence, scales: Optional[Sequence[int]] = None) -> tuple:
-    """The scalars of a mode times integer ``scales`` (1 when None) over one
-    denominator, unreduced, as fresh integer lists.  Symbolic ``scalars``
-    are keys (N, d, a, b) and give (rows, d, a, b), row i the Z[L]
-    numerator of scalar i over d (L-1)^a (L+1)^b, with d the lcm of their
-    d and a, b their largest pole orders; numeric ones are ints or
-    Fractions and give (row, d), one integer row over the lcm of their
-    denominators."""
-    if scales is None:
-        scales = repeat(1)
-    if symbolic:
-        d = lcm(*[s[1] for s in scalars])
-        a = max([s[2] for s in scalars], default=0)
-        b = max([s[3] for s in scalars], default=0)
-        rows = [_lift(n, c * (d // e), a - ai, b - bi)
-                for c, (n, e, ai, bi) in zip(scales, scalars)]
-        return rows, d, a, b
-    d = lcm(*[s.denominator for s in scalars])
-    return [c * s.numerator * (d // s.denominator) for c, s in zip(scales, scalars)], d
-
-
-def _scalar_key(value) -> tuple:
-    """Key (N, d, a, b) of a scalar of symbolic mode: an int, a Fraction
-    or a LambdaRatFunc, else MixedModeError."""
-    if isinstance(value, LambdaRatFunc):
-        return value._key
-    if isinstance(value, (int, Fraction)):
-        return ((value.numerator,), value.denominator, 0, 0) if value else _SYM_ZERO_KEY
-    raise MixedModeError("scalar domain does not match the mode")
-
-
-def _checked_rational(value) -> Union[int, Fraction]:
-    """A scalar of a numeric mode: an int or a Fraction, else MixedModeError."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    raise MixedModeError("symbolic scalar used in numeric mode")
 
 
 class XPolynomial:
@@ -178,13 +38,8 @@ class XPolynomial:
 
     __slots__ = ("mode", "_key")
 
-    def __init__(self, coeffs: Iterable[Union[int, FieldElement]], mode: LambdaMode):
-        if mode.is_symbolic:
-            key = _sym_reduced(*_lifted(True, [_scalar_key(c) for c in coeffs]))
-        else:
-            key = _reduced(*_lifted(False, [_checked_rational(c) for c in coeffs]))
-        _set_mode(self, mode)
-        _set_key(self, key)
+    def __new__(cls, coeffs: Iterable[Union[int, FieldElement]], mode: LambdaMode):
+        return _finish(mode, _lifted(mode.is_symbolic, coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("XPolynomial is immutable")
@@ -204,10 +59,10 @@ class XPolynomial:
         # a canonical scalar key is the canonical key of its one row
         if mode.is_symbolic:
             n, d, a, b = _scalar_key(coeff)
-            key = (((),) * exponent + (n,), d, a, b) if n else _SYM_ZERO_KEY
+            key = (((),) * exponent + (n,), d, a, b) if n else _ZERO_KEY
         else:
             c = _checked_rational(coeff)
-            key = ((0,) * exponent + (c.numerator,), c.denominator) if c else _ZERO_KEY
+            key = ((0,) * exponent + (c.numerator,), c.denominator) if c else _NUM_ZERO_KEY
         return _new(mode, key)
 
     # -- structure ----------------------------------------------------------
@@ -226,7 +81,7 @@ class XPolynomial:
             return _canonical(list(rows[exponent]), d, a, b)
         n, d = self._key
         g = gcd(n[exponent], d)
-        return ((n[exponent] // g,), d // g, 0, 0) if n[exponent] else _SYM_ZERO_KEY
+        return ((n[exponent] // g,), d // g, 0, 0) if n[exponent] else _ZERO_KEY
 
     @property
     def degree(self) -> int:
@@ -361,9 +216,9 @@ def _new(mode: LambdaMode, key: tuple) -> XPolynomial:
 
 
 def _finish(mode: LambdaMode, raw) -> XPolynomial:
-    # The polynomial of an unreduced key, or zero for None.
+    # The polynomial of an unreduced key of the mode, or zero for None.
     if raw is None:
-        return XPolynomial.zero(mode)
+        return _new(mode, _ZERO_KEY if mode.is_symbolic else _NUM_ZERO_KEY)
     return _new(mode, _sym_reduced(*raw) if mode.is_symbolic else _reduced(*raw))
 
 

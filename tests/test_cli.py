@@ -521,15 +521,29 @@ def test_help_lists_documented_flags():
             assert flag in help_text
 
 
-def _fresh_process(*args):
+def _fresh_process(*args, **env):
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_a_cold_dev_mode_verify_writes_the_pinned_report_and_no_warning():
+    # a cold process imports every module with warnings raised as errors
+    # and a fixed string-hash seed, and still writes the pinned bytes
+    import hashlib
+
+    out = _fresh_process("-X", "dev", "-W", "error", "-m", "apobern", "verify",
+                         "--format", "json", PYTHONHASHSEED="12345")
+    assert (out.returncode, out.stderr) == (0, "")
+    document = out.stdout.encode("utf-8")
+    assert len(document) == 1_040_751
+    assert hashlib.sha256(document).hexdigest() == \
+        "8b10395f36ea86147417353225162e6d4aa78af2cad360d378d69ec852e177d3"
 
 
 def test_one_process_serves_requests_like_fresh_processes(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apobern import families
@@ -379,4 +379,93 @@ def test_a_verify_builds_each_series_kernel_once(monkeypatch):
     run_suite(default_suite_config())
     assert {key: count for key, count in builds.items() if count > 1} == {
         ("_euler_kernel", 1, ONE): 2}
-    assert sum(builds.values()) <= 25
+    # 5 Bernoulli-type and 5 Euler-type builds, all at L = 1
+    assert sum(builds.values()) == 10
+
+
+# -- a third route to every number table: the explicit Stirling formulas -------
+#
+# Expanding the kernel in powers of u = e^t - 1, u^j = j! sum_m S(m, j) t^m/m!
+# with S the Stirling numbers of the second kind, gives (Luo and Srivastava,
+# J. Math. Anal. Appl. 308 (2005); Srivastava and Todorov, J. Math. Anal.
+# Appl. 130 (1988)) with R(k, j) = C(k+j-1, j), read as [j = 0] at k = 0:
+#   B_n^(k)(L) = n!/(n-k)! (L-1)^-k sum_j R(k, j) (-L/(L-1))^j j! S(n-k, j), L != 1;
+#   E_n^(k)(L) = 2^k (L+1)^-k sum_j R(k, j) (-L/(L+1))^j j! S(n, j), L != -1;
+#   B_n^(k)(1) = sum_j (-1)^j C(k+n, n-j) R(k, j) j! n!/(n+j)! S(n+j, j).
+# No series, recurrence or key routine of the package is used.
+
+N_MAX = 16
+
+
+def _stirling2(size: int) -> list:
+    s = [[1] + [0] * size]
+    for _ in range(size):
+        prev = s[-1]
+        s.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, size + 1)])
+    return s
+
+
+STIRLING2 = _stirling2(2 * N_MAX)
+
+
+def _rising(k: int, j: int) -> int:
+    return comb(k + j - 1, j) if k else int(j == 0)
+
+
+def _stirling_table(euler: bool, k: int, lam: Fraction) -> list:
+    """The order-k numbers of n <= N_MAX at the rational L = lam."""
+    s = STIRLING2
+    if not euler and lam == 1:
+        return [sum((-1) ** j * comb(k + n, n - j) * _rising(k, j)
+                    * Fraction(factorial(j) * factorial(n), factorial(n + j)) * s[n + j][j]
+                    for j in range(n + 1)) for n in range(N_MAX + 1)]
+    pole = lam + 1 if euler else lam - 1
+    weights = [_rising(k, j) * (-lam / pole) ** j * factorial(j) for j in range(N_MAX + 1)]
+    inner = [sum(w * row[j] for j, w in enumerate(weights)) for row in s[: N_MAX + 1]]
+    if euler:
+        return [2 ** k * inner[n] / pole ** k for n in range(N_MAX + 1)]
+    return [Fraction(0) if n < k else
+            Fraction(factorial(n), factorial(n - k)) * inner[n - k] / pole ** k
+            for n in range(N_MAX + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(euler=st.booleans(), k=st.integers(0, 4),
+       lam=st.one_of(st.sampled_from([1, -1]), st.fractions(-5, 5, max_denominator=7)))
+@example(euler=False, k=3, lam=1).via("the Srivastava-Todorov form")
+@example(euler=False, k=2, lam=-1).via("the Bernoulli form at L = -1")
+@example(euler=True, k=4, lam=1).via("the Euler form at L = 1")
+def test_numeric_tables_equal_the_stirling_formulas(euler, k, lam):
+    lam = Fraction(lam)
+    assume(not (euler and lam == -1))
+    numbers = apostol_euler_numbers if euler else apostol_bernoulli_numbers
+    table = numbers(k, N_MAX, LambdaMode.numeric(lam))
+    assert list(table.values) == _stirling_table(euler, k, lam)
+
+
+@pytest.mark.parametrize("euler", [False, True])
+@pytest.mark.parametrize("k", range(5))
+def test_symbolic_tables_equal_the_stirling_formulas(euler, k):
+    # v_n = N / (d (L-1)^a (L+1)^b) against the formula's P / Q, with
+    # deg P <= n and Q = (L-1)^n or (L+1)^(n+k): the cross-multiplied
+    # identity has degree below max(len(N) + n + k, n + a + b + 1), so
+    # that many distinct values of L (none a pole) decide it
+    numbers = apostol_euler_numbers if euler else apostol_bernoulli_numbers
+    values = numbers(k, N_MAX, SYM).values
+    points = [Fraction(i, 3) for i in range(-90, 91) if abs(i) != 3]
+    degrees = [max(len(v._key[0]) + n + k, n + sum(v.pole_orders) + 1)
+               for n, v in enumerate(values)]
+    assert len(points) >= max(degrees)
+    for point in points[: max(degrees)]:
+        assert [v.evaluate_at(point) for v in values] == _stirling_table(euler, k, point), point
+
+
+def test_classical_tables_equal_the_stirling_formulas():
+    # Euler's integers: sech t = (2 / (e^s + 1)) e^(s/2) at s = 2t, so
+    # E_n = sum_l C(n, l) e_(n-l) 2^(n-l) with e_m the L = 1 Euler-type numbers
+    e = _stirling_table(True, 1, Fraction(1))
+    assert list(bernoulli_numbers_by_recurrence(N_MAX).values) == \
+        _stirling_table(False, 1, Fraction(1))
+    assert list(euler_numbers_by_recurrence(N_MAX).values) == [
+        sum(comb(n, l) * e[n - l] * 2 ** (n - l) for l in range(n + 1))
+        for n in range(N_MAX + 1)]

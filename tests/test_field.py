@@ -1,5 +1,6 @@
 """Exact scalar domains: canonical forms, field axioms, rendering."""
 
+import ast
 import re
 from fractions import Fraction
 from math import gcd
@@ -23,10 +24,11 @@ from apobern import (
     render_rational,
 )
 from apobern._kernels import conv_int
-from apobern.field import LambdaPoly, _canonical, _divided, poly_gcd
+from apobern._keys import _canonical, _divided
+from apobern.field import LambdaPoly, poly_gcd
 from apobern.render import render_ratfunc
 
-from _util import SYM, random_ratfunc
+from _util import SYM, random_ratfunc, symbolic_scalars
 
 
 # -- rationals ---------------------------------------------------------------
@@ -98,6 +100,41 @@ def test_gcd_hooks_gain_no_caller():
     assert not hasattr(apobern, "LambdaPoly") and not hasattr(apobern, "poly_gcd")
 
 
+# The routines (and zero keys) that build or keep the canonical integer key.
+KEY_ROUTINES = {
+    "_pole_poly", "_divided", "_horner", "_sym_reduced", "_canonical", "_lift", "_ZERO_KEY",
+    "_reduced", "_add_into", "_scaled", "_times", "_sum", "_lifted", "_scalar_key",
+    "_checked_rational", "_NUM_ZERO_KEY",
+}
+
+
+def test_the_key_algebra_lives_in_keys_only():
+    # _keys alone defines the key routines, and no module reaches into
+    # field or polynomials for a private name other than a constructor:
+    # _new and _fast_fraction wrap canonical keys, _finish reduces a raw one
+    package = Path(apobern.__file__).parent
+    constructors = {"_new", "_fast_fraction", "_finish"}
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        if module == "_keys.py":
+            assert KEY_ROUTINES <= defined, KEY_ROUTINES - defined
+        else:
+            assert not KEY_ROUTINES & defined, (module, KEY_ROUTINES & defined)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "field", "polynomials", "apobern.field", "apobern.polynomials"):
+                private = {a.name for a in node.names if a.name.startswith("_")}
+                assert private <= constructors, (module, node.module, private - constructors)
+
+
 # -- canonical rational functions ----------------------------------------------
 
 
@@ -138,6 +175,26 @@ def test_ratfunc_has_no_public_constructor():
         LambdaRatFunc(1)
     with pytest.raises(TypeError):
         LambdaRatFunc(SYM.lam, SYM.lam - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(), symbolic_scalars())
+def test_a_ratfunc_hashes_like_the_rational_it_equals(q, f):
+    c = LambdaRatFunc.from_rational(q)
+    assert c == q and hash(c) == hash(q)
+    assert len({q, c}) == 1 and {q: "q"}.get(c) == "q" and {c: "c"}.get(q) == "c"
+    if q.denominator == 1:
+        assert {q.numerator: "n"}.get(c) == "n"
+    # a non-constant key keeps its own hash
+    if not f.is_rational:
+        assert hash(f) == hash(("LambdaRatFunc", f._key))
+    else:
+        assert hash(f) == hash(f.as_rational())
+
+
+def test_ratfunc_zero_is_the_key_of_zero():
+    assert {0: "a"}.get(LambdaRatFunc.from_rational(0)) == "a"
+    assert len({Fraction(1, 2), LambdaRatFunc.from_rational(Fraction(1, 2))}) == 1
 
 
 def test_ratfunc_monic_denominator_invariant():

@@ -387,7 +387,7 @@ def _per_key_beta_columns(k, n, mode):
     from math import lcm
 
     from apobern.families import apostol_bernoulli_numbers
-    from apobern.polynomials import _lift, _scalar_key
+    from apobern._keys import _lift, _scalar_key
 
     keys = [_scalar_key(beta) for beta in apostol_bernoulli_numbers(k, n, mode).values]
     d = lcm(*[key[1] for key in keys])
