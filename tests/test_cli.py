@@ -1,6 +1,7 @@
 """Command-line interface: documented commands, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -352,6 +353,77 @@ def test_byte_identical_output(capsys):
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second, argv
+
+
+# sha256 of each document, in the order json, text, latex, csv, of the
+# calc requests that the recorded benchmark digests never reach: the
+# classical tables, an apostol table at lambda = 0, an order-0 and a
+# symbolic polynomial, an expansion whose corrected route is unsupported
+# and one with empty windows.
+CALC_DOCUMENT_DIGESTS = {
+    "numbers --family bernoulli --n 6 --lambda 1": (
+        "a9eced7cd5c7e5b418862800a0879be23cf4739eba7a7ff471e0cdadf721a4eb",
+        "a59f43660dc97058cb03658130a4c5c7d1edf4f26cdae09706233de42e6814f3",
+        "cc8d0b51e3230ed679d5dab9cbf27e58a354d0125ba8a1558ae1e30186a8a646",
+        "d9c6deaeff7272f3858a3e08d64487573251345375ff3586d6a6cb3ae479e8de",
+    ),
+    "numbers --family bernoulli --n 6 --lambda symbolic": (
+        "a9eced7cd5c7e5b418862800a0879be23cf4739eba7a7ff471e0cdadf721a4eb",
+        "a59f43660dc97058cb03658130a4c5c7d1edf4f26cdae09706233de42e6814f3",
+        "cc8d0b51e3230ed679d5dab9cbf27e58a354d0125ba8a1558ae1e30186a8a646",
+        "d9c6deaeff7272f3858a3e08d64487573251345375ff3586d6a6cb3ae479e8de",
+    ),
+    "numbers --family euler --n 6 --lambda 1": (
+        "71b3193d60411b1cb7596ca73441fc1392d3b10010cf62abbe746d48b313fef2",
+        "599f5dc2443b086afd97714fd8cec3e941cc737d729de559ffd71949c49e809f",
+        "d6b90cec841ec4249604a34121a5965b6831144d6b6212f72e135f06df61b81e",
+        "a0d536654d568719ffb6b5b11152a72876cb60ee279e5520db54d2229f14116a",
+    ),
+    "numbers --family euler --n 6 --lambda symbolic": (
+        "71b3193d60411b1cb7596ca73441fc1392d3b10010cf62abbe746d48b313fef2",
+        "599f5dc2443b086afd97714fd8cec3e941cc737d729de559ffd71949c49e809f",
+        "d6b90cec841ec4249604a34121a5965b6831144d6b6212f72e135f06df61b81e",
+        "a0d536654d568719ffb6b5b11152a72876cb60ee279e5520db54d2229f14116a",
+    ),
+    "numbers --family apostol-euler --k 2 --n 5 --lambda 0": (
+        "2a92bb0e05b9323c90a8cf5f2f70281053a7f752d921df403b454f4e4fc3ef56",
+        "fd91a295761fbd1a2ec8cb3506448f2285b5ce9a431e36110c89f391360ec188",
+        "94aba22370ceaa05ea7cb621e277f1b8d5ec250fcf6e31d90a3360b02871e0c6",
+        "0fe1ae97838728048e22915407d082bedb07afc555eb5c835708924214179059",
+    ),
+    "poly --k 0 --n 0": (
+        "113978f53d5270567650065f1dba9677aef7bbaef24580d89c9ebb4ad89b9cd1",
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "06399b9faa85a6e8bc8febe1ef72bee73aea9429b66cb81b1ba54e4fdbd4a0ac",
+        "297c93115d7c3941a1d6a0df7d2c2606cf775167f757e11b1bb9f47f2474a873",
+    ),
+    "poly --family apostol-euler --k 2 --n 3 --lambda symbolic": (
+        "bb95f311a1d856b231aff7354ec48fe29999fbb6405166476651a22242649a67",
+        "38c587772fe4d79c32f6dd9702f2fc32a731440ce46c69785b56fa6d8bb6e3a7",
+        "2a96723dd3b905a5599ff76280471e3bb9e3b1bce6ff25ef9be38d217f2c037f",
+        "f0c3462fec626fec4ce0bbf86992918e49ec8e44f8948e9c521e03cea196087c",
+    ),
+    "expand --coeffs 1/2,0,-3 --k 2 --lambda 1": (
+        "7bcda3be871913bf85ac22b185c23d53f4bf46227b2b6d67c0e4a23f44fd0ef5",
+        "5697f57d61337a22e461272471dcb93c1b06f2b96fd836177d822950a48243af",
+        "426e9e02e50250ea6e9cb36f05eb395ff047a3980a1925941e91182490745697",
+        "8d8b06474660d259b934b2f0ae70b16f86f7b3fdeeee6a56776fb58d7c73349d",
+    ),
+    "expand --coeffs=0 --k 1 --lambda=-1": (
+        "3029dc1c391f5d243a9be875f90dd3351d6a71c01f4e6f108793b5b3593b89d1",
+        "8c63467479a2d2fbb26354f7480da8b7e0c5f3feff1b76ff5bcfe98bff61a40a",
+        "72f24412734559668e86ed9bcd1a8796c9fbef77efe86f4b964d9ff9d834c0c4",
+        "3ddfb07a163a04c17cec2490cbee0d68c2034d77b7d7a2b5ed8749eb12dcb040",
+    ),
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(CALC_DOCUMENT_DIGESTS))
+def test_calc_documents_match_their_recorded_digests(capsys, request_line):
+    for fmt, digest in zip(("json", "text", "latex", "csv"), CALC_DOCUMENT_DIGESTS[request_line]):
+        code, out, err = run_cli(capsys, *request_line.split(), "--format", fmt)
+        assert code == 0 and not err, (request_line, fmt)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (request_line, fmt)
 
 
 def test_console_entry_point_subprocess():
