@@ -1,5 +1,5 @@
-"""Command-line front end: number tables, polynomials, basis expansions,
-and the identity-verification suite.
+"""Command-line front end: each command parses its flags, computes its
+result and emits the document that ``reporting`` writes for it.
 
 Exit codes: 0 on success (for ``verify``, success additionally means the
 verdict pattern matched the expectation file in force), 2 on usage errors
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from functools import lru_cache
@@ -22,7 +21,6 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .expansion import (
-    BasisExpansion,
     UnsupportedModeError,
     closed_form_coefficients,
     corrected_coefficients,
@@ -40,42 +38,22 @@ from .families import (
 from .field import LambdaMode, parse_rational
 from .identities import GridBoundsError, IdentityId, SuiteConfig, run_suite
 from .polynomials import XPolynomial
-from .render import (
-    LATEX_SYMBOL,
-    MACHINE_SYMBOL,
-    TEXT_SYMBOL,
-    _key_text,
-    render_field_element,
-    render_x_poly,
-)
 from .reporting import (
     FORMATS,
+    expansion_document,
     expectation_mismatches,
+    numbers_document,
     parse_expectation,
+    poly_document,
     render_report,
     render_with_expectation,
 )
 
 DEFAULT_EXPECTATION = "expected_verdicts.json"
 
-_FAMILY_LETTER = {
-    Family.APOSTOL_BERNOULLI: "B",
-    Family.BERNOULLI: "B",
-    Family.APOSTOL_EULER: "E",
-    Family.EULER: "E",
-}
-
 
 class UsageError(Exception):
     """Bad arguments detected after parsing; exits with code 2."""
-
-
-def _symbol_for(fmt: str) -> str:
-    if fmt == "text":
-        return TEXT_SYMBOL
-    if fmt == "latex":
-        return LATEX_SYMBOL
-    return MACHINE_SYMBOL
 
 
 def _parse_mode(text: str) -> LambdaMode:
@@ -157,40 +135,6 @@ def _numbers_table(family: Family, k: int, n_max: int, mode: LambdaMode):
     return euler_numbers_by_recurrence(n_max)
 
 
-def _render_numbers(table, fmt: str) -> str:
-    sym = _symbol_for(fmt)
-    letter = _FAMILY_LETTER[table.family]
-    if fmt == "json":
-        payload = {
-            "family": table.family.value,
-            "k": table.k,
-            "lambda": table.mode.label(),
-            "values": [
-                {"n": n, "value": render_field_element(v, sym)}
-                for n, v in enumerate(table.values)
-            ],
-        }
-        return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
-    if fmt == "csv":
-        lines = ["family,k,lambda,n,value"]
-        for n, v in enumerate(table.values):
-            lines.append(
-                f"{table.family.value},{table.k},{table.mode.label()},{n},"
-                f"{render_field_element(v, sym)}"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "latex":
-        lines = ["\\begin{tabular}{ll}", "$n$ & value \\\\"]
-        for n, v in enumerate(table.values):
-            lines.append(f"{n} & ${render_field_element(v, sym)}$ \\\\")
-        lines.append("\\end{tabular}")
-        return "\n".join(lines) + "\n"
-    lines = [f"family={table.family.value} k={table.k} {TEXT_SYMBOL}={table.mode.label()}"]
-    for n, v in enumerate(table.values):
-        lines.append(f"{letter}_{n} = {render_field_element(v, sym)}")
-    return "\n".join(lines) + "\n"
-
-
 def _check_nonnegative(args, *flags: str):
     for flag in flags:
         if getattr(args, flag) < 0:
@@ -210,7 +154,7 @@ def _parse_family_request(args):
 def _cmd_numbers(args) -> int:
     family, mode = _parse_family_request(args)
     table = _numbers_table(family, args.k, args.n, mode)
-    _emit(_render_numbers(table, args.format), args.output)
+    _emit(numbers_document(table, args.format), args.output)
     return 0
 
 
@@ -224,51 +168,12 @@ def _cmd_poly(args) -> int:
         poly = apostol_bernoulli_poly(args.n, args.k, mode)
     else:
         poly = apostol_euler_poly(args.n, args.k, mode)
-    sym = _symbol_for(args.format)
-    rendered = render_x_poly(poly, sym)
-    # each coefficient written from its canonical key, "0" for a zero one
-    coefficients = [_key_text(*key, sym) if key[0] else "0"
-                    for key in map(poly._coeff_key, range(poly.degree + 1))]
-    if args.format == "json":
-        payload = {
-            "family": family.value,
-            "k": args.k,
-            "n": args.n,
-            "lambda": mode.label(),
-            "poly": rendered,
-            "coefficients": coefficients,
-        }
-        document = json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
-    elif args.format == "csv":
-        lines = ["m,coefficient"]
-        lines.extend(f"{m},{text}" for m, text in enumerate(coefficients))
-        document = "\n".join(lines) + "\n"
-    elif args.format == "latex":
-        document = f"${rendered}$\n"
-    else:
-        document = rendered + "\n"
-    _emit(document, args.output)
+    _emit(poly_document(family, args.k, args.n, poly, args.format), args.output)
     return 0
 
 
 # --------------------------------------------------------------------------
 # expand
-
-
-def _expansion_row(expansion: Optional[BasisExpansion], sym: str):
-    if expansion is None:
-        return {"supported": False}
-    return {
-        "supported": True,
-        "exact": expansion.exact,
-        "j_lo": expansion.j_lo,
-        "j_hi": expansion.j_hi,
-        "coefficients": [
-            render_field_element(expansion.coefficient(j), sym)
-            for j in expansion.indices()
-        ],
-        "reconstruction": render_x_poly(expansion.reconstruction, sym),
-    }
 
 
 def _cmd_expand(args) -> int:
@@ -281,57 +186,7 @@ def _cmd_expand(args) -> int:
         rows["corrected"] = corrected_coefficients(q, args.k)
     except UnsupportedModeError:
         rows["corrected"] = None
-    sym = _symbol_for(args.format)
-    if args.format == "json":
-        payload = {
-            "q": render_x_poly(q, sym),
-            "k": args.k,
-            "lambda": mode.label(),
-            "methods": {
-                name: _expansion_row(exp, sym) for name, exp in rows.items()
-            },
-        }
-        document = json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
-    elif args.format == "csv":
-        lines = ["method,j,coefficient,exact"]
-        for name, exp in rows.items():
-            if exp is None:
-                continue
-            for j in exp.indices():
-                lines.append(
-                    f"{name},{j},{render_field_element(exp.coefficient(j), sym)},"
-                    f"{'yes' if exp.exact else 'no'}"
-                )
-        document = "\n".join(lines) + "\n"
-    elif args.format == "latex":
-        lines = ["\\begin{tabular}{llll}", "method & j & coefficient & exact \\\\"]
-        for name, exp in rows.items():
-            if exp is None:
-                lines.append(f"{name} & - & unsupported & - \\\\")
-                continue
-            for j in exp.indices():
-                lines.append(
-                    f"{name} & {j} & ${render_field_element(exp.coefficient(j), sym)}$ & "
-                    f"{'yes' if exp.exact else 'no'} \\\\"
-                )
-        lines.append("\\end{tabular}")
-        document = "\n".join(lines) + "\n"
-    else:
-        lines = [f"q = {render_x_poly(q, sym)}", f"k = {args.k}, {TEXT_SYMBOL} = {mode.label()}"]
-        for name, exp in rows.items():
-            if exp is None:
-                lines.append(f"{name}: unsupported for {TEXT_SYMBOL} = 1")
-                continue
-            window = (
-                f"j={exp.j_lo}..{exp.j_hi}" if exp.j_lo <= exp.j_hi else "empty window"
-            )
-            piece = [f"{name}: exact={'yes' if exp.exact else 'no'}  {window}"]
-            for j in exp.indices():
-                piece.append(f"b[{j}]={render_field_element(exp.coefficient(j), sym)}")
-            piece.append(f"reconstruction={render_x_poly(exp.reconstruction, sym)}")
-            lines.append("  ".join(piece))
-        document = "\n".join(lines) + "\n"
-    _emit(document, args.output)
+    _emit(expansion_document(q, args.k, rows, args.format), args.output)
     return 0
 
 

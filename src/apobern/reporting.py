@@ -1,6 +1,10 @@
-"""Serialization of identity reports.
+"""Serialization of every command's output.
 
-The JSON layout is the stable machine interface:
+Each command writes one document in one of FORMATS from shared writers:
+lines into a document, a payload into a JSON document, and a header with
+its rows into CSV lines or into a LaTeX tabular.  The ``numbers``,
+``poly`` and ``expand`` documents come from one function each, next to
+the ``verify`` report, whose JSON layout is the stable machine interface:
 
     {"identity": str,
      "grid": [{"n": int, "k": int|null, "lambda": str|null, "y": str|null,
@@ -19,11 +23,17 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import render_rational
 from .identities import GridPoint, IdentityReport
-from .render import TEXT_SYMBOL
+from .render import (
+    LATEX_SYMBOL,
+    MACHINE_SYMBOL,
+    TEXT_SYMBOL,
+    render_field_element,
+    render_x_poly,
+)
 
 __all__ = [
     "report_to_dict",
@@ -36,6 +46,120 @@ __all__ = [
 ]
 
 FORMATS = ("json", "text", "latex", "csv")
+
+
+def _document(lines: Iterable[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _json_document(payload) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> List[str]:
+    return [",".join(header), *map(",".join, rows)]
+
+
+def _tabular(header: Sequence[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """LaTeX tabular lines, one ``l`` column per header cell."""
+    yield f"\\begin{{tabular}}{{{'l' * len(header)}}}"
+    for cells in (header, *rows):
+        yield " & ".join(cells) + " \\\\"
+    yield "\\end{tabular}"
+
+
+def _symbol_for(fmt: str) -> str:
+    return {"text": TEXT_SYMBOL, "latex": LATEX_SYMBOL}.get(fmt, MACHINE_SYMBOL)
+
+
+def numbers_document(table, fmt: str) -> str:
+    """A number table of ``apobern.families`` in ``fmt``."""
+    sym = _symbol_for(fmt)
+    family, k, label = table.family.value, table.k, table.mode.label()
+    values = [render_field_element(v, sym) for v in table.values]
+    if fmt == "json":
+        return _json_document({
+            "family": family,
+            "k": k,
+            "lambda": label,
+            "values": [{"n": n, "value": v} for n, v in enumerate(values)],
+        })
+    if fmt == "csv":
+        rows = ((family, str(k), label, str(n), v) for n, v in enumerate(values))
+        return _document(_csv(("family", "k", "lambda", "n", "value"), rows))
+    if fmt == "latex":
+        rows = ((str(n), f"${v}$") for n, v in enumerate(values))
+        return _document(_tabular(("$n$", "value"), rows))
+    letter = "E" if family.endswith("euler") else "B"
+    return _document([f"family={family} k={k} {TEXT_SYMBOL}={label}",
+                      *(f"{letter}_{n} = {v}" for n, v in enumerate(values))])
+
+
+def poly_document(family, k: int, n: int, poly, fmt: str) -> str:
+    """The family polynomial ``poly`` of order k and index n in ``fmt``."""
+    sym = _symbol_for(fmt)
+    if fmt == "csv":
+        rows = ((str(m), render_field_element(c, sym)) for m, c in enumerate(poly.coeffs))
+        return _document(_csv(("m", "coefficient"), rows))
+    rendered = render_x_poly(poly, sym)
+    if fmt == "json":
+        return _json_document({
+            "family": family.value,
+            "k": k,
+            "n": n,
+            "lambda": poly.mode.label(),
+            "poly": rendered,
+            "coefficients": [render_field_element(c, sym) for c in poly.coeffs],
+        })
+    return _document([f"${rendered}$" if fmt == "latex" else rendered])
+
+
+def expansion_document(q, k: int, methods: dict, fmt: str) -> str:
+    """The expansions of q in the order-k basis in ``fmt``, by method name,
+    None for a method that q's mode does not support."""
+    sym = _symbol_for(fmt)
+    label = q.mode.label()
+    coefficients = {name: [render_field_element(b, sym) for b in exp.coefficients]
+                    for name, exp in methods.items() if exp is not None}
+    if fmt == "json":
+        return _json_document({
+            "q": render_x_poly(q, sym),
+            "k": k,
+            "lambda": label,
+            "methods": {name: {"supported": False} if exp is None else {
+                "supported": True,
+                "exact": exp.exact,
+                "j_lo": exp.j_lo,
+                "j_hi": exp.j_hi,
+                "coefficients": coefficients[name],
+                "reconstruction": render_x_poly(exp.reconstruction, sym),
+            } for name, exp in methods.items()},
+        })
+    if fmt in ("csv", "latex"):
+        # a row per coefficient; latex marks an unsupported method by a row
+        latex = fmt == "latex"
+        rows = []
+        for name, exp in methods.items():
+            if exp is None:
+                if latex:
+                    rows.append((name, "-", "unsupported", "-"))
+                continue
+            rows.extend((name, str(j), f"${b}$" if latex else b, "yes" if exp.exact else "no")
+                        for j, b in zip(exp.indices(), coefficients[name]))
+        header = ("method", "j", "coefficient", "exact")
+        return _document(_tabular(header, rows) if latex else _csv(header, rows))
+    lines = [f"q = {render_x_poly(q, sym)}", f"k = {k}, {TEXT_SYMBOL} = {label}"]
+    for name, exp in methods.items():
+        if exp is None:
+            lines.append(f"{name}: unsupported for {TEXT_SYMBOL} = 1")
+            continue
+        window = f"j={exp.j_lo}..{exp.j_hi}" if exp.j_lo <= exp.j_hi else "empty window"
+        lines.append("  ".join([
+            f"{name}: exact={'yes' if exp.exact else 'no'}  {window}",
+            *(f"b[{j}]={b}" for j, b in zip(exp.indices(), coefficients[name])),
+            f"reconstruction={render_x_poly(exp.reconstruction, sym)}",
+        ]))
+    return _document(lines)
 
 
 def _point_to_dict(point: GridPoint) -> dict:
@@ -194,12 +318,6 @@ def expectation_mismatches(
     return mismatches
 
 
-def _human(value: Optional[str], sym: str) -> str:
-    if value is None:
-        return "-"
-    return value.replace("L", sym) if sym != "L" else value
-
-
 def _text_lines(reports: Sequence[IdentityReport]) -> Iterable[str]:
     for report in reports:
         yield f"== {report.identity.value} =="
@@ -217,7 +335,7 @@ def _text_lines(reports: Sequence[IdentityReport]) -> Iterable[str]:
             verdict = "PASS" if entry.passed else "FAIL"
             line = f"  {' '.join(fields)}: {verdict}"
             if entry.witness is not None:
-                line += f"  witness: {_human(entry.witness, TEXT_SYMBOL)}"
+                line += f"  witness: {entry.witness.replace(MACHINE_SYMBOL, TEXT_SYMBOL)}"
             yield line
         yield (
             f"  summary: pass={report.summary.passed} fail={report.summary.failed}"
@@ -230,56 +348,43 @@ def _latex_escape(text: str) -> str:
     return text.replace("\\", "\\textbackslash{}").replace("_", "\\_")
 
 
+def _report_rows(report: IdentityReport, name: str, blank: str, symbolic: str):
+    """The cells of each result, ``blank`` for a coordinate it lacks."""
+    for entry in report.results:
+        point = entry.point
+        yield (
+            name if entry.variant is None else f"{name}:{entry.variant}",
+            str(point.n),
+            blank if point.k is None else str(point.k),
+            blank if point.mode is None else point.mode.label().replace("symbolic", symbolic),
+            blank if point.y is None else render_rational(point.y),
+            "pass" if entry.passed else "fail",
+        )
+
+
 def _latex_lines(reports: Sequence[IdentityReport]) -> Iterable[str]:
     for report in reports:
         name = _latex_escape(report.identity.value)
         yield f"% {name}"
-        yield "\\begin{tabular}{llllll}"
-        yield "identity & n & k & $\\lambda$ & y & verdict \\\\"
-        for entry in report.results:
-            point = entry.point
-            ident = name if entry.variant is None else f"{name}:{entry.variant}"
-            cells = [
-                ident,
-                str(point.n),
-                "-" if point.k is None else str(point.k),
-                "-" if point.mode is None else point.mode.label().replace("symbolic", "$\\lambda$"),
-                "-" if point.y is None else render_rational(point.y),
-                "pass" if entry.passed else "fail",
-            ]
-            yield " & ".join(cells) + " \\\\"
-        yield "\\end{tabular}"
+        yield from _tabular(("identity", "n", "k", "$\\lambda$", "y", "verdict"),
+                            _report_rows(report, name, "-", "$\\lambda$"))
         yield ""
 
 
 def _csv_lines(reports: Sequence[IdentityReport]) -> Iterable[str]:
-    yield "identity,n,k,lambda,y,verdict"
-    for report in reports:
-        for entry in report.results:
-            point = entry.point
-            ident = report.identity.value
-            if entry.variant is not None:
-                ident = f"{ident}:{entry.variant}"
-            yield ",".join(
-                [
-                    ident,
-                    str(point.n),
-                    "" if point.k is None else str(point.k),
-                    "" if point.mode is None else point.mode.label(),
-                    "" if point.y is None else render_rational(point.y),
-                    "pass" if entry.passed else "fail",
-                ]
-            )
+    return _csv(("identity", "n", "k", "lambda", "y", "verdict"),
+                (cells for report in reports
+                 for cells in _report_rows(report, report.identity.value, "", "symbolic")))
+
+
+# The line writer of each format but json.
+_REPORT_LINES = {"text": _text_lines, "latex": _latex_lines, "csv": _csv_lines}
 
 
 def render_report(reports: Sequence[IdentityReport], fmt: str) -> str:
     """Render reports in one of json, text, latex, csv."""
     if fmt == "json":
         return reports_to_json(reports)
-    if fmt == "text":
-        return "\n".join(_text_lines(reports)) + "\n"
-    if fmt == "latex":
-        return "\n".join(_latex_lines(reports)) + "\n"
-    if fmt == "csv":
-        return "\n".join(_csv_lines(reports)) + "\n"
-    raise ValueError(f"unknown format: {fmt!r}")
+    if fmt not in _REPORT_LINES:
+        raise ValueError(f"unknown format: {fmt!r}")
+    return _document(_REPORT_LINES[fmt](reports))

@@ -1,11 +1,14 @@
 """Report serialization: schema, formats, determinism, expectations."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apobern
 from apobern import (
     IdentityId,
     SuiteConfig,
@@ -87,6 +90,24 @@ def test_latex_format(sample_reports):
     text = render_report(sample_reports, "latex")
     assert "\\begin{tabular}" in text
     assert "ID\\_THM1" in text
+
+
+def test_reporting_alone_writes_documents():
+    # no module but reporting serializes JSON or writes a LaTeX tabular,
+    # and cli reads no private name of render or reporting
+    package = Path(apobern.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if module != "reporting.py":
+                assert not (isinstance(node, ast.Attribute) and node.attr == "dumps"), module
+                assert not (isinstance(node, ast.ImportFrom) and node.module == "json"), module
+                assert not (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                            and "{tabular}" in node.value), module
+            if module == "cli.py" and isinstance(node, ast.ImportFrom) and node.module in (
+                    "render", "reporting", "apobern.render", "apobern.reporting"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (node.module, private)
 
 
 def test_unknown_format(sample_reports):

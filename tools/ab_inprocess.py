@@ -24,8 +24,12 @@ One process sees the same host speed for both sides of a pair, so this
 resolves differences of a few percent that separate perfbench runs do
 not on a host whose speed drifts.  It is run by hand and is no part of
 the test suite.  The last stdout line is a JSON summary: per-side
-medians in seconds, the median of the per-pair ratios new/base and the
-number of pairs NEW won.
+medians and interquartile ranges in seconds, the quartiles of the
+per-pair ratios new/base (their median included) and the number of pairs
+NEW won.  A ratio whose distance from 1 is within the base side's own
+spread (its interquartile range over its median) reads as no change.
+Quartiles are the inclusive method of ``statistics.quantiles``; a single
+pair gives its one value for all three.
 """
 
 from __future__ import annotations
@@ -89,6 +93,13 @@ def _timed(package, requests) -> tuple:
     return seconds, digests
 
 
+def _quartiles(values: list) -> list:
+    """First, second and third quartile of ``values``."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base")
@@ -128,6 +139,7 @@ def main(argv=None) -> int:
                         return 1
                 times[side].append(seconds)
     ratios = [n / b for b, n in zip(times["base"], times["new"])]
+    spread = {side: _quartiles(times[side]) for side in times}
     print(json.dumps({
         "base": args.base, "new": args.new, "workload": args.workload,
         "requests": len(requests),
@@ -140,7 +152,10 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "base_median_s": round(statistics.median(times["base"]), 4),
         "new_median_s": round(statistics.median(times["new"]), 4),
+        "base_iqr_s": round(spread["base"][2] - spread["base"][0], 4),
+        "new_iqr_s": round(spread["new"][2] - spread["new"][0], 4),
         "median_ratio": round(statistics.median(ratios), 4),
+        "ratio_quartiles": [round(q, 4) for q in _quartiles(ratios)],
         "new_wins": sum(r < 1 for r in ratios),
     }))
     return 0
