@@ -155,8 +155,8 @@ def corrected_coefficients(q: XPolynomial, k: int,
         b_j = (1/j!) * (Lambda^k D^{j-k} q)(0) = ((j-k)!/j!) [x^{j-k}] Lambda^k q,
 
     as D and Lambda commute, so Lambda^k q is built once per expansion,
-    or passed in as ``power`` by a caller that has it; validated against
-    the oracle rather than assumed."""
+    or passed in as ``power`` by a caller that has it; exactness is
+    checked by reconstruction rather than assumed."""
     if k < 0:
         raise ValueError("basis order must be nonnegative")
     if q.mode.is_one:

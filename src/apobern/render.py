@@ -20,28 +20,12 @@ TEXT_SYMBOL = "λ"
 LATEX_SYMBOL = "\\lambda"
 
 
-def _power(sym: str, exponent: int) -> str:
-    if exponent == 1:
-        return sym
-    return f"{sym}^{exponent}"
-
-
-def _monomial(p: int, q: int, sym: str, exponent: int) -> str:
-    """Term p/q sym^exponent like "2L^3", "L/2", "2L^2/3" or a bare
-    rational, for p/q > 0 in lowest terms."""
-    if exponent == 0:
-        return str(p) if q == 1 else f"{p}/{q}"
-    head = _power(sym, exponent) if p == 1 else f"{p}{_power(sym, exponent)}"
-    tail = "" if q == 1 else f"/{q}"
-    return f"{head}{tail}"
-
-
 def _terms_text(n, d: int, sym: str, space: str = "") -> str:
     """Descending rendering of sum n[i] sym^i / d, zero entries skipped,
     "" for zero: a leading "-" for a negative first term, and between
     terms the sign with ``space`` on both sides, e.g. "L^2-2L+1" or
-    "x - 1/2".  Each term is written inline as :func:`_monomial` would
-    write it, brought to lowest terms by one gcd when d != 1."""
+    "x - 1/2".  A term is "2L^3", "L/2", "2L^2/3" or a bare rational,
+    brought to lowest terms by one gcd when d != 1."""
     plus, minus = f"{space}+{space}", f"{space}-{space}"
     parts = []
     for exponent in range(len(n) - 1, -1, -1):
@@ -105,13 +89,13 @@ def _term_text(n, d: int, a: int, b: int, sym: str, exponent: int) -> str:
     """One polynomial term whose coefficient has the key (N, d, a, b) with
     N[-1] > 0; the caller handles the sign."""
     if not (a or b or len(n) > 1):
-        return _monomial(n[0], d, "x", exponent)
+        return _terms_text([0] * exponent + [n[0]], d, "x")
     body = _key_text(n, d, a, b, sym)
     if exponent == 0:
         return body
     if a or b or _nonzero_terms(n) > 1:
         body = f"({body})"
-    return f"{body}*{_power('x', exponent)}"
+    return f"{body}*x" if exponent == 1 else f"{body}*x^{exponent}"
 
 
 def render_x_poly(poly, sym: str = MACHINE_SYMBOL) -> str:

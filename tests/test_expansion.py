@@ -19,6 +19,7 @@ from apobern import (
     expand_oracle,
     reconstruct,
 )
+from apobern.expansion import basis_sum
 from apobern.operators import alternating_lambda_sum, d_op, lambda_power_at_zero
 
 from _util import ALL_MODES, NOT_ONE_MODES, ONE, PROPERTY_MODES, SYM, random_xpoly, symbolic_scalars
@@ -157,6 +158,24 @@ def test_corrected_matches_oracle_on_grid():
         corrected = corrected_coefficients(q, k)
         assert corrected.exact
         assert corrected.coefficients == oracle.coefficients
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(ALL_MODES), k=st.integers(0, 3),
+       lower=st.lists(small, max_size=5), lead=small.filter(bool), data=st.data())
+def test_a_changed_coefficient_breaks_the_reconstruction(mode, k, lower, lead, data):
+    # the basis is triangular with a nonzero diagonal over the oracle's
+    # window, so only the oracle's coefficients reconstruct q: a window
+    # judged by its reconstruction alone needs no comparison with the oracle
+    q = XPolynomial(lower + [lead], mode)
+    oracle = expand_oracle(q, k)
+    changed = list(oracle.coefficients)
+    i = data.draw(st.integers(0, len(changed) - 1))
+    changed[i] = changed[i] + mode.scalar(data.draw(small.filter(bool)))
+    assert basis_sum(changed, oracle.j_lo, k, mode) != q
 
 
 

@@ -21,7 +21,6 @@ from apobern.polynomials import dot, specialize_poly
 from apobern.render import (
     LATEX_SYMBOL,
     TEXT_SYMBOL,
-    _monomial,
     _terms_text,
     render_field_element,
     render_x_poly,
@@ -466,6 +465,15 @@ def test_render_x_poly_matches_the_per_coefficient_renderer(data):
 
 # The term loop as it called _monomial once per term: the reference for
 # the inline term texts of _terms_text.
+
+
+def _monomial(p, q, sym, exponent):
+    # term p/q sym^exponent, p/q > 0 in lowest terms: "2L^3", "L/2", "2L^2/3"
+    if exponent == 0:
+        return str(p) if q == 1 else f"{p}/{q}"
+    power = sym if exponent == 1 else f"{sym}^{exponent}"
+    head = power if p == 1 else f"{p}{power}"
+    return head if q == 1 else f"{head}/{q}"
 
 
 def _ref_terms_text(n, d, sym, space):
