@@ -165,19 +165,22 @@ def _add_into(p: list, q) -> list:
 
 def _scalar_key(value) -> tuple:
     """Key (N, d, a, b) of a scalar of symbolic mode: an int, a Fraction
-    or a LambdaRatFunc, else MixedModeError."""
+    or a LambdaRatFunc, else MixedModeError.  With :func:`_checked_rational`
+    this is the package's one rule for what a scalar of a mode is."""
     if isinstance(value, field.LambdaRatFunc):
         return value._key
     if isinstance(value, (int, Fraction)):
         return ((value.numerator,), value.denominator, 0, 0) if value else _ZERO_KEY
-    raise field.MixedModeError("scalar domain does not match the mode")
+    raise field.MixedModeError(
+        f"the symbolic mode takes int, Fraction or LambdaRatFunc scalars, not {type(value).__name__}")
 
 
 def _checked_rational(value) -> Union[int, Fraction]:
     """A scalar of a numeric mode: an int or a Fraction, else MixedModeError."""
     if isinstance(value, (int, Fraction)):
         return value
-    raise field.MixedModeError("symbolic scalar used in numeric mode")
+    raise field.MixedModeError(
+        f"a numeric mode takes int or Fraction scalars, not {type(value).__name__}")
 
 
 def _lifted(symbolic: bool, scalars: Sequence, scales: Optional[Sequence[int]] = None) -> tuple:

@@ -102,6 +102,10 @@ def _write_file(path: str, document: str):
         with open(partial, "w", encoding="utf-8") as handle:
             handle.write(document)
         os.replace(partial, target)
+    except OSError as exc:
+        if exc.filename is not None:  # name the user's path, not the temporary file
+            exc.filename, exc.filename2 = path, None
+        raise
     finally:
         if os.path.exists(partial):
             os.remove(partial)

@@ -21,7 +21,8 @@ from math import lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
 from ._kernels import conv_frac, conv_int, power, prim_gcd_int
-from ._keys import _ZERO_KEY, _add_into, _canonical, _horner, _lifted, _pole_poly, _scalar_key
+from ._keys import (_ZERO_KEY, _add_into, _canonical, _checked_rational, _horner, _lifted,
+                    _pole_poly, _scalar_key)
 
 __all__ = [
     "Fraction",
@@ -162,7 +163,7 @@ class LambdaRatFunc:
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "LambdaRatFunc":
-        return _new(_scalar_key(Fraction(value)))
+        return _new(_scalar_key(_checked_rational(value)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LambdaRatFunc is immutable")
@@ -298,7 +299,7 @@ class LambdaRatFunc:
     def evaluate_at(self, point: RationalLike) -> Fraction:
         """Exact substitution; raises PoleError at L = 1 or L = -1 when
         the value has a pole there."""
-        point = Fraction(point)
+        point = Fraction(_checked_rational(point))
         n, d, a, b = self._key
         if (a and point == 1) or (b and point == -1):
             raise PoleError(f"pole at {render_rational(point)}")
@@ -345,7 +346,8 @@ class LambdaMode(_ModeFields):
     __hash__ = object.__hash__
 
     def __new__(cls, value: Optional[RationalLike]):
-        mode = _MODES.get(value)
+        # the type is checked first: -0.5 would find the mode of -1/2
+        mode = _MODES.get(value if value is None else _checked_rational(value))
         if mode is None:
             value = None if value is None else Fraction(value)
             mode = _MODES.setdefault(value, super().__new__(cls, value))
@@ -361,7 +363,7 @@ class LambdaMode(_ModeFields):
 
     @classmethod
     def numeric(cls, value: RationalLike) -> "LambdaMode":
-        return cls(Fraction(value))
+        return cls(_checked_rational(value))
 
     @classmethod
     def parse(cls, text: str) -> "LambdaMode":
@@ -391,27 +393,16 @@ class LambdaMode(_ModeFields):
         """The deformation parameter itself as a scalar of this mode."""
         return _RATFUNC_LAMBDA if self.is_symbolic else self.value
 
-    def scalar(self, value: RationalLike) -> FieldElement:
-        """Embed a plain rational into this mode's scalar domain."""
+    def scalar(self, value: Union[RationalLike, LambdaRatFunc]) -> FieldElement:
+        """A scalar of this mode (see ``_keys._scalar_key``) in its domain."""
         if self.is_symbolic:
-            if isinstance(value, LambdaRatFunc):
-                return value
-            return LambdaRatFunc.from_rational(value)
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, LambdaRatFunc):
-            raise MixedModeError("symbolic scalar used in numeric mode")
-        return Fraction(value)
+            return _new(_scalar_key(value))
+        return Fraction(_checked_rational(value))
 
     def specialize(self, value: LambdaRatFunc) -> FieldElement:
         """A symbolic value as a scalar of this mode: itself, or its value
         at this mode's L."""
         return value if self.is_symbolic else value.evaluate_at(self.value)
-
-    def matches(self, value: FieldElement) -> bool:
-        if self.is_symbolic:
-            return isinstance(value, LambdaRatFunc)
-        return isinstance(value, Fraction)
 
     def label(self) -> str:
         return "symbolic" if self.is_symbolic else render_rational(self.value)

@@ -53,7 +53,6 @@ from .families import (
 from .field import FieldElement, LambdaMode
 from .operators import (
     DifferencePowerMethod,
-    alternating_row,
     corrected_power_at_zero,
     lambda_op,
     lambda_power_at_zero,
@@ -318,8 +317,7 @@ def _omega(weight, m: int, k: int, y: Optional[Fraction]) -> Tuple[tuple, int]:
     integer Horner value of N at a, so the row of the H_a is over q_m's d,
     not in lowest terms (the residual's one reduction settles that)."""
     n, d = weight(m, k, y)._key
-    row, _ = alternating_row([_horner(n, a, 1)[0] for a in range(k + 1)])
-    return tuple(row), d
+    return tuple([(-1) ** a * comb(k, a) * _horner(n, a, 1)[0] for a in range(k + 1)]), d
 
 
 @lru_cache(maxsize=None)

@@ -10,12 +10,11 @@ ground truth they are both judged against.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from math import comb, lcm
-from typing import Callable, List, Sequence, Tuple, Union
+from math import comb
+from typing import Callable, Union
 
-from ._keys import _canonical
-from .field import FieldElement, LambdaMode, LambdaRatFunc, RationalLike, _new
+from ._keys import _add_into, _canonical, _lifted
+from .field import FieldElement, LambdaMode, MixedModeError, RationalLike, _new
 from .polynomials import XPolynomial, dot, shift_poly
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "lambda_power_at_zero",
     "corrected_power_at_zero",
     "alternating_lambda_sum",
-    "alternating_row",
 ]
 
 
@@ -78,34 +76,20 @@ def alternating_lambda_sum(
 ) -> FieldElement:
     """sum_{a=0}^{k} (-1)^a C(k, a) L^a weight(a) as a scalar of ``mode``.
 
-    When every weight is rational (a plain rational, or a symbolic scalar
-    free of L), the sum is one integer polynomial in L over the lcm of the
-    weights' denominators, put in canonical form once; a numeric mode
-    takes its value at L through ``LambdaRatFunc.evaluate_at``.  Weights
-    that depend on L go through Horner's rule in -L.
+    The weights, each a scalar of the symbolic mode, times (-1)^a C(k, a)
+    are lifted to one denominator d (L-1)^p (L+1)^q; row a, shifted by a
+    powers of L, is added into one integer row, which is put in canonical
+    form once and specialized to the mode.  A numeric mode refuses a
+    weight that depends on L.
     """
-    weights = [weight(a) for a in range(k + 1)]
-    weights = [w.as_rational() if isinstance(w, LambdaRatFunc) and w.is_rational else w
-               for w in weights]
-    if all(isinstance(w, (int, Fraction)) for w in weights):
-        n, d = alternating_row(weights)
-        return mode.specialize(_new(_canonical(n, d, 0, 0)))
-    neg_lam = -mode.lam
-    acc = mode.zero
-    for a in range(k, -1, -1):
-        acc = acc * neg_lam + mode.scalar(comb(k, a) * weights[a])
-    return acc
-
-
-def alternating_row(weights: Sequence[RationalLike]) -> Tuple[List[int], int]:
-    """The terms of the alternating lambda-sum of rational weights, free of
-    L: integers n[a] over one denominator d, the lcm of the weights'
-    denominators, with n[a] / d = (-1)^a C(k, a) weights[a] and
-    k = len(weights) - 1, so the sum is sum_a n[a] L^a / d."""
-    k = len(weights) - 1
-    d = lcm(*[w.denominator for w in weights])
-    return [(-1) ** a * comb(k, a) * w.numerator * (d // w.denominator)
-            for a, w in enumerate(weights)], d
+    rows, d, p, q = _lifted(True, [weight(a) for a in range(k + 1)],
+                            [(-1) ** a * comb(k, a) for a in range(k + 1)])
+    if not mode.is_symbolic and (p or q or any(len(r) > 1 for r in rows)):
+        raise MixedModeError(f"a weight depends on L in numeric mode {mode.label()}")
+    acc = []
+    for a, row in enumerate(rows):
+        acc = _add_into([0] * a + row, acc)
+    return mode.specialize(_new(_canonical(acc, d, p, q)))
 
 
 def corrected_power_at_zero(p: XPolynomial, k: int) -> FieldElement:

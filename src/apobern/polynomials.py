@@ -23,7 +23,6 @@ from ._keys import (_NUM_ZERO_KEY, _ZERO_KEY, _add_into, _canonical, _checked_ra
 from .field import (
     FieldElement,
     LambdaMode,
-    LambdaRatFunc,
     MixedModeError,
     PoleError,
     _fast_fraction,
@@ -164,11 +163,12 @@ class XPolynomial:
         return _finish(self.mode, _scaled(self.mode.is_symbolic, self._key, factor))
 
     def scalar_div(self, divisor: Union[int, FieldElement]) -> "XPolynomial":
-        ratfunc = isinstance(divisor, LambdaRatFunc) and self.mode.is_symbolic
-        if not (divisor if ratfunc else _checked_rational(divisor)):
+        symbolic = self.mode.is_symbolic
+        divisor = self.mode.scalar(divisor)
+        if not divisor:
             raise ZeroDivisionError("polynomial divided by the zero scalar")
-        inverse = divisor.inverse() if ratfunc else 1 / Fraction(divisor)
-        return _finish(self.mode, _scaled(self.mode.is_symbolic, self._key, inverse))
+        inverse = divisor.inverse() if symbolic else 1 / divisor
+        return _finish(self.mode, _scaled(symbolic, self._key, inverse))
 
     def evaluate(self, point: Union[int, FieldElement]) -> FieldElement:
         mode = self.mode
@@ -286,13 +286,11 @@ def shift_poly(p: XPolynomial, h: Union[int, Fraction, FieldElement]) -> XPolyno
     rational h), and the passes run on rows.
     """
     mode = p.mode
-    h = mode.scalar(h) if isinstance(h, (int, Fraction)) else h
-    if not mode.matches(h):
-        raise MixedModeError("shift domain does not match the mode")
+    h = _scalar_key(h) if mode.is_symbolic else _checked_rational(h)
     if p.is_zero:
         return p
     if mode.is_symbolic:
-        u, e, ha, hb = h._key
+        u, e, ha, hb = h
         rows, d, a, b = p._key
         top = len(rows) - 1
         v = _lift((e,), 1, ha, hb)

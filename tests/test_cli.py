@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from functools import lru_cache
 from importlib import resources
@@ -315,11 +316,17 @@ def test_output_through_a_link_or_into_a_pipe(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "real.json"]
 
 
-def test_unwritable_output_exits_1_with_one_line(capsys, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("numbers", "--n", "2", "--output"),
+    ("verify", "--ids", "ID_EULER_RAMANUJAN", "--output", os.devnull, "--write-expect"),
+], ids=["output", "write-expect"])
+def test_unwritable_output_exits_1_with_one_line(capsys, tmp_path, argv):
+    # the error names the path the user gave, not the temporary file
     target = tmp_path / "missing" / "table.json"
-    code, out, err = run_cli(capsys, "numbers", "--n", "2", "--output", str(target))
+    code, out, err = run_cli(capsys, *argv, str(target))
     assert code == 1 and out == ""
     assert "No such file or directory" in err and err.count("\n") == 1
+    assert f"{str(target)!r}" in err and ".tmp" not in err
     assert list(tmp_path.iterdir()) == []
 
 
