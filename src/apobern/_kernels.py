@@ -8,6 +8,14 @@ and the x-polynomials bottoms out here, and
 ``prim_gcd_int`` is off the arithmetic path: it backs the gcd hook that
 ``field`` keeps for the benchmark tracer.
 
+``conv_frac`` puts each operand over the lcm of its denominators, runs
+one integer convolution and reduces each output once, so a product of
+length n takes O(n) gcds instead of O(n^2).  ``recip_frac`` keeps a
+reduced sum per term: each term sums over the terms built before it,
+whose common denominator is not known in advance.  ``power``
+starts from the lowest set bit of the exponent and takes no product by
+the identity; ``one`` is only the exponent-0 result.
+
 Conventions:
 
 * integer polynomials are lists of Python ints, ascending powers, no
@@ -16,7 +24,8 @@ Conventions:
   in lowest terms and denominator > 0.
 """
 
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 __all__ = ["conv_int", "conv_frac", "recip_frac", "power", "prim_gcd_int"]
 
@@ -59,23 +68,35 @@ def conv_int(a, b):
     return out
 
 
+def _over_lcm(nums, dens):
+    """Integer numerators over the lcm of dens, and that lcm."""
+    d = lcm(*dens)
+    return [n * (d // q) for n, q in zip(nums, dens)], d
+
+
 def conv_frac(anum, aden, bnum, bden, out_len):
-    """Rational convolution c_n = sum_i a_i * b_{n-i}, truncated to out_len."""
-    la = len(anum)
-    lb = len(bnum)
+    """Rational convolution c_n = sum_i a_i * b_{n-i}, truncated to out_len.
+
+    Each operand is put over the lcm of its denominators, so c_n is an
+    integer convolution over d_a * d_b, reduced once.
+    """
+    a, da = _over_lcm(anum[:out_len], aden[:out_len])
+    b, db = _over_lcm(bnum[:out_len], bden[:out_len])
+    d = da * db
+    la = len(a)
+    lb = len(b)
+    rb = b[::-1]
     cnum = [0] * out_len
     cden = [1] * out_len
     for n in range(out_len):
-        sn, sd = 0, 1
-        lo = n - lb + 1
-        if lo < 0:
-            lo = 0
-        hi = n if n < la - 1 else la - 1
-        for i in range(lo, hi + 1):
-            pn, pd = _mul_frac(anum[i], aden[i], bnum[n - i], bden[n - i])
-            sn, sd = _add_frac(sn, sd, pn, pd)
-        cnum[n] = sn
-        cden[n] = sd
+        lo = max(n - lb + 1, 0)
+        hi = min(n + 1, la)
+        off = lb - 1 - n  # b[n - i] is rb[off + i]
+        s = sum(map(mul, a[lo:hi], rb[off + lo:off + hi]))
+        if s:
+            g = gcd(s, d)
+            cnum[n] = s // g
+            cden[n] = d // g
     return cnum, cden
 
 
@@ -107,15 +128,21 @@ def recip_frac(anum, aden, out_len):
 
 
 def power(base, exponent, one):
-    """base ** exponent by binary powering for an int exponent >= 0;
-    ``one`` is the identity of base's ring and the exponent-0 result."""
-    result = one
+    """base ** exponent by binary powering for an int exponent >= 0, in
+    popcount + bit_length - 2 products; ``one``, the identity of base's
+    ring, is the exponent-0 result and never a factor."""
+    if not exponent:
+        return one
+    while not exponent & 1:
+        base = base * base
+        exponent >>= 1
+    result = base
+    exponent >>= 1
     while exponent:
+        base = base * base
         if exponent & 1:
             result = result * base
         exponent >>= 1
-        if exponent:
-            base = base * base
     return result
 
 

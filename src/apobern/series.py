@@ -2,11 +2,14 @@
 series.
 
 :func:`convolve` is the Cauchy product of two coefficient sequences.
-Rational sequences go through the ``conv_frac`` kernel; any other ring
-(rational functions of the deformation parameter, or polynomials in x
-for the dual-path generating-function extraction) takes one generic
-loop.  ``TruncatedSeries.__mul__`` is one call to it; x-polynomials
-multiply their integer keys with ``conv_int``.
+Rational sequences go through the ``conv_frac`` kernel: one integer
+convolution over a common denominator per operand, each output reduced
+once.  Any other ring (rational functions of the deformation parameter,
+or polynomials in x for the dual-path generating-function extraction)
+takes one generic loop.  ``TruncatedSeries.__mul__`` is one call to it,
+and ``__pow__`` takes popcount + bit_length - 2 of them (none by the
+identity series); x-polynomials multiply their integer keys with
+``conv_int``.
 
 A series of order N stores the N+1 ordinary coefficients c_0..c_N of
 sum c_n t^n; the factorial scaling used to read off polynomial-family

@@ -47,6 +47,16 @@ def test_numeric_tables_still_reach_the_series_kernels():
         assert cli.main(["numbers", "--k", "2", "--n", "6", "--lambda=2", "--format", "json"]) == 0
     assert tracer.calls["kernels.conv_frac"] > 0
     assert tracer.calls["series.TruncatedSeries.pow"] > 0
+    # exact counts per order: one pow and one reciprocal per table, and
+    # binary powering takes no product by the identity series
+    for k, products in zip((1, 2, 3, 4), (0, 1, 2, 2)):
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer), contextlib.redirect_stdout(io.StringIO()):
+            families.clear_caches()
+            assert cli.main(["numbers", "--k", str(k), "--n", "6", "--lambda=2", "--format", "json"]) == 0
+        assert tracer.calls["kernels.conv_frac"] == products, k
+        assert tracer.calls["kernels.recip_frac"] == 1, k
+        assert tracer.calls["series.TruncatedSeries.pow"] == 1, k
 
 
 def test_calc_outputs_match_recorded_digests():

@@ -1,7 +1,7 @@
 """The kernels against naive oracles."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from random import Random
 
 import pytest
@@ -43,20 +43,45 @@ def test_conv_int_matches_naive(impl):
         assert impl.conv_int(a, b) == expected
 
 
-def test_conv_frac_matches_naive(impl):
+def _conv_frac_cases():
+    """Operand pairs: small random ones, long ones over exponential-type
+    denominators m! q^m and over pairwise coprime primes, an all-zero
+    operand and one-entry operands."""
     rng = Random(202)
     for _ in range(50):
         a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
-        out_len = rng.randint(1, len(a) + len(b))
+        yield a, b
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    for q in (1, 2, 3, 7):
+        a = [Fraction(rng.randint(-9, 9), factorial(m) * q**m) for m in range(rng.randint(20, 40))]
+        b = [Fraction(rng.randint(-9, 9), factorial(m) * (q + 1) ** m) for m in range(rng.randint(20, 40))]
+        yield a, b
+    for _ in range(4):
+        a = [Fraction(rng.randint(-9, 9), rng.choice(primes)) for _ in range(rng.randint(20, 40))]
+        b = [Fraction(rng.randint(-9, 9), rng.choice(primes)) for _ in range(rng.randint(20, 40))]
+        yield a, b
+    zeros = [Fraction(0)] * 7
+    yield zeros, [Fraction(1, 3), Fraction(-2, 5)]
+    yield [Fraction(3, 4)], zeros
+    yield [Fraction(-5, 6)], [Fraction(2, 3), Fraction(1, 2), Fraction(-7, 9)]
+    yield [Fraction(1, 2), Fraction(1, 3)], [Fraction(4, 9)]
+    yield [Fraction(6, 35)], [Fraction(-14, 15)]
+
+
+def test_conv_frac_matches_naive(impl):
+    for a, b in _conv_frac_cases():
         an, ad = frac_vec(a)
         bn, bd = frac_vec(b)
-        cn, cd = impl.conv_frac(an, ad, bn, bd, out_len)
-        got = [Fraction(n, d) for n, d in zip(cn, cd)]
-        assert got == naive_conv(a, b, out_len)
-        # canonical pairs: reduced, positive denominators
-        for n, d in zip(cn, cd):
-            assert d > 0 and gcd(n, d) == 1
+        full = len(a) + len(b) - 1
+        for out_len in sorted({1, 2, full // 2 or 1, full - 1 or 1, full, full + 2}):
+            cn, cd = impl.conv_frac(an, ad, bn, bd, out_len)
+            expected = naive_conv(a, b, out_len)
+            assert [Fraction(n, d) for n, d in zip(cn, cd)] == expected
+            # canonical pairs: reduced, positive denominators, zero as (0, 1)
+            for n, d in zip(cn, cd):
+                assert d > 0 and gcd(n, d) == 1
+                assert n or d == 1
 
 
 def test_recip_frac_inverts(impl):
@@ -150,10 +175,13 @@ class _Counted:
 
 
 def test_power_matches_repeated_products(impl):
+    one = _Counted(1)
+    assert impl.power(_Counted(3), 0, one) is one
     for exponent in range(20):
         assert impl.power(Fraction(-3, 2), exponent, Fraction(1)) == Fraction(-3, 2) ** exponent
         _Counted.products = 0
         assert impl.power(_Counted(3), exponent, _Counted(1)).value == 3 ** exponent
-        # binary powering: one product per set bit and one square per further bit
-        expected = bin(exponent).count("1") + max(exponent.bit_length() - 1, 0)
+        # binary powering from the lowest set bit, with no product by one:
+        # a square per further bit and a product per further set bit
+        expected = bin(exponent).count("1") + exponent.bit_length() - 2 if exponent else 0
         assert _Counted.products == expected
