@@ -18,14 +18,14 @@ per coefficient.
 
 Each (family, k, mode) keeps the longest number table built since the
 last :func:`clear_caches`, and only :func:`_stored` extends it: symbolic
-tables by the Z[L] recurrence of :func:`_recurrence_values` (Luo and
-Srivastava, J. Math. Anal. Appl. 308 (2005)), which never touches the
-series, so the extraction above is an independent check of them; numeric
-ones from the kernel series at the longer order; the classical Bernoulli
-and Euler tables by their umbral recurrences.  The public table
-functions cut prefixes of it; members, ``identities``' basis columns and
-ID_EULER_RAMANUJAN index it in place.  ``identities.verify_identity``
-walks its grid from the largest n down, so a grid builds each table once.
+and classical tables by the one recurrence of :func:`_recurrence_values`
+over ``_RECURRENCES`` (Luo and Srivastava, J. Math. Anal. Appl. 308
+(2005)), which never touches the series, so the extraction above is an
+independent check of them; numeric Apostol tables from the kernel series
+at the longer order.  The public table functions cut prefixes of it;
+members, ``identities``' basis columns and ID_EULER_RAMANUJAN index it
+in place.  ``identities.verify_identity`` walks its grid from the
+largest n down, so a grid builds each table once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from math import comb, factorial
 from typing import NamedTuple, Tuple
 
 from ._kernels import conv_int
-from ._keys import _lifted, _sum
+from ._keys import _lifted, _scalar_key, _sum
 from .field import FieldElement, LambdaMode, PoleError, _new
 from .polynomials import XPolynomial, _finish
 from .series import TruncatedSeries, exp_scaled_series
@@ -120,44 +120,44 @@ def _euler_kernel(k: int, order: int, mode: LambdaMode) -> TruncatedSeries:
     return _kernel(k, order, mode, 1).scale(mode.scalar(2 ** k))
 
 
-def _recurrence_values(values: tuple, k: int, n_max: int, s: int) -> tuple:
-    """Symbolic numbers of t^k/(L e^t - 1)^k (s = -1) or 2^k/(L e^t + 1)^k
-    (s = 1) through n_max, extending ``values``.  Multiplying the kernel
-    by (L e^t + s)^k = sum_m G_m t^m/m!, with
-    G_m = sum_j C(k,j) s^(k-j) j^m L^j and G_0 = (L+s)^k, gives
-    sum_m C(n,m) G_m v_(n-m) = c_n: c_n = k! [n = k] for s = -1 and
-    2^k [n = 0] for s = 1.  So v_n is (c_n - sum_(m>=1) C(n,m) G_m v_(n-m))
-    over (L+s)^k: one integer accumulator, reduced once."""
-    g = [[comb(k, j) * s ** (k - j) * j ** m for j in range(k + 1)] for m in range(n_max + 1)]
-    ka, kb = (k, 0) if s < 0 else (0, k)
-    keys = [v._key for v in values]
+# The tables of the one recurrence as data.  The kernel K of order k
+# solves F K = H: (L e^t - 1)^k K = t^k and (L e^t + 1)^k K = 2^k for the
+# Apostol families, (e^t - 1) K = t and (e^t + e^-t) K = 2 for the
+# classical ones (k = 1).  A row gives, for k, the G_m in Z[L] of
+# F = sum_m G_m t^m/m!, the nonzero c_N of H = sum_N c_N t^N/N!, the
+# valuation v of F and 1/G_v as (d, a, b), that is 1/(d (L-1)^a (L+1)^b).
+_RECURRENCES = {
+    Family.APOSTOL_BERNOULLI: lambda k: (
+        lambda m: [comb(k, j) * (-1) ** (k - j) * j ** m for j in range(k + 1)],
+        {k: factorial(k)}, 0, (1, k, 0)),
+    Family.APOSTOL_EULER: lambda k: (
+        lambda m: [comb(k, j) * j ** m for j in range(k + 1)], {0: 2 ** k}, 0, (1, 0, k)),
+    Family.BERNOULLI: lambda k: (lambda m: [1] if m else [], {1: 1}, 1, (1, 0, 0)),
+    Family.EULER: lambda k: (lambda m: [1 + (-1) ** m], {0: 2}, 0, (2, 0, 0)),
+}
+
+
+def _recurrence_values(spec: tuple, values: tuple, n_max: int, mode: LambdaMode) -> tuple:
+    """The kernel's numbers through n_max, extending ``values``, from its
+    row ``spec`` of _RECURRENCES.  At t^N/N!, F K = H reads
+    sum_m C(N,m) G_m v_(N-m) = c_N, so with N = n + v, v_n is
+    (c_N - sum_(m>v) C(N,m) G_m v_(N-m)) / (C(N,v) G_v); each term takes
+    the divisor into its key, and one sum reduces the value once."""
+    g_row, c, v, (d, a, b) = spec
+    g = [g_row(m) for m in range(n_max + v + 1)]
+    keys = [_scalar_key(x) for x in values]
     for n in range(len(keys), n_max + 1):
-        c = factorial(k) if s < 0 and n == k else 2 ** k if s > 0 and n == 0 else 0
-        terms = [([[c]], 1, ka, kb)] if c else []
-        for m in range(1, n + 1):
-            N, d, a, b = keys[n - m]
-            if N:
-                weights = [-comb(n, m) * x for x in g[m]]
-                terms.append(([conv_int(weights, N)], d, a + ka, b + kb))
-        rows, d, a, b = _sum(True, terms)
-        keys.append((rows[0] if rows else (), d, a, b))
-    return tuple(values) + tuple(map(_new, keys[len(values):]))
-
-
-def _umbral_values(family: Family, values: tuple, n_max: int) -> tuple:
-    """Classical Bernoulli (B) or Euler (E) numbers through n_max, extending
-    ``values``.  Reading B^j as B_j, (B+1)^(n+1) - B_(n+1) = [n == 0] gives
-    B_n = -sum_(j<n) C(n+1, j) B_j / (n+1) for n >= 1; in (E+1)^n + (E-1)^n
-    = 2 [n == 0] the terms with n - j odd cancel, so E_n = -sum of
-    C(n, j) E_j over j < n with n - j even."""
-    values = list(values) or [Fraction(1)]
-    for n in range(len(values), n_max + 1):
-        if family is Family.BERNOULLI:
-            acc = sum((comb(n + 1, j) * values[j] for j in range(n)), Fraction(0))
-            values.append(-acc / (n + 1))
-        else:
-            values.append(-sum((comb(n, j) * values[j] for j in range(n - 2, -1, -2)), Fraction(0)))
-    return tuple(values)
+        N = n + v
+        e = comb(N, v) * d
+        terms = [([[c[N]]], e, a, b)] if N in c else []
+        for m in range(v + 1, N + 1):
+            row, f, fa, fb = keys[N - m]
+            if row:
+                weights = [-comb(N, m) * x for x in g[m]]
+                terms.append(([conv_int(weights, row)], e * f, a + fa, b + fb))
+        rows, f, fa, fb = _sum(True, terms)
+        keys.append((rows[0] if rows else (), f, fa, fb))
+    return values + tuple(mode.specialize(_new(key)) for key in keys[len(values):])
 
 
 # The longest table built per (family, k, mode), the classical ones under
@@ -174,13 +174,11 @@ def _stored(family: Family, k: int, n_max: int, mode: LambdaMode) -> NumberTable
     table = _LONGEST.get((family, k, mode))
     if table is None or len(table) <= n_max:
         values = table.values if table else ()
-        s = -1 if family is Family.APOSTOL_BERNOULLI else 1
-        if family in (Family.BERNOULLI, Family.EULER):
-            values = _umbral_values(family, values, n_max)
-        elif mode.is_symbolic:
-            values = _recurrence_values(values, k, n_max, s)
+        if mode.is_symbolic or family in (Family.BERNOULLI, Family.EULER):
+            values = _recurrence_values(_RECURRENCES[family](k), values, n_max, mode)
         else:
-            kernel = (_bernoulli_kernel if s < 0 else _euler_kernel)(k, n_max, mode)
+            kernel = (_bernoulli_kernel if family is Family.APOSTOL_BERNOULLI
+                      else _euler_kernel)(k, n_max, mode)
             values = tuple(kernel.coefficient(n) * factorial(n) for n in range(n_max + 1))
         table = _LONGEST[family, k, mode] = NumberTable(family, k, mode, values)
     return table
