@@ -4,10 +4,15 @@ result and emits the document that ``reporting`` writes for it.
 Exit codes: 0 on success (for ``verify``, success additionally means the
 verdict pattern matched the expectation file in force), 2 on usage errors
 (bad flags, malformed rationals or ones with more than 4300 digits in a
-numerator or denominator, exponents counted, negative --n or --k, the
-Euler family at its pole, empty grids, unreadable or malformed
+numerator or denominator, exponents counted, calc sizes out of bounds,
+the Euler family at its pole, empty grids, unreadable or malformed
 expectation files, all refused before any work), 1 on internal faults or
 expectation mismatches.
+
+The calc commands take --k in 0..16; --n in 0..400 for a table at a
+numeric lambda (the classical tables are at lambda = 1) and 0..100 for a
+symbolic one; ``expand`` at most 51 --coeffs entries (degree 50).  A
+request at these limits takes about 2 s.
 """
 
 from __future__ import annotations
@@ -52,6 +57,12 @@ from .reporting import (
 DEFAULT_EXPECTATION = "expected_verdicts.json"
 
 
+# Size limits of the calc commands (see the module docstring).
+_MAX_K = 16
+_MAX_N = {False: 400, True: 100}  # keyed on whether the table is symbolic
+_MAX_COEFFS = 51
+
+
 class UsageError(Exception):
     """Bad arguments detected after parsing; exits with code 2."""
 
@@ -64,8 +75,11 @@ def _parse_mode(text: str) -> LambdaMode:
 
 
 def _parse_coeffs(text: str, mode: LambdaMode) -> XPolynomial:
+    parts = text.split(",")
+    if len(parts) > _MAX_COEFFS:
+        raise UsageError(f"--coeffs takes at most {_MAX_COEFFS} entries, got {len(parts)}")
     try:
-        values = [parse_rational(part) for part in text.split(",")]
+        values = [parse_rational(part) for part in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed coefficient list {text!r}: {exc}") from exc
     return XPolynomial(values, mode)
@@ -139,17 +153,18 @@ def _numbers_table(family: Family, k: int, n_max: int, mode: LambdaMode):
     return euler_numbers_by_recurrence(n_max)
 
 
-def _check_nonnegative(args, *flags: str):
-    for flag in flags:
-        if getattr(args, flag) < 0:
-            raise UsageError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
+def _check_size(flag: str, value: int, limit: int):
+    if not 0 <= value <= limit:
+        raise UsageError(f"--{flag} must be in 0..{limit}, got {value}")
 
 
 def _parse_family_request(args):
     """Family and mode of a numbers or poly request, checked before any work."""
-    _check_nonnegative(args, "n", "k")
     family = Family(args.family)
     mode = _parse_mode(args.lam)
+    classical = family in (Family.BERNOULLI, Family.EULER)
+    _check_size("n", args.n, _MAX_N[mode.is_symbolic and not classical])
+    _check_size("k", args.k, _MAX_K)
     if family is Family.APOSTOL_EULER and mode.value == -1:
         raise UsageError("the apostol-euler family has a pole at lambda = -1")
     return family, mode
@@ -181,7 +196,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    _check_nonnegative(args, "k")
+    _check_size("k", args.k, _MAX_K)
     mode = _parse_mode(args.lam)
     q = _parse_coeffs(args.coeffs, mode)
     rows = {"oracle": expand_oracle(q, args.k)}
@@ -282,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--family",
         choices=[f.value for f in Family],
         default=Family.APOSTOL_BERNOULLI.value,
-        help="number family; the classical families use the umbral recurrences "
-        "and accept only --k 1 and --lambda 1 or symbolic",
+        help="number family; symbolic and classical tables come from one recurrence, "
+        "numeric ones from the kernel series; the classical families accept only "
+        "--k 1 and --lambda 1 or symbolic",
     )
     p_numbers.add_argument("--k", type=int, default=1, help="order of the family")
     p_numbers.add_argument("--n", type=int, required=True, help="largest index")

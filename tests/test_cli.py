@@ -755,3 +755,104 @@ def test_generated_requests_exit_0_or_2_never_1(argv):
     assert code in (0, 2), (argv, err.getvalue())
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+
+
+# -- out-of-bound calc sizes: refused with exit 2 before any table is built ---
+
+_FORMATS = ("text", "json", "csv", "latex")
+_LIMITS = {"k": 16, "n-numeric": 400, "n-symbolic": 100, "coeffs": 51}
+_CLASSICAL = ("bernoulli", "euler")
+
+
+def _lambdas(family: str) -> tuple:
+    # the classical tables take lambda 1 only, however it is spelled
+    return ("symbolic", "1") if family in _CLASSICAL else ("symbolic", "1", "2", "1/3", "-1/2")
+
+
+def _shapes():
+    """(command, family) of every calc request; expand has no family."""
+    yield from (("numbers", f) for f in ("apostol-bernoulli", "apostol-euler") + _CLASSICAL)
+    yield from (("poly", f) for f in ("apostol-bernoulli", "apostol-euler"))
+    yield "expand", None
+
+
+def _sized_flags(command: str, family: str, lam: str) -> tuple:
+    # the classical tables have order 1, a tighter bound than the limit's
+    if command == "expand":
+        return "k", "coeffs"
+    if family in _CLASSICAL:
+        return ("n-numeric",)
+    return "k", "n-symbolic" if lam == "symbolic" else "n-numeric"
+
+
+def _sized_request(command, family, lam, fmt, sizes) -> tuple:
+    """The calc request of ``sizes`` (a value per sized flag)."""
+    tail = ("--k", str(sizes.get("k", 1)), f"--lambda={lam}", "--format", fmt)
+    if command == "expand":
+        return ("expand", "--coeffs=" + ",".join(["1"] * sizes.get("coeffs", 2))) + tail
+    n = sizes.get("n-numeric", sizes.get("n-symbolic"))
+    return (command, f"--family={family}", "--n", str(n)) + tail
+
+
+def _assert_refused_at_once(argv):
+    from time import perf_counter
+
+    from apobern.families import clear_caches
+
+    clear_caches()
+    out, err = io.StringIO(), io.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    seconds = perf_counter() - start
+    assert (code, out.getvalue()) == (2, ""), argv[:4]
+    assert err.getvalue().startswith("error: ") and seconds < 1.0, (argv[:4], seconds)
+
+
+@pytest.mark.parametrize("command, family, lam, flag, fmt", [
+    (command, family, lam, flag, fmt)
+    for command, family in _shapes() for lam in ("symbolic", _lambdas(family)[-1])
+    for flag in _sized_flags(command, family, lam) for fmt in _FORMATS])
+def test_a_size_one_past_its_limit_exits_2_at_once(command, family, lam, flag, fmt):
+    # the other sizes are 1: without the limits each of these requests
+    # runs in a few seconds and exits 0
+    sizes = dict.fromkeys(_sized_flags(command, family, lam), 1)
+    sizes[flag] = _LIMITS[flag] + 1
+    _assert_refused_at_once(_sized_request(command, family, lam, fmt, sizes))
+
+
+@st.composite
+def _oversized_requests(draw):
+    command, family = draw(st.sampled_from(list(_shapes())))
+    lam = draw(st.sampled_from(_lambdas(family)))
+    flags = _sized_flags(command, family, lam)
+    # the other sizes anywhere inside their bounds: the refusal comes first
+    sizes = {flag: draw(st.integers(0, _LIMITS[flag])) for flag in flags}
+    flag = draw(st.sampled_from(flags))
+    # a coefficient takes two characters of the argument, so their count stops at 10^5
+    sizes[flag] = draw(st.integers(_LIMITS[flag] + 1, 10 ** 5 if flag == "coeffs" else 10 ** 9))
+    return _sized_request(command, family, lam, draw(st.sampled_from(_FORMATS)), sizes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_oversized_requests())
+def test_generated_oversized_requests_exit_2_at_once(argv):
+    _assert_refused_at_once(argv)
+
+
+def test_requests_at_the_limits_reach_the_computation(capsys, monkeypatch):
+    # the limits are inclusive: a request at them passes every check and
+    # reaches its table (stubbed here, since a real one takes seconds)
+    def reached(*args):
+        raise RuntimeError("reached")
+
+    for name in ("apostol_bernoulli_numbers", "apostol_euler_poly",
+                 "euler_numbers_by_recurrence", "expand_oracle"):
+        monkeypatch.setattr(cli, name, reached)
+    for argv in (("numbers", "--n", "100", "--k", "16"),
+                 ("numbers", "--n", "400", "--k", "16", "--lambda=1/3"),
+                 ("numbers", "--family", "euler", "--n", "400"),
+                 ("poly", "--family", "apostol-euler", "--n", "100", "--k", "16"),
+                 ("expand", "--coeffs=" + ",".join(["1"] * 51), "--k", "16")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "internal error: reached\n"), argv[:3]

@@ -644,6 +644,55 @@ def test_thm1_closed_form_residual_is_minus_the_corollary_residual():
     assert 0 < failing < len(grid)
 
 
+def _expanded_left_side(ident, pt):
+    """The q at L = 1 that a basis-expansion identity expands at ``pt``,
+    rebuilt from the public families: x^n, E_n^(k)(x|1), B_n^(k)(x|1) or
+    the Bernoulli convolution sum_i C(n,i) B_i(x) B_(n-i)(y)."""
+    from math import comb
+
+    from apobern.families import apostol_bernoulli_poly, apostol_euler_poly, bernoulli_poly
+    from apobern.polynomials import XPolynomial
+
+    n, k = pt.n, pt.k
+    if ident is IdentityId.ID_COR_XN:
+        return XPolynomial.monomial(ONE, n)
+    if ident is IdentityId.ID_THM2:
+        return apostol_euler_poly(n, k, ONE)
+    if ident is IdentityId.ID_THM3:
+        return apostol_bernoulli_poly(n, k, ONE)
+    terms = [bernoulli_poly(i).scalar_mul(comb(n, i) * bernoulli_poly(n - i).evaluate(pt.y))
+             for i in range(n + 1)]
+    return sum(terms[1:], terms[0])
+
+
+@pytest.mark.parametrize("ident, fails", [
+    (IdentityId.ID_COR_XN, 135),
+    (IdentityId.ID_THM2, 81),
+    (IdentityId.ID_THM3, 81),
+    (IdentityId.ID_THM4, 486),
+])
+def test_each_audited_basis_fail_is_theorem_1s_defect_at_its_q(ident, fails):
+    # the Corollary and Theorems 2-4 are Theorem 1's basis expansion of one
+    # q each: at every point of their grids, each checker run in the
+    # point's own mode, the residual is exactly minus Theorem 1's closed-form
+    # defect (reconstruction - q) at that q.  The checker sums integer rows
+    # over the order-k table; the closed form goes through
+    # lambda_power_at_zero and the basis sum.  So Theorem 1's printed
+    # coefficient formula explains every fail these four identities pin.
+    from apobern.expansion import closed_form_coefficients
+    from apobern.polynomials import embed_poly
+
+    checker = _catalog()[ident].checker
+    failing = 0
+    for pt in default_grid(ident):
+        q = embed_poly(_expanded_left_side(ident, pt), pt.mode)
+        [(_, residual)] = checker(pt)
+        assert residual.mode is pt.mode
+        assert residual == -(closed_form_coefficients(q, pt.k).reconstruction - q), pt
+        failing += bool(residual)
+    assert failing == fails
+
+
 @pytest.mark.parametrize("ident, calls", [
     (IdentityId.ID_COR_XN, 30),
     (IdentityId.ID_THM2, 30),
