@@ -11,8 +11,8 @@ expectation mismatches.
 
 The calc commands take --k in 0..16; --n in 0..400 for a table at a
 numeric lambda (the classical tables are at lambda = 1) and 0..100 for a
-symbolic one; ``expand`` at most 51 --coeffs entries (degree 50).  A
-request at these limits takes about 2 s.
+symbolic one; ``expand`` at most 51 --coeffs entries (degree 50).  The
+README gives the time a request at these limits takes.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ DEFAULT_EXPECTATION = "expected_verdicts.json"
 
 # Size limits of the calc commands (see the module docstring).
 _MAX_K = 16
-_MAX_N = {False: 400, True: 100}  # keyed on whether the table is symbolic
+_MAX_N_NUMERIC, _MAX_N_SYMBOLIC = 400, 100
 _MAX_COEFFS = 51
 
 
@@ -162,8 +162,8 @@ def _parse_family_request(args):
     """Family and mode of a numbers or poly request, checked before any work."""
     family = Family(args.family)
     mode = _parse_mode(args.lam)
-    classical = family in (Family.BERNOULLI, Family.EULER)
-    _check_size("n", args.n, _MAX_N[mode.is_symbolic and not classical])
+    symbolic = mode.is_symbolic and family not in (Family.BERNOULLI, Family.EULER)
+    _check_size("n", args.n, _MAX_N_SYMBOLIC if symbolic else _MAX_N_NUMERIC)
     _check_size("k", args.k, _MAX_K)
     if family is Family.APOSTOL_EULER and mode.value == -1:
         raise UsageError("the apostol-euler family has a pole at lambda = -1")

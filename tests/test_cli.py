@@ -777,10 +777,9 @@ def _shapes():
 
 
 def _sized_flags(command: str, family: str, lam: str) -> tuple:
-    # the classical tables have order 1, a tighter bound than the limit's
     if command == "expand":
         return "k", "coeffs"
-    if family in _CLASSICAL:
+    if family in _CLASSICAL:  # order 1 only, a tighter bound than the limit's
         return ("n-numeric",)
     return "k", "n-symbolic" if lam == "symbolic" else "n-numeric"
 
