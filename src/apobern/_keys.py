@@ -21,20 +21,25 @@ other denominator factor has no key (``field`` raises
 
 An unreduced key has the same shape with fresh lists for tuples, trailing
 zeros and any d > 0, a, b >= 0.  ``_lift``, ``_lifted``, ``_scaled`` and
-``_times`` build them (the last two give None for zero); ``_canonical``
-(one row), ``_sym_reduced`` (all rows) and ``_reduced`` (numeric) make
-them canonical, and ``_sum`` adds them and reduces once.  Those three
-reductions and ``_add_into`` (its first argument) may change the fresh
-lists they take; no other routine changes its arguments, and nobody may
-change ``_pole_poly``'s cached lists.
+``_times`` build them (the last two give None for zero), and
+``_specialized`` the numeric one of a symbolic key's value at a rational
+L; ``_canonical`` (one row), ``_sym_reduced`` (all rows) and ``_reduced``
+(numeric) make them canonical, and ``_sum`` adds them and reduces once.
+Those three reductions and ``_add_into`` (its first argument) may change
+the fresh lists they take; no other routine changes its arguments, and
+nobody may change the cached lists of ``_pole_poly`` and ``_evaluation``.
+``_packed`` carries the rows of several unreduced keys in the lanes of
+one integer per entry, for arithmetic that is linear in them, and
+``_unpacked`` reads the lanes back; the caller bounds the values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat, zip_longest
 from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Optional, Sequence, Union
 
 from ._kernels import conv_int
@@ -131,6 +136,25 @@ def _canonical(n: list, d: int, a: int, b: int) -> tuple:
         n = [c // g for c in n]
         d //= g
     return tuple(n), d, a, b
+
+
+@lru_cache(maxsize=256)
+def _evaluation(u: int, v: int, top: int, a: int, b: int) -> tuple:
+    """(|D|, P) with D = v^top (u-v)^a (u+v)^b and P_j = u^j v^(top-j+a+b)
+    signed by D: a row of degree <= top over (L-1)^a (L+1)^b at L = u/v is
+    its dot with P over |D|.  Callers must not mutate P."""
+    den = v ** top * (u - v) ** a * (u + v) ** b
+    scale = v ** (a + b) if den >= 0 else -v ** (a + b)
+    return abs(den), [scale * u ** j * v ** (top - j) for j in range(top + 1)]
+
+
+def _specialized(key: tuple, u: int, v: int) -> tuple:
+    """Unreduced numeric x-polynomial key (N, D) of the symbolic key
+    (R, d, a, b) at L = u/v, v > 0, and D = 0 at a pole: each row is one
+    dot with the powers of :func:`_evaluation`."""
+    rows, d, a, b = key
+    den, powers = _evaluation(u, v, max([len(r) for r in rows], default=1) - 1, a, b)
+    return [sum(map(mul, r, powers)) for r in rows], d * den
 
 
 def _reduced(n: list, d: int) -> tuple:
@@ -242,15 +266,31 @@ def _times(symbolic: bool, k1: tuple, k2: tuple) -> Optional[tuple]:
 def _sum(symbolic: bool, terms) -> tuple:
     """Canonical key of the sum of (unreduced) keys: each is lifted to the
     lcm of the denominators and, in symbolic mode, the largest pole
-    orders, added in one integer accumulator and reduced once."""
+    orders, added in one integer accumulator and reduced once.  From three
+    terms on, the pole of the larger order is lifted in Horner order: the
+    terms go in by ascending order there, and the accumulator is
+    multiplied by (L-1)^step or (L+1)^step when the order steps up, so a
+    sum pays each step of that lift once, not once per term."""
     d = lcm(*[t[1] for t in terms])
     if symbolic:
         a = max([t[2] for t in terms], default=0)
         b = max([t[3] for t in terms], default=0)
-        acc = []
+        at_one = a >= b
+        horner = len(terms) > 2
+        if horner:
+            terms = sorted(terms, key=itemgetter(2 if at_one else 3))
+        acc, order = [], 0
         for rows, e, ta, tb in terms:
+            la, lb = a - ta, b - tb
+            if horner:
+                if (p := ta if at_one else tb) > order:
+                    if acc:
+                        lift = _pole_poly(p - order, 0) if at_one else _pole_poly(0, p - order)
+                        acc = [conv_int(r, lift) for r in acc]
+                    order = p
+                la, lb = (order - ta, lb) if at_one else (la, order - tb)
             for i, r in enumerate(rows):
-                r = _lift(r, d // e, a - ta, b - tb)
+                r = _lift(r, d // e, la, lb)
                 if i < len(acc):
                     acc[i] = _add_into(r, acc[i])
                 else:
@@ -262,6 +302,38 @@ def _sum(symbolic: bool, terms) -> tuple:
         for i, c in enumerate(n):
             acc[i] += c * scale
     return _reduced(acc, d)
+
+
+def _bits(terms: Sequence[tuple]) -> int:
+    """A bound on the bits of scale * x over the (scale, row) terms."""
+    rows = chain.from_iterable(map(itemgetter(1), terms))
+    return max(map(abs, map(itemgetter(0), terms))).bit_length() + \
+        max(map(abs, rows), default=0).bit_length()
+
+
+def _packed(terms: Sequence[tuple], width: int) -> tuple:
+    """(f, cells) for the integer rows of (scale, row) terms, term y in
+    lane y: f times cell i is sum_y scale_y row_y[i] 2^(width y), one
+    integer whose width-bit lanes hold signed values, lane 0 lowest.  One
+    term is its own scale and row."""
+    if len(terms) == 1:
+        return terms[0]
+    scales = [s << (width * y) for y, (s, _) in enumerate(terms)]
+    return 1, [sum(map(mul, cell, scales))
+               for cell in zip_longest(*[row for _, row in terms], fillvalue=0)]
+
+
+def _unpacked(rows: list, width: int, lanes: int) -> list:
+    """The rows of each lane of packed integer rows, fresh lists; every
+    value must be below 2^(width-1) in absolute value.  A bias makes each
+    lane nonnegative, so a lane is its bits."""
+    if lanes == 1:
+        return [rows]
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    shifts = range(0, width * lanes, width)
+    bias = sum([half << s for s in shifts])
+    rows = [[x + bias for x in row] for row in rows]
+    return [[[((x >> s) & mask) - half for x in row] for row in rows] for s in shifts]
 
 
 # Read at call time for the scalar classes.  Imported last, so that either

@@ -11,8 +11,11 @@ expectation mismatches.
 
 The calc commands take --k in 0..16; --n in 0..400 for a table at a
 numeric lambda (the classical tables are at lambda = 1) and 0..100 for a
-symbolic one; ``expand`` at most 51 --coeffs entries (degree 50).  The
-README gives the time a request at these limits takes.
+symbolic one; ``expand`` at most 51 --coeffs entries (degree 50).  A
+numeric lambda = p/q also bounds the largest table index a request reads
+(--n, or for ``expand`` --k plus the degree): that index times the bits
+of |p| and q together is at most 2400, which lambda = -5/4 meets at
+n = 400.  The README gives the time a request at these limits takes.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ DEFAULT_EXPECTATION = "expected_verdicts.json"
 _MAX_K = 16
 _MAX_N_NUMERIC, _MAX_N_SYMBOLIC = 400, 100
 _MAX_COEFFS = 51
+_MAX_LAMBDA_SIZE = 2400
 
 
 class UsageError(Exception):
@@ -158,6 +162,13 @@ def _check_size(flag: str, value: int, limit: int):
         raise UsageError(f"--{flag} must be in 0..{limit}, got {value}")
 
 
+def _check_lambda_size(label: str, mode: LambdaMode, index: int):
+    # the largest table index times the bits of lambda's numerator and denominator
+    if not mode.is_symbolic:
+        bits = abs(mode.value.numerator).bit_length() + mode.value.denominator.bit_length()
+        _check_size(f"{label} times the bits of --lambda", index * bits, _MAX_LAMBDA_SIZE)
+
+
 def _parse_family_request(args):
     """Family and mode of a numbers or poly request, checked before any work."""
     family = Family(args.family)
@@ -165,6 +176,7 @@ def _parse_family_request(args):
     symbolic = mode.is_symbolic and family not in (Family.BERNOULLI, Family.EULER)
     _check_size("n", args.n, _MAX_N_SYMBOLIC if symbolic else _MAX_N_NUMERIC)
     _check_size("k", args.k, _MAX_K)
+    _check_lambda_size("n", mode, args.n)
     if family is Family.APOSTOL_EULER and mode.value == -1:
         raise UsageError("the apostol-euler family has a pole at lambda = -1")
     return family, mode
@@ -199,6 +211,7 @@ def _cmd_expand(args) -> int:
     _check_size("k", args.k, _MAX_K)
     mode = _parse_mode(args.lam)
     q = _parse_coeffs(args.coeffs, mode)
+    _check_lambda_size("k plus the degree", mode, args.k + max(q.degree, 0))
     rows = {"oracle": expand_oracle(q, args.k)}
     rows["closed-form"] = closed_form_coefficients(q, args.k)
     try:

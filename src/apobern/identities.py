@@ -17,17 +17,19 @@ C(k,a) q_m(a) are built once per (m, k, y).  All five basis expansions
 by B_j^(k)(x|L) = sum_i C(j,i) beta_i x^(j-i) the right side is
 sum_a L^a sum_i beta_i T_(a,i)(x) with lambda-free integer rows T, and
 the numbers of each (k, n, mode) are lifted once.  Theorem 5 has one
-power of L, and its factor 2 (1-L)^k is applied once.
+power of L, and its factor 2 (1-L)^k is applied once.  The basis checks
+take the y samples of one (n, k, mode) together, as one block.
 
 Each residual is computed once, and it is all that a point takes from
 another mode.  Every check with a deformation parameter is ring
 arithmetic in Z[L] localized at L-1 and L+1, where evaluation at a
 rational L other than +-1 is a ring map, so a numeric point whose
-symbolic twin (same n, k and y) is in the grid takes the twin's residual
-evaluated there, unless the twin returned witness text, which has no
-value at L.  Every other point runs its checker, which computes in the
-point's own mode: L = +-1, and grids without a symbolic twin (a mode
-selection of :func:`default_grid`).  Each y sample keeps its hash.
+symbolic twin (same n, k and y) is in the grid takes the text of the
+twin's residual evaluated there, unless the twin returned witness text,
+which has no value at L.  Every other point runs its checker, which
+computes in the point's own mode: L = +-1, and grids without a symbolic
+twin (a mode selection of :func:`default_grid`).  Each y sample keeps
+its hash.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, cycle, groupby
 from math import comb, factorial, lcm
 from operator import add, attrgetter, mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ._keys import _add_into, _horner, _lift, _lifted, _sum, _sym_reduced
+from ._keys import _bits, _horner, _lifted, _packed, _pole_poly, _sum, _sym_reduced, _unpacked
 from .expansion import closed_form_coefficients, corrected_coefficients
 from .families import (
     Family,
@@ -58,8 +60,8 @@ from .operators import (
     lambda_power_at_zero,
     shift_poly,
 )
-from .polynomials import XPolynomial, _new, embed_poly, specialize_poly
-from .render import render_field_element, render_x_poly
+from .polynomials import XPolynomial, _new, embed_poly
+from .render import _specialized_text, render_field_element, render_x_poly
 
 __all__ = [
     "IdentityId",
@@ -271,8 +273,8 @@ def _check_thm1(pt: GridPoint) -> CheckOutcome:
     return out
 
 
-def _basis_checker(lhs: Callable[..., XPolynomial], weight: Optional[Callable] = None):
-    """Checker of q_n = lhs(n, k, y), a family at L = 1, expanded in the
+def _basis_block(lhs: Callable[..., XPolynomial], weight: Optional[Callable] = None):
+    """Block checker of q_n = lhs(n, k, y), a family at L = 1, expanded in the
     order-k basis over j = k..n by Theorem 1's c_j = (1/j!) sum_a (-1)^a
     C(k,a) L^a (D^(j-k) q_n)(a).  For an Appell family D^(j-k) q_n = n!/m! q_m,
     m = n - j + k, so ``weight`` defaults to ``lhs``, and c_j is n!/(m! j!)
@@ -281,12 +283,13 @@ def _basis_checker(lhs: Callable[..., XPolynomial], weight: Optional[Callable] =
     member j is constant in x."""
     weight = weight or lhs
 
-    def check(pt: GridPoint) -> CheckOutcome:
-        n, k, y = pt.n, pt.k, pt.y
-        brackets = [_omega(weight, n - j + k, k, y) for j in range(k, n + 1)]
-        return [(None, _expansion_residual(pt, lhs(n, k, y), brackets, powers=k + 1))]
+    def block(points: Sequence[GridPoint]) -> List[CheckOutcome]:
+        n, k, mode = points[0][:3]
+        sides = [(lhs(n, k, pt.y), [_omega(weight, n - j + k, k, pt.y) for j in range(k, n + 1)])
+                 for pt in points]
+        return [[(None, r)] for r in _expansion_residuals(n, k, mode, sides, powers=k + 1)]
 
-    return check
+    return block
 
 
 # Memos of the parts that many points read, keyed on everything their
@@ -376,12 +379,13 @@ def _dilcher_rhs(m: int, y: Fraction) -> XPolynomial:
     return XPolynomial([1 - y, -1], _ONE) * _shifted(euler_poly, m, y) + top
 
 
-def _expansion_residual(pt: GridPoint, lhs: XPolynomial, brackets: Sequence[tuple],
-                        powers: int = 1, scale: int = 1, power: int = 0) -> XPolynomial:
+def _expansion_residuals(n: int, k: int, mode: LambdaMode, sides: Sequence[tuple],
+                         powers: int = 1, scale: int = 1, power: int = 0) -> List[XPolynomial]:
     """lhs - scale (1-L)^power sum_j s_j S_j(x, L) B_j^(k)(x|L) over
-    j = k..n in the point's mode, s_j = n!/(m! j!), m = n - j + k, where
-    brackets[j - k] = (S, e) holds the rational bracket S_j as an integer
-    row over e: S[f * powers + a] / e is the coefficient of x^f L^a.
+    j = k..n in ``mode``, s_j = n!/(m! j!), m = n - j + k, for each sample
+    (lhs, brackets) of ``sides`` (the y samples of one (n, k) block),
+    where brackets[j - k] = (S, e) holds the rational bracket S_j as an
+    integer row over e: S[f * powers + a] / e is the coefficient of x^f L^a.
 
     T_i = sum_(j>=i) C(j,i) s_j x^(j-i) S_j is one integer row in that
     layout over one denominator q, built for the nonzero beta_i only, and
@@ -393,54 +397,71 @@ def _expansion_residual(pt: GridPoint, lhs: XPolynomial, brackets: Sequence[tupl
     L = 1 is at least k >= power, as beta_k^(k) = k!/(L-1)^k), so the
     right side is never lifted.  lhs is a polynomial of the mode at L = 1,
     free of L: its rows take the right side's denominator, and one
-    reduction makes the residual canonical."""
-    n, k, mode = pt.n, pt.k, pt.mode
+    reduction makes the residual canonical.
+
+    The samples share that denominator, and each cell packs them into one
+    integer, sample y in the lane at 2^(width y), wider than any final
+    value: the T rows, the dots and the lift are linear, so each runs once
+    per block, and each sample's rows are read back from its lane."""
     if n < k:
-        return embed_poly(lhs, mode)  # no member: the right side is zero
+        return [embed_poly(lhs, mode) for lhs, _ in sides]  # no member: the right side is zero
     nonzero, columns, d, a, b = _beta_columns(k, n, mode)
-    members = list(zip(range(k, n + 1), brackets))
-    scales = [factorial(n - j + k) * factorial(j) * e for j, (_, e) in members]
-    q = lcm(*scales)
-    # T_i spans x^0 .. x^(width-1): j - i + deg S_j with i >= nonzero[0]
-    width = max(j + len(row) // powers for j, (row, _) in members) - nonzero[0]
-    t = [[0] * (width * powers) for _ in nonzero]
-    for (j, (row, _)), s in zip(members, scales):
-        s = factorial(n) * (q // s)
+    top = powers - 1
+    # the sign and the scale c, and per power a the factor of L^a; in
+    # symbolic mode L^a shifts the L-row by a instead
+    if mode.is_symbolic:
+        c, v, a, shift, fold = -scale * (-1) ** power, 1, a - power, 1, [1]
+    else:
+        u, v = mode.value.numerator, mode.value.denominator
+        c, shift = -scale * (v - u) ** power, 0
+        fold = [u ** p * v ** (top - p) for p in range(powers)]
+        v = v ** (top + power)
+    # member j's right side is over m! j! e d v, each left side over its e:
+    # per member, the scale to one denominator and the row of each sample
+    dens = [factorial(n - j + k) * factorial(j) * d * v for j in range(k, n + 1)]
+    den = lcm(*[lhs._key[1] for lhs, _ in sides],
+              *[f * e for _, brackets in sides for f, (_, e) in zip(dens, brackets)])
+    members = list(zip(*[[(c * factorial(n) * (den // (f * e)), row)
+                          for f, (row, e) in zip(dens, brackets)] for _, brackets in sides]))
+    lefts = [(den // lhs._key[1], lhs._key[0]) for lhs, _ in sides]
+    pole = _pole_poly(a, b)
+    # lanes wider than any final value: sum_(j>=i) C(j,i) <= 2^(n+1) of
+    # the largest scaled entry, times a fold, the largest beta times their
+    # count and the powers meeting in one cell, plus a left side times the
+    # pole's coefficient sum; one sample needs no lanes
+    width = 0
+    if len(sides) > 1:
+        right = max([_bits(terms) for terms in members]) + n + 1
+        right += (max(map(abs, fold)).bit_length() + powers.bit_length()
+                  + max(map(abs, chain(*columns))).bit_length() + len(nonzero).bit_length())
+        width = max(right, _bits(lefts) + sum(map(abs, pole)).bit_length()) + 2
+    packed = [_packed(terms, width) for terms in members]
+    # T_i spans x^0 .. x^(span-1): j - i + deg S_j with i >= nonzero[0]
+    span = max(j + len(row) // powers for j, (_, row) in zip(range(k, n + 1), packed)) - nonzero[0]
+    t = [[0] * (span * powers) for _ in nonzero]
+    for j, (f, row) in zip(range(k, n + 1), packed):
+        if len(fold) > 1:
+            row = [g * x for g, x in zip(cycle(fold), row)]
         for ti, i in zip(t, nonzero):
             if i > j:
                 break
-            c, lo = comb(j, i) * s, (j - i) * powers
+            c, lo = comb(j, i) * f, (j - i) * powers
             hi = lo + len(row)
             ti[lo:hi] = map(add, ti[lo:hi], [c * x for x in row])
-    top = powers - 1
-    # per power a, the factor of L^a (the sign and the scale folded in) and
-    # the shift of the L-row
-    if mode.is_symbolic:
-        c, v, a = -scale * (-1) ** power, 1, a - power
-        fold = [(c, p) for p in range(powers)]
-    else:
-        u, v = mode.value.numerator, mode.value.denominator
-        c = -scale * (v - u) ** power
-        fold = [(c * u ** p * v ** (top - p), 0) for p in range(powers)]
-        v = v ** (top + power)
-    out = [[0] * (len(columns) + top) for _ in range(width)]
+    f, lefts = _packed(lefts, width)
+    out = [[0] * (len(columns) + top) for _ in range(max(span, len(lefts)))]
     for index, column in enumerate(zip(*t)):
-        f, shift = fold[index % powers]
         row = out[index // powers]
-        for p, beta in enumerate(columns, shift):
-            row[p] += f * sum(map(mul, column, beta))
-    # out is minus the right side over q d v (L-1)^a (L+1)^b; the left side
-    # (N, e) is free of L, so it alone takes the poles, in one lift
-    n_lhs, e = lhs._key
-    den = lcm(e, q * d * v)
-    if (f := den // (q * d * v)) != 1:
-        out = [[f * c for c in row] for row in out]
-    pole = _lift((den // e,), 1, a, b)
-    out.extend([] for _ in range(len(n_lhs) - len(out)))
-    for i, c in enumerate(n_lhs):
-        if c:
-            out[i] = _add_into(out[i], [c * x for x in pole])
-    return embed_poly(_new(_SYM, _sym_reduced(out, den, a, b)), mode)
+        for p, beta in enumerate(columns, shift * (index % powers)):
+            row[p] += sum(map(mul, column, beta))
+    for row, x in zip(out, lefts):
+        if x:
+            x *= f
+            row.extend([0] * (len(pole) - len(row)))
+            row[:len(pole)] = map(add, row, [x * c for c in pole])
+    # out is lhs minus the right side over den (L-1)^a (L+1)^b, sample y in lane y
+    return [embed_poly(_new(_SYM, _sym_reduced(rows, den, a, b)), mode)
+            for rows in _unpacked(out, width, len(sides))]
 
 
 _MEMOS = (_twisted, _omega, _beta_columns, _convolution, _shifted, _hansen_rhs, _dilcher_rhs)
@@ -469,18 +490,18 @@ def _check_dilcher(pt: GridPoint) -> CheckOutcome:
     return [(None, _convolution(euler_poly, pt.n, pt.y) - rhs)]
 
 
-def _check_thm5(pt: GridPoint) -> CheckOutcome:
+def _thm5_block(points: Sequence[GridPoint]) -> List[CheckOutcome]:
     # Euler convolution expanded in the order-k basis.  The bracket of
     # member j keeps the variable x as the cataloged display does: its
     # E_(m+1) terms n!/(m+1)! (-(n-m) + (n+1)) add up to n!/m!, so with
     # m = n - j + k it is n!/m! times D_m, half of Dilcher's right side.
     # The lambda-sum has weight 1, so every member carries 2 (1-L)^k, and
     # D_m is the member's one bracket, free of L.
-    n, k, y = pt.n, pt.k, pt.y
-    # the bracket of j = k first: it reads E_(n+1), the longest Euler table
-    brackets = [_dilcher_rhs(n - j + k, y)._key for j in range(k, n + 1)]
-    lhs = _convolution(euler_poly, n, y)
-    return [(None, _expansion_residual(pt, lhs, brackets, scale=2, power=k))]
+    n, k, mode = points[0][:3]
+    # the brackets first, j = k first: D_n reads E_(n+1), the longest Euler table
+    brackets = [[_dilcher_rhs(n - j + k, pt.y)._key for j in range(k, n + 1)] for pt in points]
+    sides = [(_convolution(euler_poly, n, pt.y), rows) for pt, rows in zip(points, brackets)]
+    return [[(None, r)] for r in _expansion_residuals(n, k, mode, sides, scale=2, power=k)]
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +515,9 @@ class _Spec(NamedTuple):
     max_k shrink; an int ``k`` is an order max_k leaves alone, None marks
     an identity without one.  ``modes`` None marks a lambda-free identity;
     a mode selection leaves an identity with a single mode alone.
-    Bivariate identities sample y at n + ``y_extra`` points.
+    Bivariate identities sample y at n + ``y_extra`` points.  A ``block``
+    checker takes the points of one (n, k, mode) together; the checker then
+    runs it on one point.
     """
 
     checker: Callable[[GridPoint], CheckOutcome]
@@ -503,6 +526,11 @@ class _Spec(NamedTuple):
     k: Union[None, int, Tuple[int, int]] = None
     modes: Optional[Tuple[LambdaMode, ...]] = None
     y_extra: Optional[int] = None
+    block: Optional[Callable[[Sequence[GridPoint]], List[CheckOutcome]]] = None
+
+
+def _blocked(block: Callable[[Sequence[GridPoint]], List[CheckOutcome]], *fields, **named) -> _Spec:
+    return _Spec(lambda pt: block([pt])[0], *fields, block=block, **named)
 
 
 _CATALOG: Dict[IdentityId, _Spec] = {
@@ -513,25 +541,25 @@ _CATALOG: Dict[IdentityId, _Spec] = {
     IdentityId.ID_LEMMA_CLOSED_FORM: _Spec(_check_lemma, "k", (0, 5), (0, 5), (_SYM,)),
     IdentityId.ID_THM1: _Spec(_check_thm1, "k", (0, 6), (0, 3), _NOT_ONE_MODES),
     # basis expansions of q_n, an Appell family at L = 1 (Corollary, Theorems 2 and 3)
-    IdentityId.ID_COR_XN: _Spec(
-        _basis_checker(lambda n, k, y: XPolynomial.monomial(_ONE, n)),
+    IdentityId.ID_COR_XN: _blocked(
+        _basis_block(lambda n, k, y: XPolynomial.monomial(_ONE, n)),
         "k", (0, 8), (0, 3), _FULL_MODES),
-    IdentityId.ID_THM2: _Spec(
-        _basis_checker(lambda n, k, y: apostol_euler_poly(n, k, _ONE)),
+    IdentityId.ID_THM2: _blocked(
+        _basis_block(lambda n, k, y: apostol_euler_poly(n, k, _ONE)),
         "k", (0, 8), (0, 3), _AUDIT_MODES),
-    IdentityId.ID_THM3: _Spec(
-        _basis_checker(lambda n, k, y: apostol_bernoulli_poly(n, k, _ONE)),
+    IdentityId.ID_THM3: _blocked(
+        _basis_block(lambda n, k, y: apostol_bernoulli_poly(n, k, _ONE)),
         "k", (0, 8), (0, 3), _AUDIT_MODES),
     IdentityId.ID_HANSEN: _Spec(_check_hansen, "m", (0, 10), y_extra=2),
     IdentityId.ID_EULER_RAMANUJAN: _Spec(_check_euler_ramanujan, "m", (2, 20)),
     # the bracket, read at a per the cataloged display, is n!/m! times
     # Hansen's right side; the basis checker applies n!/m!
-    IdentityId.ID_THM4: _Spec(
-        _basis_checker(lambda n, k, y: _convolution(bernoulli_poly, n, y),
-                       lambda m, k, y: _hansen_rhs(m, y)),
+    IdentityId.ID_THM4: _blocked(
+        _basis_block(lambda n, k, y: _convolution(bernoulli_poly, n, y),
+                     lambda m, k, y: _hansen_rhs(m, y)),
         "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2),
     IdentityId.ID_DILCHER: _Spec(_check_dilcher, "n", (0, 10), y_extra=2),
-    IdentityId.ID_THM5: _Spec(_check_thm5, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),
+    IdentityId.ID_THM5: _blocked(_thm5_block, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),
 }
 
 
@@ -657,18 +685,25 @@ def _verify(identity: IdentityId, grid: Sequence[GridPoint]) -> IdentityReport:
         # symbolic outcomes of this n by (k, y); the sort puts each before its numeric twins
         twins: Dict[tuple, CheckOutcome] = {}
         block: List[ResultEntry] = []
-        for pt in group:
-            key = (pt.k, pt.y)
-            if key in twins and pt.mode.value not in (1, -1):
-                # a None or zero residual is its own value at L
-                outcome = [(v, r and specialize_poly(r, pt.mode)) for v, r in twins[key]]
-            else:
-                outcome = spec.checker(pt)
+        for (k, mode), points in groupby(group, key=attrgetter("k", "mode")):
+            points = list(points)
+            twinned = [(k, pt.y) in twins and mode.value not in (1, -1) for pt in points]
+            native = [pt for pt, twin in zip(points, twinned) if not twin]
+            outcomes = iter(spec.block(native) if spec.block and native else
+                            map(spec.checker, native))
+            for pt, twin in zip(points, twinned):
+                if twin:
+                    # the symbolic residual's text at L; None and zero pass there
+                    for variant, r in twins[(k, pt.y)]:
+                        text = r and _specialized_text(r._key, mode.value)
+                        block.append(ResultEntry(pt, variant, not text, text or None))
+                    continue
+                outcome = next(outcomes)
                 # witness text has no value at L: its twins run the checker
-                if pt.mode is _SYM and not any(isinstance(r, str) for _, r in outcome):
-                    twins[key] = outcome
-            block.extend(ResultEntry(pt, variant, not residual, _witness(residual))
-                         for variant, residual in outcome)
+                if mode is _SYM and not any(isinstance(r, str) for _, r in outcome):
+                    twins[(k, pt.y)] = outcome
+                block.extend(ResultEntry(pt, variant, not residual, _witness(residual))
+                             for variant, residual in outcome)
         blocks.append(block)
     results = [entry for block in reversed(blocks) for entry in block]
     passed = sum(1 for r in results if r.passed)

@@ -19,7 +19,8 @@ from typing import Iterable, Sequence, Union
 
 from ._kernels import conv_int, power
 from ._keys import (_NUM_ZERO_KEY, _ZERO_KEY, _add_into, _canonical, _checked_rational, _horner,
-                    _lift, _lifted, _reduced, _scalar_key, _scaled, _sum, _sym_reduced, _times)
+                    _lift, _lifted, _reduced, _scalar_key, _scaled, _specialized, _sum,
+                    _sym_reduced, _times)
 from .field import (
     FieldElement,
     LambdaMode,
@@ -258,20 +259,12 @@ def embed_poly(poly: XPolynomial, mode: LambdaMode) -> XPolynomial:
 
 def specialize_poly(poly: XPolynomial, mode: LambdaMode) -> XPolynomial:
     """A symbolic polynomial's value at the numeric mode's L = u/v, the
-    x-polynomial twin of ``LambdaMode.specialize``.
-
-    By Horner row i is S_i / v^(t_i), t_i = len(R_i) - 1, so with T the
-    largest t_i the value is sum S_i v^(T - t_i + a + b) x^i over
-    d v^T (u-v)^a (u+v)^b, reduced once; raises PoleError at a pole."""
-    rows, d, a, b = poly._key
-    u, v = mode.value.numerator, mode.value.denominator
-    top = max([len(r) for r in rows], default=1) - 1
-    den = d * v ** top * (u - v) ** a * (u + v) ** b
+    x-polynomial twin of ``LambdaMode.specialize``: each row is one dot
+    over one denominator, reduced once; raises PoleError at a pole."""
+    n, den = _specialized(poly._key, mode.value.numerator, mode.value.denominator)
     if not den:
         raise PoleError(f"pole at {mode.label()}")
-    sign = 1 if den > 0 else -1
-    out = [sign * _horner(r, u, v)[0] * v ** (top + a + b + 1 - len(r)) if r else 0 for r in rows]
-    return _new(mode, _reduced(out, abs(den)))
+    return _new(mode, _reduced(n, den))
 
 
 def shift_poly(p: XPolynomial, h: Union[int, Fraction, FieldElement]) -> XPolynomial:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from ._keys import _specialized
 from .field import LambdaRatFunc, render_rational
 
 MACHINE_SYMBOL = "L"
@@ -96,6 +97,14 @@ def _term_text(n, d: int, a: int, b: int, sym: str, exponent: int) -> str:
     if a or b or _nonzero_terms(n) > 1:
         body = f"({body})"
     return f"{body}*x" if exponent == 1 else f"{body}*x^{exponent}"
+
+
+def _specialized_text(key: tuple, value) -> str:
+    """``render_x_poly(specialize_poly(p, mode))`` for the nonzero symbolic
+    key of p and the value u/v (not +-1) of the mode, or "" where p vanishes
+    there: each term of the unreduced value takes its own lowest terms."""
+    n, d = _specialized(key, value.numerator, value.denominator)
+    return _terms_text(n, d, "x", " ") if any(n) else ""
 
 
 def render_x_poly(poly, sym: str = MACHINE_SYMBOL) -> str:

@@ -508,26 +508,28 @@ def test_rationals_past_the_digit_limit_exit_2_before_any_work(capsys):
 
 
 def test_results_past_the_int_to_str_limit_print_and_parse_back(capsys):
-    # lambda = 10^1000 is a valid input whose table holds integers of
-    # more than 4300 digits: they print in full, and the interpreter's
-    # limit is back in force once main returns
+    # q = 1 + 10^4299 x is a valid input whose order-16 expansion at
+    # lambda = 2 has a numerator of more than 4300 digits: it prints in
+    # full, and the interpreter's limit is back in force once main returns
     from fractions import Fraction
 
     from apobern import LambdaMode
-    from apobern.families import apostol_bernoulli_numbers
+    from apobern.expansion import expand_oracle
+    from apobern.polynomials import XPolynomial
 
     limit = sys.get_int_max_str_digits()
-    code, out, _ = run_cli(capsys, "numbers", "--n", "10", "--k", "1", "--lambda=1e1000",
+    code, out, _ = run_cli(capsys, "expand", "--coeffs=1,1e4299", "--k", "16", "--lambda=2",
                            "--format", "json")
     assert code == 0 and sys.get_int_max_str_digits() == limit
-    values = [entry["value"] for entry in json.loads(out)["values"]]
-    assert max(map(len, values)) > limit
+    values = json.loads(out)["methods"]["oracle"]["coefficients"]
+    assert max(len(v.split("/")[0].lstrip("-")) for v in values) > limit
     try:
         sys.set_int_max_str_digits(0)
         parsed = [Fraction(v) for v in values]
     finally:
         sys.set_int_max_str_digits(limit)
-    assert parsed == list(apostol_bernoulli_numbers(1, 10, LambdaMode.numeric(10 ** 1000)).values)
+    q = XPolynomial([1, 10 ** 4299], LambdaMode.numeric(2))
+    assert parsed == list(expand_oracle(q, 16).coefficients)
 
 
 def test_pole_diagnostic_is_one_line(capsys):
@@ -760,7 +762,9 @@ def test_generated_requests_exit_0_or_2_never_1(argv):
 # -- out-of-bound calc sizes: refused with exit 2 before any table is built ---
 
 _FORMATS = ("text", "json", "csv", "latex")
-_LIMITS = {"k": 16, "n-numeric": 400, "n-symbolic": 100, "coeffs": 51}
+# "lambda": the largest table index a request reads (--n, or for expand --k
+# plus the degree) times the bits of lambda's numerator and denominator
+_LIMITS = {"k": 16, "n-numeric": 400, "n-symbolic": 100, "coeffs": 51, "lambda": 2400}
 _CLASSICAL = ("bernoulli", "euler")
 
 
@@ -793,6 +797,11 @@ def _sized_request(command, family, lam, fmt, sizes) -> tuple:
     return (command, f"--family={family}", "--n", str(n)) + tail
 
 
+def _lambda_of_bits(bits: int) -> str:
+    """A lambda whose numerator and denominator take ``bits`` bits, bits >= 4."""
+    return f"-{2 ** (bits - 4)}/5"
+
+
 def _assert_refused_at_once(argv):
     from time import perf_counter
 
@@ -811,12 +820,17 @@ def _assert_refused_at_once(argv):
 @pytest.mark.parametrize("command, family, lam, flag, fmt", [
     (command, family, lam, flag, fmt)
     for command, family in _shapes() for lam in ("symbolic", _lambdas(family)[-1])
-    for flag in _sized_flags(command, family, lam) for fmt in _FORMATS])
+    for flag in _sized_flags(command, family, lam) + (("lambda",) if lam == "-1/2" else ())
+    for fmt in _FORMATS])
 def test_a_size_one_past_its_limit_exits_2_at_once(command, family, lam, flag, fmt):
     # the other sizes are 1: without the limits each of these requests
-    # runs in a few seconds and exits 0
+    # runs in a few seconds and exits 0; at them the largest table index is
+    # 1, so lambda's size is the bits of its numerator and denominator
     sizes = dict.fromkeys(_sized_flags(command, family, lam), 1)
-    sizes[flag] = _LIMITS[flag] + 1
+    if flag == "lambda":
+        lam = _lambda_of_bits(_LIMITS[flag] + 1)
+    else:
+        sizes[flag] = _LIMITS[flag] + 1
     _assert_refused_at_once(_sized_request(command, family, lam, fmt, sizes))
 
 
@@ -827,9 +841,21 @@ def _oversized_requests(draw):
     flags = _sized_flags(command, family, lam)
     # the other sizes anywhere inside their bounds: the refusal comes first
     sizes = {flag: draw(st.integers(0, _LIMITS[flag])) for flag in flags}
-    flag = draw(st.sampled_from(flags))
-    # a coefficient takes two characters of the argument, so their count stops at 10^5
-    sizes[flag] = draw(st.integers(_LIMITS[flag] + 1, 10 ** 5 if flag == "coeffs" else 10 ** 9))
+    if lam not in ("symbolic", "1") and draw(st.booleans()):
+        # a lambda of up to 4,400 digits (past 4,300 the parser refuses it),
+        # read at a table index past its share of the bound
+        digits = draw(st.integers(11 if command == "expand" else 1, 4400))
+        lam = f"-{'9' * digits}/8"
+        least = _LIMITS["lambda"] // ((10 ** digits - 1).bit_length() + 4) + 1
+        if command == "expand":
+            sizes["k"] = draw(st.integers(max(0, least - 50), _LIMITS["k"]))
+            sizes["coeffs"] = draw(st.integers(max(1, least - sizes["k"] + 1), _LIMITS["coeffs"]))
+        else:
+            sizes["n-numeric"] = draw(st.integers(least, _LIMITS["n-numeric"]))
+    else:
+        flag = draw(st.sampled_from(flags))
+        # a coefficient takes two characters of the argument, so their count stops at 10^5
+        sizes[flag] = draw(st.integers(_LIMITS[flag] + 1, 10 ** 5 if flag == "coeffs" else 10 ** 9))
     return _sized_request(command, family, lam, draw(st.sampled_from(_FORMATS)), sizes)
 
 
@@ -852,6 +878,11 @@ def test_requests_at_the_limits_reach_the_computation(capsys, monkeypatch):
                  ("numbers", "--n", "400", "--k", "16", "--lambda=1/3"),
                  ("numbers", "--family", "euler", "--n", "400"),
                  ("poly", "--family", "apostol-euler", "--n", "100", "--k", "16"),
-                 ("expand", "--coeffs=" + ",".join(["1"] * 51), "--k", "16")):
+                 ("expand", "--coeffs=" + ",".join(["1"] * 51), "--k", "16"),
+                 # the lambda bound: 400 * (3 + 3) bits, 1 * 2400 bits and 66 * 36 bits
+                 ("numbers", "--n", "400", "--k", "16", "--lambda=-5/4"),
+                 ("numbers", "--n", "1", "--k", "16", f"--lambda={_lambda_of_bits(2400)}"),
+                 ("expand", "--coeffs=" + ",".join(["1"] * 51), "--k", "16",
+                  f"--lambda={_lambda_of_bits(36)}")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", "internal error: reached\n"), argv[:3]

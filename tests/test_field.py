@@ -3,7 +3,7 @@
 import ast
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from random import Random
 
@@ -24,7 +24,7 @@ from apobern import (
     render_rational,
 )
 from apobern._kernels import conv_int
-from apobern._keys import _canonical, _divided
+from apobern._keys import _add_into, _canonical, _divided, _lift, _sum, _sym_reduced
 from apobern.field import LambdaPoly, poly_gcd
 from apobern.render import render_ratfunc
 
@@ -104,7 +104,7 @@ def test_gcd_hooks_gain_no_caller():
 KEY_ROUTINES = {
     "_pole_poly", "_divided", "_horner", "_sym_reduced", "_canonical", "_lift", "_ZERO_KEY",
     "_reduced", "_add_into", "_scaled", "_times", "_sum", "_lifted", "_scalar_key",
-    "_checked_rational", "_NUM_ZERO_KEY",
+    "_checked_rational", "_NUM_ZERO_KEY", "_specialized", "_packed", "_unpacked",
 }
 
 
@@ -370,6 +370,41 @@ def test_canonical_reduces_a_row_to_its_unique_form(c, r, i, j, a, b, d, zeros):
         assert (e, a2, b2) == (1, 0, 0)
     for point in (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)):
         assert _raw_value(n, e, a2, b2, point) == _raw_value(row, d, a, b, point)
+
+
+def _per_term_sum(terms):
+    # _sum's symbolic branch as it lifted every term to the largest pole
+    # orders on its own: the reference for the Horner order over one pole
+    d = lcm(*[t[1] for t in terms])
+    a = max([t[2] for t in terms], default=0)
+    b = max([t[3] for t in terms], default=0)
+    acc = []
+    for rows, e, ta, tb in terms:
+        for i, r in enumerate(rows):
+            r = _lift(r, d // e, a - ta, b - tb)
+            if i < len(acc):
+                acc[i] = _add_into(r, acc[i])
+            else:
+                acc.append(r)
+    return _sym_reduced(acc, d, a, b)
+
+
+_unreduced_terms = st.lists(st.tuples(
+    st.lists(st.lists(st.integers(-9, 9), max_size=5), max_size=4),
+    st.sampled_from((1, 2, 3, 4, 6, 9, 10, 12)),
+    st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unreduced_terms)
+def test_sum_in_horner_order_equals_the_per_term_lift(terms):
+    # pole orders up to 12 at both poles, several rows (zero rows and
+    # trailing zeros among them) and mixed denominators; each routine
+    # gets fresh lists, as _sum's callers give it
+    def fresh():
+        return [([list(r) for r in rows], d, a, b) for rows, d, a, b in terms]
+
+    assert _sum(True, fresh()) == _per_term_sum(fresh())
 
 
 # -- modes -------------------------------------------------------------------

@@ -433,16 +433,22 @@ def test_beta_columns_equal_the_per_key_lift(mode):
                 _per_key_beta_columns(k, n, mode), (k, n)
 
 
-def test_every_memo_is_hit_over_the_default_suite():
-    # a memo that no point of any identity reads twice is only overhead
+def test_every_memo_is_hit_over_the_default_suite(monkeypatch):
+    # a memo that nothing in a suite reads twice is only overhead; the
+    # identities of one suite share the memos, and the five basis checks
+    # read one lifted number table per (k, n, mode) block
     from apobern import identities
 
-    hits = {memo.__name__: 0 for memo in identities._MEMOS}
-    for ident in IdentityId:
-        verify_identity(ident, default_grid(ident))
-        for memo in identities._MEMOS:
-            hits[memo.__name__] += memo.cache_info().hits
-    assert all(hits.values()), hits
+    hits = {}
+    clear = identities._clear_memos
+
+    def recording():
+        hits.update({memo.__name__: memo.cache_info().hits for memo in identities._MEMOS})
+        clear()
+
+    monkeypatch.setattr(identities, "_clear_memos", recording)
+    run_suite(default_suite_config())
+    assert len(hits) == len(identities._MEMOS) and all(hits.values()), hits
 
 
 # Theorem 4 and 5 brackets as the paper displays them, with m = n - j + k
@@ -598,6 +604,107 @@ def _member_product_basis_residual(ident, pt):
     return embed_poly(q(n, y), mode) - basis_sum(coeffs, k, k, mode)
 
 
+def _per_point_residual(pt, lhs, brackets, powers=1, scale=1, power=0):
+    # the basis residual as it was written for one point: its own
+    # denominator, no lanes, the right side scaled once more to the left
+    # side's denominator; the reference for the blocked residuals
+    from math import comb, factorial, lcm
+    from operator import add, mul
+
+    from apobern import identities
+    from apobern._keys import _add_into, _lift, _sym_reduced
+    from apobern.polynomials import _new, embed_poly
+
+    n, k, mode = pt.n, pt.k, pt.mode
+    if n < k:
+        return embed_poly(lhs, mode)
+    nonzero, columns, d, a, b = identities._beta_columns(k, n, mode)
+    members = list(zip(range(k, n + 1), brackets))
+    scales = [factorial(n - j + k) * factorial(j) * e for j, (_, e) in members]
+    q = lcm(*scales)
+    width = max(j + len(row) // powers for j, (row, _) in members) - nonzero[0]
+    t = [[0] * (width * powers) for _ in nonzero]
+    for (j, (row, _)), s in zip(members, scales):
+        s = factorial(n) * (q // s)
+        for ti, i in zip(t, nonzero):
+            if i > j:
+                break
+            c, lo = comb(j, i) * s, (j - i) * powers
+            hi = lo + len(row)
+            ti[lo:hi] = map(add, ti[lo:hi], [c * x for x in row])
+    top = powers - 1
+    if mode.is_symbolic:
+        c, v, a = -scale * (-1) ** power, 1, a - power
+        fold = [(c, p) for p in range(powers)]
+    else:
+        u, v = mode.value.numerator, mode.value.denominator
+        c = -scale * (v - u) ** power
+        fold = [(c * u ** p * v ** (top - p), 0) for p in range(powers)]
+        v = v ** (top + power)
+    out = [[0] * (len(columns) + top) for _ in range(width)]
+    for index, column in enumerate(zip(*t)):
+        f, shift = fold[index % powers]
+        row = out[index // powers]
+        for p, beta in enumerate(columns, shift):
+            row[p] += f * sum(map(mul, column, beta))
+    n_lhs, e = lhs._key
+    den = lcm(e, q * d * v)
+    if (f := den // (q * d * v)) != 1:
+        out = [[f * c for c in row] for row in out]
+    pole = _lift((den // e,), 1, a, b)
+    out.extend([] for _ in range(len(n_lhs) - len(out)))
+    for i, c in enumerate(n_lhs):
+        if c:
+            out[i] = _add_into(out[i], [c * x for x in pole])
+    return embed_poly(_new(SYM, _sym_reduced(out, den, a, b)), mode)
+
+
+def _per_point_convolution_residual(ident, pt):
+    # one point of Theorem 4 or 5 through the per-point residual, with the
+    # left side and brackets its checker reads
+    from apobern import identities
+    from apobern.families import bernoulli_poly, euler_poly
+
+    n, k, y = pt.n, pt.k, pt.y
+    if ident is IdentityId.ID_THM5:
+        brackets = [identities._dilcher_rhs(n - j + k, y)._key for j in range(k, n + 1)]
+        lhs = identities._convolution(euler_poly, n, y)
+        return _per_point_residual(pt, lhs, brackets, scale=2, power=k)
+    brackets = [identities._omega(lambda m, k, y: identities._hansen_rhs(m, y), n - j + k, k, y)
+                for j in range(k, n + 1)]
+    lhs = identities._convolution(bernoulli_poly, n, y)
+    return _per_point_residual(pt, lhs, brackets, powers=k + 1)
+
+
+@pytest.mark.parametrize("ident", (IdentityId.ID_THM4, IdentityId.ID_THM5))
+def test_blocked_residuals_equal_the_per_point_residuals(ident):
+    # a block packs the y samples of one (n, k, mode) into lanes of one
+    # integer per cell: every residual must be the per-point one, key for
+    # key, at every point of the default grid, run natively in the grid's
+    # modes and three more.  The verify stream's grids (max-n <= 4,
+    # max-k <= 3) are a corner of the default grid with the same blocks.
+    from apobern import identities
+
+    grid = default_grid(ident)
+    corner = default_grid(ident, max_n=4, max_k=3)
+    assert set(corner) <= set(grid)
+    block = identities._CATALOG[ident].block
+    modes = {pt.mode for pt in grid} | {LambdaMode.numeric(q) for q in (-2, 1, Fraction(-1, 2))}
+    checked = 0
+    for mode in modes:
+        blocks = {}
+        for pt in grid:
+            if pt.mode is SYM:
+                blocks.setdefault((pt.n, pt.k), []).append(pt._replace(mode=mode))
+        for points in blocks.values():
+            assert len(points) == len({pt.y for pt in points}) > 1
+            for pt, [(variant, residual)] in zip(points, block(points)):
+                assert variant is None and residual.mode is mode
+                assert residual._key == _per_point_convolution_residual(ident, pt)._key, pt
+                checked += 1
+    assert checked == len(grid) // 3 * len(modes)
+
+
 BASIS = (IdentityId.ID_COR_XN, IdentityId.ID_THM2, IdentityId.ID_THM3, IdentityId.ID_THM4,
          IdentityId.ID_THM5)
 
@@ -723,13 +830,13 @@ def test_suite_identities_share_the_memos_until_the_suite_returns(monkeypatch):
     spec = identities._CATALOG[IdentityId.ID_THM4]
     infos = []
 
-    def recording(pt):
+    def recording(points):
         infos.append(identities._hansen_rhs.cache_info())
-        outcome = spec.checker(pt)
+        outcomes = spec.block(points)
         infos.append(identities._hansen_rhs.cache_info())
-        return outcome
+        return outcomes
 
-    monkeypatch.setitem(identities._CATALOG, IdentityId.ID_THM4, spec._replace(checker=recording))
+    monkeypatch.setitem(identities._CATALOG, IdentityId.ID_THM4, spec._replace(block=recording))
     run_suite(SuiteConfig(ids=(IdentityId.ID_HANSEN, IdentityId.ID_THM4)))
     before, after = infos[0], infos[-1]
     assert before.currsize == before.misses > 0  # what ID_HANSEN built
@@ -784,7 +891,12 @@ def test_checkers_run_where_no_symbolic_residual_is_specialized(monkeypatch):
             calls.append(pt)
             return checker(pt)
 
-        monkeypatch.setitem(identities._CATALOG, ident, spec._replace(checker=recording))
+        def recording_block(points, block=spec.block, calls=calls):
+            calls.extend(points)
+            return block(points)
+
+        monkeypatch.setitem(identities._CATALOG, ident, spec._replace(
+            checker=recording, block=spec.block and recording_block))
         grid = default_grid(ident)
         verify_identity(ident, grid)
         native = [pt for pt in grid

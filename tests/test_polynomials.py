@@ -17,10 +17,12 @@ from apobern import (
     embed_poly,
     shift_poly,
 )
+from apobern._kernels import conv_int
 from apobern.polynomials import dot, specialize_poly
 from apobern.render import (
     LATEX_SYMBOL,
     TEXT_SYMBOL,
+    _specialized_text,
     _terms_text,
     render_field_element,
     render_x_poly,
@@ -376,6 +378,43 @@ def test_specialize_poly_matches_per_coefficient_evaluation(rows, d, a, b, q):
     p = XPolynomial([sum((lam ** i * c for i, c in enumerate(r)), SYM.zero) / den for r in rows], SYM)
     mode = LambdaMode.numeric(q)
     assert specialize_poly(p, mode) == XPolynomial([c.evaluate_at(q) for c in p.coeffs], mode)
+
+
+_TWINS = (Fraction(2), Fraction(-2), Fraction(1, 3), Fraction(3, 2), Fraction(-1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-9, 9), max_size=9), min_size=1, max_size=6),
+    st.integers(1, 60),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.sampled_from((None,) + _TWINS),
+)
+@example([[1, -1]], 1, 8, 0, None)
+@example([[0, 3], [5]], 4, 0, 8, Fraction(1, 3))
+def test_specialized_text_is_the_text_of_the_specialized_residual(rows, d, a, b, root):
+    # a symbolic residual key with poles up to order 8 at L = 1 and
+    # L = -1, several rows and mixed d, every row taking the factor
+    # (v L - u) of a root u/v when one is drawn, so that its twin passes:
+    # the twin's pass bit and text are those of the specialized polynomial,
+    # which is also the one of each coefficient evaluated on its own
+    from apobern._keys import _sym_reduced
+    from apobern.polynomials import _new
+
+    if root is not None:
+        rows = [conv_int(r, [-root.numerator, root.denominator]) for r in rows]
+    key = _sym_reduced([list(r) for r in rows], d, a, b)
+    if not key[0]:
+        return
+    residual = _new(SYM, key)
+    for value in _TWINS:
+        mode = LambdaMode.numeric(value)
+        specialized = specialize_poly(residual, mode)
+        assert specialized == XPolynomial([c.evaluate_at(value) for c in residual.coeffs], mode)
+        text = _specialized_text(key, value)
+        assert (text == "") == (not specialized) and (text == "" or value != root), value
+        assert text == "" or text == render_x_poly(specialized), value
 
 
 def test_specialize_poly_at_a_pole():
