@@ -28,16 +28,13 @@ L; ``_canonical`` (one row), ``_sym_reduced`` (all rows) and ``_reduced``
 Those three reductions and ``_add_into`` (its first argument) may change
 the fresh lists they take; no other routine changes its arguments, and
 nobody may change the cached lists of ``_pole_poly`` and ``_evaluation``.
-``_packed`` carries the rows of several unreduced keys in the lanes of
-one integer per entry, for arithmetic that is linear in them, and
-``_unpacked`` reads the lanes back; the caller bounds the values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat, zip_longest
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Optional, Sequence, Union
@@ -267,28 +264,21 @@ def _sum(symbolic: bool, terms) -> tuple:
     """Canonical key of the sum of (unreduced) keys: each is lifted to the
     lcm of the denominators and, in symbolic mode, the largest pole
     orders, added in one integer accumulator and reduced once.  From three
-    terms on, the pole of the larger order is lifted in Horner order: the
-    terms go in by ascending order there, and the accumulator is
-    multiplied by (L-1)^step or (L+1)^step when the order steps up, so a
-    sum pays each step of that lift once, not once per term."""
+    terms on, the larger pole is lifted in Horner order: the terms go in by
+    their order there, and the accumulator takes each step up once."""
     d = lcm(*[t[1] for t in terms])
     if symbolic:
         a = max([t[2] for t in terms], default=0)
         b = max([t[3] for t in terms], default=0)
         at_one = a >= b
-        horner = len(terms) > 2
-        if horner:
+        if horner := len(terms) > 2:
             terms = sorted(terms, key=itemgetter(2 if at_one else 3))
-        acc, order = [], 0
+        acc, order = [], 0 if horner else max(a, b)
         for rows, e, ta, tb in terms:
-            la, lb = a - ta, b - tb
-            if horner:
-                if (p := ta if at_one else tb) > order:
-                    if acc:
-                        lift = _pole_poly(p - order, 0) if at_one else _pole_poly(0, p - order)
-                        acc = [conv_int(r, lift) for r in acc]
-                    order = p
-                la, lb = (order - ta, lb) if at_one else (la, order - tb)
+            if (p := ta if at_one else tb) > order:
+                lift = _pole_poly(p - order, 0) if at_one else _pole_poly(0, p - order)
+                acc, order = [conv_int(r, lift) for r in acc], p
+            la, lb = (order - ta, b - tb) if at_one else (a - ta, order - tb)
             for i, r in enumerate(rows):
                 r = _lift(r, d // e, la, lb)
                 if i < len(acc):
@@ -302,38 +292,6 @@ def _sum(symbolic: bool, terms) -> tuple:
         for i, c in enumerate(n):
             acc[i] += c * scale
     return _reduced(acc, d)
-
-
-def _bits(terms: Sequence[tuple]) -> int:
-    """A bound on the bits of scale * x over the (scale, row) terms."""
-    rows = chain.from_iterable(map(itemgetter(1), terms))
-    return max(map(abs, map(itemgetter(0), terms))).bit_length() + \
-        max(map(abs, rows), default=0).bit_length()
-
-
-def _packed(terms: Sequence[tuple], width: int) -> tuple:
-    """(f, cells) for the integer rows of (scale, row) terms, term y in
-    lane y: f times cell i is sum_y scale_y row_y[i] 2^(width y), one
-    integer whose width-bit lanes hold signed values, lane 0 lowest.  One
-    term is its own scale and row."""
-    if len(terms) == 1:
-        return terms[0]
-    scales = [s << (width * y) for y, (s, _) in enumerate(terms)]
-    return 1, [sum(map(mul, cell, scales))
-               for cell in zip_longest(*[row for _, row in terms], fillvalue=0)]
-
-
-def _unpacked(rows: list, width: int, lanes: int) -> list:
-    """The rows of each lane of packed integer rows, fresh lists; every
-    value must be below 2^(width-1) in absolute value.  A bias makes each
-    lane nonnegative, so a lane is its bits."""
-    if lanes == 1:
-        return [rows]
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    shifts = range(0, width * lanes, width)
-    bias = sum([half << s for s in shifts])
-    rows = [[x + bias for x in row] for row in rows]
-    return [[[((x >> s) & mask) - half for x in row] for row in rows] for s in shifts]
 
 
 # Read at call time for the scalar classes.  Imported last, so that either

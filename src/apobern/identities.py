@@ -37,12 +37,12 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, cycle, groupby
+from itertools import chain, cycle, groupby, zip_longest
 from math import comb, factorial, lcm
 from operator import add, attrgetter, mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ._keys import _bits, _horner, _lifted, _packed, _pole_poly, _sum, _sym_reduced, _unpacked
+from ._keys import _horner, _lifted, _pole_poly, _sum, _sym_reduced
 from .expansion import closed_form_coefficients, corrected_coefficients
 from .families import (
     Family,
@@ -379,6 +379,33 @@ def _dilcher_rhs(m: int, y: Fraction) -> XPolynomial:
     return XPolynomial([1 - y, -1], _ONE) * _shifted(euler_poly, m, y) + top
 
 
+def _bits(terms: Sequence[tuple]) -> int:
+    """A bound on the bits of scale * x over the (scale, row) terms."""
+    return (max([abs(s) for s, _ in terms]).bit_length()
+            + max([abs(x) for _, row in terms for x in row], default=0).bit_length())
+
+
+def _lanes(terms: Sequence[tuple], width: int) -> list:
+    """Cell i of the integer rows of (scale, row) terms, term y in lane y:
+    sum_y scale_y row_y[i] 2^(width y), one integer whose width-bit lanes
+    hold signed values, lane 0 lowest."""
+    scales = [s << (width * y) for y, (s, _) in enumerate(terms)]
+    return [sum(map(mul, cell, scales))
+            for cell in zip_longest(*[row for _, row in terms], fillvalue=0)]
+
+
+def _unlaned(rows: list, width: int, lanes: int) -> list:
+    """The rows of each lane of packed rows (values below 2^(width-1) in
+    absolute value): a bias makes every lane nonnegative, its bits."""
+    if lanes == 1:
+        return [rows]
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    shifts = range(0, width * lanes, width)
+    bias = sum([half << s for s in shifts])
+    rows = [[x + bias for x in row] for row in rows]
+    return [[[((x >> s) & mask) - half for x in row] for row in rows] for s in shifts]
+
+
 def _expansion_residuals(n: int, k: int, mode: LambdaMode, sides: Sequence[tuple],
                          powers: int = 1, scale: int = 1, power: int = 0) -> List[XPolynomial]:
     """lhs - scale (1-L)^power sum_j s_j S_j(x, L) B_j^(k)(x|L) over
@@ -435,20 +462,20 @@ def _expansion_residuals(n: int, k: int, mode: LambdaMode, sides: Sequence[tuple
         right += (max(map(abs, fold)).bit_length() + powers.bit_length()
                   + max(map(abs, chain(*columns))).bit_length() + len(nonzero).bit_length())
         width = max(right, _bits(lefts) + sum(map(abs, pole)).bit_length()) + 2
-    packed = [_packed(terms, width) for terms in members]
+    packed = [_lanes(terms, width) for terms in members]
     # T_i spans x^0 .. x^(span-1): j - i + deg S_j with i >= nonzero[0]
-    span = max(j + len(row) // powers for j, (_, row) in zip(range(k, n + 1), packed)) - nonzero[0]
+    span = max(j + len(row) // powers for j, row in zip(range(k, n + 1), packed)) - nonzero[0]
     t = [[0] * (span * powers) for _ in nonzero]
-    for j, (f, row) in zip(range(k, n + 1), packed):
+    for j, row in zip(range(k, n + 1), packed):
         if len(fold) > 1:
             row = [g * x for g, x in zip(cycle(fold), row)]
         for ti, i in zip(t, nonzero):
             if i > j:
                 break
-            c, lo = comb(j, i) * f, (j - i) * powers
+            c, lo = comb(j, i), (j - i) * powers
             hi = lo + len(row)
             ti[lo:hi] = map(add, ti[lo:hi], [c * x for x in row])
-    f, lefts = _packed(lefts, width)
+    lefts = _lanes(lefts, width)
     out = [[0] * (len(columns) + top) for _ in range(max(span, len(lefts)))]
     for index, column in enumerate(zip(*t)):
         row = out[index // powers]
@@ -456,12 +483,11 @@ def _expansion_residuals(n: int, k: int, mode: LambdaMode, sides: Sequence[tuple
             row[p] += sum(map(mul, column, beta))
     for row, x in zip(out, lefts):
         if x:
-            x *= f
             row.extend([0] * (len(pole) - len(row)))
             row[:len(pole)] = map(add, row, [x * c for c in pole])
     # out is lhs minus the right side over den (L-1)^a (L+1)^b, sample y in lane y
     return [embed_poly(_new(_SYM, _sym_reduced(rows, den, a, b)), mode)
-            for rows in _unpacked(out, width, len(sides))]
+            for rows in _unlaned(out, width, len(sides))]
 
 
 _MEMOS = (_twisted, _omega, _beta_columns, _convolution, _shifted, _hansen_rhs, _dilcher_rhs)
@@ -515,51 +541,50 @@ class _Spec(NamedTuple):
     max_k shrink; an int ``k`` is an order max_k leaves alone, None marks
     an identity without one.  ``modes`` None marks a lambda-free identity;
     a mode selection leaves an identity with a single mode alone.
-    Bivariate identities sample y at n + ``y_extra`` points.  A ``block``
-    checker takes the points of one (n, k, mode) together; the checker then
-    runs it on one point.
+    Bivariate identities sample y at n + ``y_extra`` points.  The checker
+    takes the points of one (n, k, mode) together, one outcome each.
     """
 
-    checker: Callable[[GridPoint], CheckOutcome]
+    checker: Callable[[Sequence[GridPoint]], List[CheckOutcome]]
     letter: str  # parameter letter used in validity-domain summaries
     n: Tuple[int, int]
     k: Union[None, int, Tuple[int, int]] = None
     modes: Optional[Tuple[LambdaMode, ...]] = None
     y_extra: Optional[int] = None
-    block: Optional[Callable[[Sequence[GridPoint]], List[CheckOutcome]]] = None
 
 
-def _blocked(block: Callable[[Sequence[GridPoint]], List[CheckOutcome]], *fields, **named) -> _Spec:
-    return _Spec(lambda pt: block([pt])[0], *fields, block=block, **named)
+def _each(check: Callable[[GridPoint], CheckOutcome]):
+    """The checker that checks each point of a block on its own."""
+    return lambda points: list(map(check, points))
 
 
 _CATALOG: Dict[IdentityId, _Spec] = {
-    IdentityId.ID_DERIV: _Spec(_check_deriv, "n", (1, 10), (0, 4), _FULL_MODES),
-    IdentityId.ID_DIFF: _Spec(_check_diff, "n", (0, 8), (1, 4), _FULL_MODES),
-    IdentityId.ID_LOWER_ORDER: _Spec(_check_lower_order, "n", (1, 8), (1, 4), _FULL_MODES),
-    IdentityId.ID_ZERO_ORDER: _Spec(_check_zero_order, "n", (0, 10), 0, _FULL_MODES),
-    IdentityId.ID_LEMMA_CLOSED_FORM: _Spec(_check_lemma, "k", (0, 5), (0, 5), (_SYM,)),
-    IdentityId.ID_THM1: _Spec(_check_thm1, "k", (0, 6), (0, 3), _NOT_ONE_MODES),
+    IdentityId.ID_DERIV: _Spec(_each(_check_deriv), "n", (1, 10), (0, 4), _FULL_MODES),
+    IdentityId.ID_DIFF: _Spec(_each(_check_diff), "n", (0, 8), (1, 4), _FULL_MODES),
+    IdentityId.ID_LOWER_ORDER: _Spec(_each(_check_lower_order), "n", (1, 8), (1, 4), _FULL_MODES),
+    IdentityId.ID_ZERO_ORDER: _Spec(_each(_check_zero_order), "n", (0, 10), 0, _FULL_MODES),
+    IdentityId.ID_LEMMA_CLOSED_FORM: _Spec(_each(_check_lemma), "k", (0, 5), (0, 5), (_SYM,)),
+    IdentityId.ID_THM1: _Spec(_each(_check_thm1), "k", (0, 6), (0, 3), _NOT_ONE_MODES),
     # basis expansions of q_n, an Appell family at L = 1 (Corollary, Theorems 2 and 3)
-    IdentityId.ID_COR_XN: _blocked(
+    IdentityId.ID_COR_XN: _Spec(
         _basis_block(lambda n, k, y: XPolynomial.monomial(_ONE, n)),
         "k", (0, 8), (0, 3), _FULL_MODES),
-    IdentityId.ID_THM2: _blocked(
+    IdentityId.ID_THM2: _Spec(
         _basis_block(lambda n, k, y: apostol_euler_poly(n, k, _ONE)),
         "k", (0, 8), (0, 3), _AUDIT_MODES),
-    IdentityId.ID_THM3: _blocked(
+    IdentityId.ID_THM3: _Spec(
         _basis_block(lambda n, k, y: apostol_bernoulli_poly(n, k, _ONE)),
         "k", (0, 8), (0, 3), _AUDIT_MODES),
-    IdentityId.ID_HANSEN: _Spec(_check_hansen, "m", (0, 10), y_extra=2),
-    IdentityId.ID_EULER_RAMANUJAN: _Spec(_check_euler_ramanujan, "m", (2, 20)),
+    IdentityId.ID_HANSEN: _Spec(_each(_check_hansen), "m", (0, 10), y_extra=2),
+    IdentityId.ID_EULER_RAMANUJAN: _Spec(_each(_check_euler_ramanujan), "m", (2, 20)),
     # the bracket, read at a per the cataloged display, is n!/m! times
     # Hansen's right side; the basis checker applies n!/m!
-    IdentityId.ID_THM4: _blocked(
+    IdentityId.ID_THM4: _Spec(
         _basis_block(lambda n, k, y: _convolution(bernoulli_poly, n, y),
                      lambda m, k, y: _hansen_rhs(m, y)),
         "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=2),
-    IdentityId.ID_DILCHER: _Spec(_check_dilcher, "n", (0, 10), y_extra=2),
-    IdentityId.ID_THM5: _blocked(_thm5_block, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),
+    IdentityId.ID_DILCHER: _Spec(_each(_check_dilcher), "n", (0, 10), y_extra=2),
+    IdentityId.ID_THM5: _Spec(_thm5_block, "k", (0, 8), (0, 3), _AUDIT_MODES, y_extra=3),
 }
 
 
@@ -689,8 +714,7 @@ def _verify(identity: IdentityId, grid: Sequence[GridPoint]) -> IdentityReport:
             points = list(points)
             twinned = [(k, pt.y) in twins and mode.value not in (1, -1) for pt in points]
             native = [pt for pt, twin in zip(points, twinned) if not twin]
-            outcomes = iter(spec.block(native) if spec.block and native else
-                            map(spec.checker, native))
+            outcomes = iter(spec.checker(native) if native else ())
             for pt, twin in zip(points, twinned):
                 if twin:
                     # the symbolic residual's text at L; None and zero pass there

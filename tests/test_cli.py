@@ -479,7 +479,7 @@ def test_an_empty_grid_is_refused_before_any_identity_runs(capsys, monkeypatch):
     calls = []
     spec = identities._CATALOG[identities.IdentityId.ID_DERIV]
     monkeypatch.setitem(identities._CATALOG, identities.IdentityId.ID_DERIV,
-                        spec._replace(checker=lambda pt: calls.append(pt) or spec.checker(pt)))
+                        spec._replace(checker=lambda points: calls.extend(points) or spec.checker(points)))
     for argv, empty in ((("verify", "--max-n", "1"), "ID_EULER_RAMANUJAN"),
                         (("verify", "--max-k", "0"), "ID_DIFF")):
         code, out, err = run_cli(capsys, *argv)

@@ -104,7 +104,7 @@ def test_gcd_hooks_gain_no_caller():
 KEY_ROUTINES = {
     "_pole_poly", "_divided", "_horner", "_sym_reduced", "_canonical", "_lift", "_ZERO_KEY",
     "_reduced", "_add_into", "_scaled", "_times", "_sum", "_lifted", "_scalar_key",
-    "_checked_rational", "_NUM_ZERO_KEY", "_specialized", "_packed", "_unpacked",
+    "_checked_rational", "_NUM_ZERO_KEY", "_specialized",
 }
 
 

@@ -434,21 +434,30 @@ def test_beta_columns_equal_the_per_key_lift(mode):
 
 
 def test_every_memo_is_hit_over_the_default_suite(monkeypatch):
-    # a memo that nothing in a suite reads twice is only overhead; the
-    # identities of one suite share the memos, and the five basis checks
-    # read one lifted number table per (k, n, mode) block
+    # a memo that no point of any identity reads twice is only overhead.
+    # The basis checks read one lifted number table per (k, n, mode)
+    # block, so _beta_columns is hit only across the identities of one
+    # suite, which share the memos until run_suite clears them.
     from apobern import identities
 
-    hits = {}
+    hits = {memo.__name__: 0 for memo in identities._MEMOS}
+    for ident in IdentityId:
+        verify_identity(ident, default_grid(ident))
+        for memo in identities._MEMOS:
+            hits[memo.__name__] += memo.cache_info().hits
+    del hits[identities._beta_columns.__name__]
+    assert all(hits.values()), hits
+
+    suite = []
     clear = identities._clear_memos
 
     def recording():
-        hits.update({memo.__name__: memo.cache_info().hits for memo in identities._MEMOS})
+        suite.append(identities._beta_columns.cache_info().hits)
         clear()
 
     monkeypatch.setattr(identities, "_clear_memos", recording)
     run_suite(default_suite_config())
-    assert len(hits) == len(identities._MEMOS) and all(hits.values()), hits
+    assert suite[-1] > 0, suite
 
 
 # Theorem 4 and 5 brackets as the paper displays them, with m = n - j + k
@@ -688,7 +697,7 @@ def test_blocked_residuals_equal_the_per_point_residuals(ident):
     grid = default_grid(ident)
     corner = default_grid(ident, max_n=4, max_k=3)
     assert set(corner) <= set(grid)
-    block = identities._CATALOG[ident].block
+    block = identities._CATALOG[ident].checker
     modes = {pt.mode for pt in grid} | {LambdaMode.numeric(q) for q in (-2, 1, Fraction(-1, 2))}
     checked = 0
     for mode in modes:
@@ -727,7 +736,7 @@ def test_basis_number_table_sums_match_the_member_products(ident, q):
     assert {pt.k for pt in grid} == set(range(4)) and {pt.mode for pt in grid} == {SYM}
     for pt in grid:
         pt = pt._replace(mode=mode)
-        [(variant, residual)] = identities._CATALOG[ident].checker(pt)
+        [[(variant, residual)]] = identities._CATALOG[ident].checker([pt])
         assert variant is None and residual.mode is mode
         assert residual._key == reference(pt)._key, pt
 
@@ -743,8 +752,9 @@ def test_thm1_closed_form_residual_is_minus_the_corollary_residual():
     assert len(grid) == 112
     failing = 0
     for pt in grid:
-        closed = dict(catalog[IdentityId.ID_THM1].checker(pt))["closed-form"]
-        [(_, corollary)] = catalog[IdentityId.ID_COR_XN].checker(pt)
+        [closed] = catalog[IdentityId.ID_THM1].checker([pt])
+        closed = dict(closed)["closed-form"]
+        [[(_, corollary)]] = catalog[IdentityId.ID_COR_XN].checker([pt])
         assert closed.mode is corollary.mode is pt.mode
         assert closed == -corollary, pt
         failing += bool(corollary)
@@ -793,7 +803,7 @@ def test_each_audited_basis_fail_is_theorem_1s_defect_at_its_q(ident, fails):
     failing = 0
     for pt in default_grid(ident):
         q = embed_poly(_expanded_left_side(ident, pt), pt.mode)
-        [(_, residual)] = checker(pt)
+        [[(_, residual)]] = checker([pt])
         assert residual.mode is pt.mode
         assert residual == -(closed_form_coefficients(q, pt.k).reconstruction - q), pt
         failing += bool(residual)
@@ -832,11 +842,11 @@ def test_suite_identities_share_the_memos_until_the_suite_returns(monkeypatch):
 
     def recording(points):
         infos.append(identities._hansen_rhs.cache_info())
-        outcomes = spec.block(points)
+        outcomes = spec.checker(points)
         infos.append(identities._hansen_rhs.cache_info())
         return outcomes
 
-    monkeypatch.setitem(identities._CATALOG, IdentityId.ID_THM4, spec._replace(block=recording))
+    monkeypatch.setitem(identities._CATALOG, IdentityId.ID_THM4, spec._replace(checker=recording))
     run_suite(SuiteConfig(ids=(IdentityId.ID_HANSEN, IdentityId.ID_THM4)))
     before, after = infos[0], infos[-1]
     assert before.currsize == before.misses > 0  # what ID_HANSEN built
@@ -887,16 +897,11 @@ def test_checkers_run_where_no_symbolic_residual_is_specialized(monkeypatch):
         spec = identities._CATALOG[ident]
         calls = []
 
-        def recording(pt, checker=spec.checker, calls=calls):
-            calls.append(pt)
-            return checker(pt)
-
-        def recording_block(points, block=spec.block, calls=calls):
+        def recording(points, checker=spec.checker, calls=calls):
             calls.extend(points)
-            return block(points)
+            return checker(points)
 
-        monkeypatch.setitem(identities._CATALOG, ident, spec._replace(
-            checker=recording, block=spec.block and recording_block))
+        monkeypatch.setitem(identities._CATALOG, ident, spec._replace(checker=recording))
         grid = default_grid(ident)
         verify_identity(ident, grid)
         native = [pt for pt in grid
@@ -916,11 +921,10 @@ def test_text_residuals_send_their_numeric_twins_to_the_checker(monkeypatch):
     spec = identities._CATALOG[ident]
     calls = []
 
-    def checker(pt):
-        calls.append(pt)
-        if pt.mode is SYM and pt.k == 1:
-            return [(None, "symbolic witness")]
-        return spec.checker(pt)
+    def checker(points):
+        calls.extend(points)
+        return [[(None, "symbolic witness")] if pt.mode is SYM and pt.k == 1
+                else spec.checker([pt])[0] for pt in points]
 
     monkeypatch.setitem(identities._CATALOG, ident, spec._replace(checker=checker))
     grid = default_grid(ident, max_n=3)
@@ -960,7 +964,7 @@ def test_single_mode_suites_match_the_default_suite(q, default_results):
 def symbolic_outcomes():
     # the outcomes the suite specializes: those without witness text
     outcomes = {
-        (ident, pt): _catalog()[ident].checker(pt)
+        (ident, pt): _catalog()[ident].checker([pt])[0]
         for ident in SPECIALIZED
         for pt in default_grid(ident, max_n=4, max_k=2, modes=(SYM,))
     }
@@ -980,7 +984,7 @@ def test_native_residuals_are_the_specialized_symbolic_ones(symbolic_outcomes, q
     # residual evaluated at q; a None residual (a pass) stays None
     mode = LambdaMode.numeric(q)
     for (ident, pt), outcome in symbolic_outcomes.items():
-        native = _catalog()[ident].checker(pt._replace(mode=mode))
+        [native] = _catalog()[ident].checker([pt._replace(mode=mode)])
         specialized = [(v, None if r is None else specialize_poly(r, mode)) for v, r in outcome]
         assert native == specialized, (ident, pt)
 
