@@ -52,7 +52,7 @@ from .families import (
     bernoulli_poly,
     euler_poly,
 )
-from .field import FieldElement, LambdaMode
+from .field import LambdaMode
 from .operators import (
     DifferencePowerMethod,
     corrected_power_at_zero,
@@ -188,21 +188,17 @@ class _Sample(Fraction):
         return self._hash
 
 
-# A residual is LHS - RHS (an x-polynomial or a scalar), or, where no
-# single difference says what failed, None for a pass and the witness text
-# for a fail; zero means the point passes.
-Residual = Union[None, str, XPolynomial, FieldElement]
+# A residual is LHS - RHS as an x-polynomial, or, where no single
+# difference says what failed, None for a pass and the witness text for a
+# fail; zero means the point passes.
+Residual = Union[None, str, XPolynomial]
 CheckOutcome = List[Tuple[Optional[str], Residual]]
 
 
 def _witness(residual: Residual) -> Optional[str]:
     if not residual:
         return None
-    if isinstance(residual, str):
-        return residual
-    if isinstance(residual, XPolynomial):
-        return render_x_poly(residual)
-    return render_field_element(residual)
+    return residual if isinstance(residual, str) else render_x_poly(residual)
 
 
 # --------------------------------------------------------------------------
@@ -506,7 +502,7 @@ def _check_euler_ramanujan(pt: GridPoint) -> CheckOutcome:
     for i in range(2, m - 1):
         acc += comb(m, i) * numbers[i] * numbers[m - i]
     rhs = -acc / (m + 1)
-    return [(None, numbers[m] - rhs)]
+    return [(None, XPolynomial([numbers[m] - rhs], _ONE))]
 
 
 def _check_dilcher(pt: GridPoint) -> CheckOutcome:
@@ -643,16 +639,10 @@ def _check_bounds(identity: IdentityId, grid: Sequence[GridPoint]):
 
 
 def _ranges(values: Sequence[int]) -> str:
-    parts = []
-    run_start = prev = values[0]
-    for v in list(values[1:]) + [None]:
-        if v is not None and v == prev + 1:
-            prev = v
-            continue
-        parts.append(str(run_start) if run_start == prev else f"{run_start}..{prev}")
-        if v is not None:
-            run_start = prev = v
-    return ",".join(parts)
+    # the values of one run of consecutive integers share value - index
+    runs = groupby(enumerate(values), lambda iv: iv[1] - iv[0])
+    runs = [[v for _, v in run] for _, run in runs]
+    return ",".join(str(r[0]) if len(r) == 1 else f"{r[0]}..{r[-1]}" for r in runs)
 
 
 def _domain_for(letter: str, outcomes: Dict[int, bool]) -> str:

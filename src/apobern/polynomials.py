@@ -19,18 +19,16 @@ from typing import Iterable, Sequence, Union
 
 from ._kernels import conv_int, power
 from ._keys import (_NUM_ZERO_KEY, _ZERO_KEY, _add_into, _canonical, _checked_rational, _horner,
-                    _lift, _lifted, _reduced, _scalar_key, _scaled, _specialized, _sum,
-                    _sym_reduced, _times)
+                    _lift, _lifted, _reduced, _scalar_key, _scaled, _sum, _sym_reduced, _times)
 from .field import (
     FieldElement,
     LambdaMode,
     MixedModeError,
-    PoleError,
     _fast_fraction,
     _new as _ratfunc,
 )
 
-__all__ = ["XPolynomial", "dot", "embed_poly", "shift_poly", "specialize_poly"]
+__all__ = ["XPolynomial", "dot", "embed_poly", "shift_poly"]
 
 
 class XPolynomial:
@@ -255,16 +253,6 @@ def embed_poly(poly: XPolynomial, mode: LambdaMode) -> XPolynomial:
     if mode.is_symbolic:
         return _new(mode, (tuple([(c,) if c else () for c in n]), d, 0, 0))
     return _new(mode, (n, d))
-
-
-def specialize_poly(poly: XPolynomial, mode: LambdaMode) -> XPolynomial:
-    """A symbolic polynomial's value at the numeric mode's L = u/v, the
-    x-polynomial twin of ``LambdaMode.specialize``: each row is one dot
-    over one denominator, reduced once; raises PoleError at a pole."""
-    n, den = _specialized(poly._key, mode.value.numerator, mode.value.denominator)
-    if not den:
-        raise PoleError(f"pole at {mode.label()}")
-    return _new(mode, _reduced(n, den))
 
 
 def shift_poly(p: XPolynomial, h: Union[int, Fraction, FieldElement]) -> XPolynomial:

@@ -100,9 +100,9 @@ def _term_text(n, d: int, a: int, b: int, sym: str, exponent: int) -> str:
 
 
 def _specialized_text(key: tuple, value) -> str:
-    """``render_x_poly(specialize_poly(p, mode))`` for the nonzero symbolic
-    key of p and the value u/v (not +-1) of the mode, or "" where p vanishes
-    there: each term of the unreduced value takes its own lowest terms."""
+    """``render_x_poly`` text of the nonzero symbolic key at L = u/v (not
+    +-1), through ``_keys._specialized``, or "" where it vanishes there:
+    each term of the unreduced value takes its own lowest terms."""
     n, d = _specialized(key, value.numerator, value.denominator)
     return _terms_text(n, d, "x", " ") if any(n) else ""
 

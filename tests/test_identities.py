@@ -12,12 +12,12 @@ from apobern import (
     IdentityId,
     LambdaMode,
     SuiteConfig,
+    XPolynomial,
     default_grid,
     default_suite_config,
     run_suite,
     verify_identity,
 )
-from apobern.polynomials import specialize_poly
 
 from _util import ONE, PROPERTY_MODES, SYM
 
@@ -981,12 +981,72 @@ def symbolic_outcomes():
 @example(q=Fraction(-1, 2))
 def test_native_residuals_are_the_specialized_symbolic_ones(symbolic_outcomes, q):
     # the checker run at L = q gives, variant for variant, the symbolic
-    # residual evaluated at q; a None residual (a pass) stays None
+    # residual with each coefficient evaluated at q; a None residual (a
+    # pass) stays None.  The text the suite writes for the numeric twin
+    # at q, from the symbolic key, is the native residual's witness
+    from apobern.identities import _witness
+    from apobern.render import _specialized_text
+
     mode = LambdaMode.numeric(q)
     for (ident, pt), outcome in symbolic_outcomes.items():
         [native] = _catalog()[ident].checker([pt._replace(mode=mode)])
-        specialized = [(v, None if r is None else specialize_poly(r, mode)) for v, r in outcome]
-        assert native == specialized, (ident, pt)
+        reference = [(v, None if r is None else
+                      XPolynomial([c.evaluate_at(q) for c in r.coeffs], mode))
+                     for v, r in outcome]
+        assert native == reference, (ident, pt)
+        twins = [(v, (r and _specialized_text(r._key, q)) or None) for v, r in outcome]
+        assert twins == [(v, _witness(r)) for v, r in native], (ident, pt)
+
+
+def test_euler_ramanujan_residual_is_a_constant_x_polynomial():
+    # the residual B_m - RHS at L = 1 is a constant x-polynomial, and its
+    # witness is the text the scalar difference alone renders to
+    from apobern.identities import _witness
+    from apobern.render import render_field_element
+
+    ident = IdentityId.ID_EULER_RAMANUJAN
+    failing = []
+    for pt in default_grid(ident):
+        [[(variant, residual)]] = _catalog()[ident].checker([pt])
+        assert variant is None and isinstance(residual, XPolynomial), pt
+        assert residual.mode == ONE and residual.degree <= 0, pt
+        if residual:
+            assert _witness(residual) == render_field_element(residual.coeffs[0]), pt
+            failing.append((pt.n, _witness(residual)))
+    assert failing == [(2, "1/6")]
+
+
+def _ranges_by_loop(values):
+    # the run-by-run scan that identities._ranges replaced
+    parts = []
+    run_start = prev = values[0]
+    for v in list(values[1:]) + [None]:
+        if v is not None and v == prev + 1:
+            prev = v
+            continue
+        parts.append(str(run_start) if run_start == prev else f"{run_start}..{prev}")
+        if v is not None:
+            run_start = prev = v
+    return ",".join(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(-6, 25), min_size=1))
+@example({3})
+@example({1, 2, 3, 5})
+@example({-2, -1, 0, 2, 3, 7})
+def test_ranges_writes_each_run_of_consecutive_values_once(values):
+    from apobern.identities import _ranges
+
+    values = sorted(values)
+    text = _ranges(values)
+    assert text == _ranges_by_loop(values)
+    assert _ranges([1, 2, 3, 5]) == "1..3,5"
+    # each part is one maximal run, and the parts cover the values exactly
+    spans = [tuple(int(s) for s in part.rsplit("..", 1)) if ".." in part[1:] else (int(part),) * 2
+             for part in text.split(",")]
+    assert [v for lo, hi in spans for v in range(lo, hi + 1)] == values
+    assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
 
 
 def test_mode_consistency_symbolic_pass_implies_numeric_pass():

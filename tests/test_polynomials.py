@@ -12,13 +12,12 @@ from apobern import (
     LambdaMode,
     LambdaRatFunc,
     MixedModeError,
-    PoleError,
     XPolynomial,
     embed_poly,
     shift_poly,
 )
 from apobern._kernels import conv_int
-from apobern.polynomials import dot, specialize_poly
+from apobern.polynomials import dot
 from apobern.render import (
     LATEX_SYMBOL,
     TEXT_SYMBOL,
@@ -362,24 +361,6 @@ def test_embed_poly():
         embed_poly(XPolynomial([SYM.lam], SYM), ONE)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=5),
-    st.integers(1, 6),
-    st.integers(0, 4),
-    st.integers(0, 4),
-    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda q: abs(q) != 1),
-)
-def test_specialize_poly_matches_per_coefficient_evaluation(rows, d, a, b, q):
-    # rows of unequal length, zero rows, poles up to order 4 at L = 1 and
-    # L = -1; q < 1 makes u - v negative
-    lam = SYM.lam
-    den = (lam - 1) ** a * (lam + 1) ** b * d
-    p = XPolynomial([sum((lam ** i * c for i, c in enumerate(r)), SYM.zero) / den for r in rows], SYM)
-    mode = LambdaMode.numeric(q)
-    assert specialize_poly(p, mode) == XPolynomial([c.evaluate_at(q) for c in p.coeffs], mode)
-
-
 _TWINS = (Fraction(2), Fraction(-2), Fraction(1, 3), Fraction(3, 2), Fraction(-1, 2))
 
 
@@ -390,15 +371,18 @@ _TWINS = (Fraction(2), Fraction(-2), Fraction(1, 3), Fraction(3, 2), Fraction(-1
     st.integers(0, 8),
     st.integers(0, 8),
     st.sampled_from((None,) + _TWINS),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda q: abs(q) != 1),
 )
-@example([[1, -1]], 1, 8, 0, None)
-@example([[0, 3], [5]], 4, 0, 8, Fraction(1, 3))
-def test_specialized_text_is_the_text_of_the_specialized_residual(rows, d, a, b, root):
+@example([[1, -1]], 1, 8, 0, None, Fraction(0))
+@example([[0, 3], [5]], 4, 0, 8, Fraction(1, 3), Fraction(-5, 6))
+def test_specialized_text_is_the_text_of_the_specialized_residual(rows, d, a, b, root, q):
     # a symbolic residual key with poles up to order 8 at L = 1 and
-    # L = -1, several rows and mixed d, every row taking the factor
-    # (v L - u) of a root u/v when one is drawn, so that its twin passes:
-    # the twin's pass bit and text are those of the specialized polynomial,
-    # which is also the one of each coefficient evaluated on its own
+    # L = -1, several rows of unequal length, zero rows and mixed d, every
+    # row taking the factor (v L - u) of a root u/v when one is drawn, so
+    # that its twin passes.  At each twin value and at q (q < 1 makes
+    # u - v negative) the twin's pass bit and text are those of each
+    # coefficient evaluated on its own: evaluate_at runs Horner and shares
+    # no code with _keys._specialized, a dot with cached powers
     from apobern._keys import _sym_reduced
     from apobern.polynomials import _new
 
@@ -408,21 +392,12 @@ def test_specialized_text_is_the_text_of_the_specialized_residual(rows, d, a, b,
     if not key[0]:
         return
     residual = _new(SYM, key)
-    for value in _TWINS:
+    for value in _TWINS + (q,):
         mode = LambdaMode.numeric(value)
-        specialized = specialize_poly(residual, mode)
-        assert specialized == XPolynomial([c.evaluate_at(value) for c in residual.coeffs], mode)
+        reference = XPolynomial([c.evaluate_at(value) for c in residual.coeffs], mode)
         text = _specialized_text(key, value)
-        assert (text == "") == (not specialized) and (text == "" or value != root), value
-        assert text == "" or text == render_x_poly(specialized), value
-
-
-def test_specialize_poly_at_a_pole():
-    p = XPolynomial([0, SYM.one / (SYM.lam - 1)], SYM)
-    with pytest.raises(PoleError):
-        specialize_poly(p, ONE)
-    minus_one = LambdaMode.numeric(-1)
-    assert specialize_poly(p, minus_one) == XPolynomial([0, Fraction(-1, 2)], minus_one)
+        assert (text == "") == (not reference) and (text == "" or value != root), value
+        assert text == "" or text == render_x_poly(reference), value
 
 
 def test_render_x_poly_spellings():

@@ -1,35 +1,39 @@
-"""Time two git revisions alternately in one process.
+"""Time two versions of the package alternately in one process.
 
     python3 tools/ab_inprocess.py [--pairs N] [--sha256 HEX] BASE NEW
     python3 tools/ab_inprocess.py --workload verify-requests|calc-requests
                                   [--seed N] [--pairs N] BASE NEW
 
-Run it from anywhere inside a git checkout; it needs only the standard
-library.  ``src/apobern`` of each revision is copied out of git into a
-temporary directory under the package names ``ab_base`` and ``ab_new``,
-and both are imported into this process.  One run is a list of requests
-through ``cli.main``, with the family caches cleared before each request
-and stdout captured: by default the one request ``verify --format json``,
-and with a stream workload block 0 of that workload's stream for
-``--seed`` in ``perfbench/streams.py`` of this checkout (the only
-perfbench file read).  Each pair runs once per package, the order
-alternating from pair to pair.  Every request must exit 0, and its stdout
-must have the same sha256 in every run of both sides (a default verify's
-also ``--sha256`` when it is given), or the script exits 1.  A revision
-whose ``cli`` still reads the packaged expectation as
-``resources.files("apobern")`` (before ``__package__``) needs ``apobern``
-importable as well, e.g. ``PYTHONPATH=src``.
+Run it from anywhere; it needs only the standard library.  BASE and NEW
+each name a directory that holds ``src/apobern`` (a checkout or a copy
+of one, uncommitted edits included, e.g. ``.``) or, failing that, a
+revision (e.g. ``HEAD``) of the git checkout that holds this script.
+``src/apobern`` of each side is copied, from that directory or out of
+git, into a temporary directory under the package names ``ab_base`` and
+``ab_new``, and both are imported into this process.  One run is a list
+of requests through ``cli.main``, with the family caches cleared before
+each request and stdout captured: by default the one request
+``verify --format json``, and with a stream workload block 0 of that
+workload's stream for ``--seed`` in ``perfbench/streams.py`` of this
+checkout (the only perfbench file read).  Each pair runs once per
+package, the order alternating from pair to pair.  Every request must
+exit 0, and its stdout must have the same sha256 in every run of both
+sides (a default verify's also ``--sha256`` when it is given), or the
+script exits 1.  A side whose ``cli`` still reads the packaged
+expectation as ``resources.files("apobern")`` (before ``__package__``)
+needs ``apobern`` importable as well, e.g. ``PYTHONPATH=src``.
 
 One process sees the same host speed for both sides of a pair, so this
 resolves differences of a few percent that separate perfbench runs do
-not on a host whose speed drifts.  It is run by hand and is no part of
-the test suite.  The last stdout line is a JSON summary: per-side
-medians and interquartile ranges in seconds, the quartiles of the
-per-pair ratios new/base (their median included) and the number of pairs
-NEW won.  A ratio whose distance from 1 is within the base side's own
-spread (its interquartile range over its median) reads as no change.
-Quartiles are the inclusive method of ``statistics.quantiles``; a single
-pair gives its one value for all three.
+not on a host whose speed drifts.  It is no part of the test suite; CI
+runs one pair of ``HEAD`` against the checkout so that it keeps working.
+The last stdout line is a JSON summary: per-side medians and
+interquartile ranges in seconds, the quartiles of the per-pair ratios
+new/base (their median included) and the number of pairs NEW won.  A
+ratio whose distance from 1 is within the base side's own spread (its
+interquartile range over its median) reads as no change.  Quartiles are
+the inclusive method of ``statistics.quantiles``; a single pair gives
+its one value for all three.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import importlib
 import importlib.util
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,13 +56,18 @@ from pathlib import Path
 
 PREFIX = "src/apobern/"
 ARGV = ("verify", "--format", "json")
-STREAMS = Path(__file__).resolve().parent.parent / "perfbench" / "streams.py"
+ROOT = Path(__file__).resolve().parent.parent
+STREAMS = ROOT / "perfbench" / "streams.py"
 
 
-def _export(rev: str, name: str, root: Path):
-    """Write src/apobern of ``rev`` to root/name."""
-    data = subprocess.run(["git", "archive", "--format=tar", rev, PREFIX],
-                          check=True, capture_output=True).stdout
+def _export(side: str, name: str, root: Path):
+    """Write src/apobern of ``side``, a directory or else a revision, to root/name."""
+    tree = Path(side) / PREFIX
+    if tree.is_dir():
+        shutil.copytree(tree, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+        return
+    data = subprocess.run(["git", "archive", "--format=tar", side, PREFIX],
+                          check=True, capture_output=True, cwd=ROOT).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         for member in tar.getmembers():
             if member.isfile():
@@ -116,9 +126,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         packages = {}
-        for side, rev in (("base", args.base), ("new", args.new)):
+        for side, source in (("base", args.base), ("new", args.new)):
             name = f"ab_{side}"
-            _export(rev, name, root)
+            _export(source, name, root)
             sys.path.insert(0, tmp)
             packages[side] = (importlib.import_module(f"{name}.cli"),
                               importlib.import_module(f"{name}.families"))
